@@ -205,6 +205,7 @@ func TestHealthAndMetrics(t *testing.T) {
 		"pnmcs_jobs_submitted_total 1",
 		"pnmcs_jobs_completed_total 1",
 		"pnmcs_pool_rollouts_total",
+		"pnmcs_pool_chunks_total",
 		"pnmcs_pool_queue_depth_max",
 		`pnmcs_pool_median_idle_seconds{median="0"}`,
 		`pnmcs_pool_client_idle_seconds{client="1"}`,
@@ -212,6 +213,10 @@ func TestHealthAndMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	// The job's rollouts travelled in chunks, and the counter saw them.
+	if strings.Contains(body, "\npnmcs_pool_chunks_total 0\n") {
+		t.Fatalf("no chunks counted:\n%s", body)
 	}
 }
 

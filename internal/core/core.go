@@ -154,6 +154,7 @@ type Searcher struct {
 	stats Stats
 
 	movebuf []game.Move // shared scratch for move lists at sample level
+	seqbuf  []game.Move // Score's discarded move sequence
 	levels  []levelBuf  // per-recursion-level scratch
 
 	// eval guides level-0 playouts (see Options.Evaluator); wbuf is its
@@ -164,7 +165,7 @@ type Searcher struct {
 
 	// undo is non-nil while the current top-level search traverses with
 	// Play/Undo on the single mutable root state (capability-checked once
-	// in Nested). When nil, the clone-per-candidate fallback runs.
+	// in search). When nil, the clone-per-candidate fallback runs.
 	undo game.Undoer
 
 	// Transposition cache (see Options.Cache). derived is true while the
@@ -184,7 +185,8 @@ type Searcher struct {
 type levelBuf struct {
 	moves   []game.Move // candidate move list
 	scratch []game.Move // suffix of the candidate being evaluated
-	best    []game.Move // memorized best suffix
+	best    []game.Move // memorized best sequence; best[next:] is not yet replayed
+	next    int
 }
 
 // NewSearcher returns a Searcher drawing randomness from r.
@@ -343,21 +345,8 @@ func (s *Searcher) pickWeightedDerived() int {
 // each candidate is evaluated on a clone. Both paths return bit-identical
 // results for the same random stream.
 func (s *Searcher) Nested(st game.State, level int) Result {
-	if level < 0 {
-		panic(fmt.Sprintf("core: negative nesting level %d", level))
-	}
-	if u, ok := st.(game.Undoer); ok && !s.opt.NoUndo {
-		s.undo = u
-		defer func() { s.undo = nil }()
-	}
-	if s.cache != nil {
-		if _, ok := st.(game.Hasher); ok {
-			s.derived = true
-			defer func() { s.derived = false }()
-		}
-	}
 	var seq []game.Move
-	score := s.nested(st, level, &seq)
+	score := s.search(st, level, false, &seq)
 	return Result{Score: score, Sequence: seq}
 }
 
@@ -370,24 +359,41 @@ func (s *Searcher) Nested(st game.State, level int) Result {
 // entirely. Falls back to Nested when no cache is attached or the domain
 // does not hash.
 func (s *Searcher) NestedCached(st game.State, level int) Result {
+	var seq []game.Move
+	score := s.search(st, level, true, &seq)
+	return Result{Score: score, Sequence: seq}
+}
+
+// Score is Nested (boundary false) or NestedCached (boundary true) for
+// callers that want only the score: the same search, the same random draws
+// and the same Stats, with the move sequence collected in a buffer the
+// searcher reuses — so a client rank scoring rollout after rollout stops
+// allocating once the buffer has grown to the longest game.
+func (s *Searcher) Score(st game.State, level int, boundary bool) float64 {
+	s.seqbuf = s.seqbuf[:0]
+	return s.search(st, level, boundary, &s.seqbuf)
+}
+
+// search is the one top-level entry of the searcher: it checks st's
+// capabilities once — Undo traversal, derived (cached) mode — for the
+// duration of the call and runs the level. With boundary set the call
+// itself is a cache boundary (see NestedCached); subEval is plain nested
+// outside derived mode, so the flag costs nothing when no cache is attached.
+func (s *Searcher) search(st game.State, level int, boundary bool, out *[]game.Move) float64 {
 	if level < 0 {
 		panic(fmt.Sprintf("core: negative nesting level %d", level))
 	}
-	if s.cache == nil {
-		return s.Nested(st, level)
-	}
-	if _, ok := st.(game.Hasher); !ok {
-		return s.Nested(st, level)
-	}
+	defer func() { s.undo, s.derived = nil, false }()
 	if u, ok := st.(game.Undoer); ok && !s.opt.NoUndo {
 		s.undo = u
-		defer func() { s.undo = nil }()
 	}
-	s.derived = true
-	defer func() { s.derived = false }()
-	var seq []game.Move
-	score := s.subEval(st, level, &seq)
-	return Result{Score: score, Sequence: seq}
+	if _, ok := st.(game.Hasher); ok && s.cache != nil {
+		s.derived = true
+	}
+	if boundary {
+		return s.subEval(st, level, out)
+	}
+	return s.nested(st, level, out)
 }
 
 // cloneFor returns a state equal to st for candidate evaluation on the
@@ -412,11 +418,13 @@ func (s *Searcher) nested(st game.State, level int, out *[]game.Move) float64 {
 	lb := &s.levels[level]
 
 	// Memorized best game (paper lines 1, 7–9): bestScore is the score of
-	// the best terminal sequence seen at this level, lb.best the not yet
-	// replayed suffix of that sequence (its head is the next move to play).
+	// the best terminal sequence seen at this level, lb.best[lb.next:] the
+	// not yet replayed suffix of that sequence (its head is the next move to
+	// play). An index, not a re-slice, so the buffer keeps its capacity from
+	// one search to the next.
 	bestScore := 0.0
 	haveBest := false
-	lb.best = lb.best[:0]
+	lb.best, lb.next = lb.best[:0], 0
 
 	for {
 		lb.moves = st.LegalMoves(lb.moves[:0])
@@ -481,11 +489,11 @@ func (s *Searcher) nested(st game.State, level int, out *[]game.Move) float64 {
 			// goes to the smaller head move; a tie with an earlier step's
 			// best keeps it (the step loop itself is deterministic).
 			if !haveBest || sc > bestScore ||
-				(s.derived && bestThisStep && sc == bestScore && len(lb.best) > 0 && m < lb.best[0]) {
+				(s.derived && bestThisStep && sc == bestScore && lb.next < len(lb.best) && m < lb.best[lb.next]) {
 				bestScore = sc
 				haveBest = true
 				bestThisStep = true
-				lb.best = append(lb.best[:0], m)
+				lb.best, lb.next = append(lb.best[:0], m), 0
 				lb.best = append(lb.best, lb.scratch...)
 			}
 		}
@@ -494,9 +502,9 @@ func (s *Searcher) nested(st game.State, level int, out *[]game.Move) float64 {
 		// reflexive mode (no memory, Cazenave 2007) play this step's argmax
 		// move instead, even if an earlier sequence scored higher.
 		var mv game.Move
-		if s.opt.Memorize && haveBest && len(lb.best) > 0 {
-			mv = lb.best[0]
-			lb.best = lb.best[1:]
+		if s.opt.Memorize && haveBest && lb.next < len(lb.best) {
+			mv = lb.best[lb.next]
+			lb.next++
 		} else {
 			mv = stepMove
 		}
@@ -594,13 +602,13 @@ func (s *Searcher) verifyHit(st game.State, key cache.Key, base, gain float64, s
 // finishCancelled completes the game after a Stop signal: it replays the
 // memorized best suffix if one exists, then samples to the end.
 func (s *Searcher) finishCancelled(st game.State, lb *levelBuf, out *[]game.Move) float64 {
-	for _, m := range lb.best {
+	for _, m := range lb.best[lb.next:] {
 		st.Play(m)
 		s.meter.Add(1)
 		s.stats.Steps++
 		*out = append(*out, m)
 	}
-	lb.best = lb.best[:0]
+	lb.next = len(lb.best)
 	if st.Terminal() {
 		return st.Score()
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/game"
 	"repro/internal/morpion"
 	"repro/internal/rng"
@@ -135,5 +137,52 @@ func TestNestedUndoLeavesStateAtTerminal(t *testing.T) {
 				t.Fatalf("terminal score %v != result score %v", st.Score(), res.Score)
 			}
 		})
+	}
+}
+
+// TestScoreMatchesNested pins the score-only entry against the two calls
+// it shares its set-up with: on every domain, cache off and on, Score
+// returns the score Nested / NestedCached return and leaves the same
+// Stats behind (same playouts, steps, undos, cache traffic — it is the
+// same search), and once its buffers have grown it allocates nothing.
+func TestScoreMatchesNested(t *testing.T) {
+	for name, mk := range equivalenceDomains() {
+		for _, cached := range []bool{false, true} {
+			for _, level := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%s/cache=%v/level%d", name, cached, level), func(t *testing.T) {
+					searcher := func() *Searcher {
+						s := NewSearcher(rng.New(5), DefaultOptions())
+						if cached {
+							s.SetCache(cache.New(0), cache.Scope("", true, 0), false)
+						}
+						return s
+					}
+					full, only := searcher(), searcher()
+					var want Result
+					if cached {
+						want = full.NestedCached(mk(), level)
+					} else {
+						want = full.Nested(mk(), level)
+					}
+					if got := only.Score(mk(), level, cached); got != want.Score {
+						t.Fatalf("Score returned %v, the full search %v", got, want.Score)
+					}
+					if only.Stats() != full.Stats() {
+						t.Fatalf("Score left stats %+v, the full search %+v", only.Stats(), full.Stats())
+					}
+
+					base, scratch := mk(), mk()
+					run := func() {
+						scratch.(game.Copier).CopyFrom(base)
+						only.Reseed(5, 1)
+						only.Score(scratch, level, cached)
+					}
+					run() // grow the move buffers to this stream's longest game
+					if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+						t.Fatalf("Score allocated %v times per call after warm-up", allocs)
+					}
+				})
+			}
+		}
 	}
 }

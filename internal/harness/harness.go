@@ -7,7 +7,7 @@
 // table rows; the quantities that transfer are the shapes — speedup curves,
 // the level-to-level cost blowup, and the Last-Minute vs Round-Robin
 // comparison on heterogeneous clusters — not the absolute durations.
-// See EXPERIMENTS.md for the paper-vs-measured record.
+// See benchmark/README.md (workload virtual_paper) for the measured record.
 //
 // Scaling knobs (see Preset): the Morpion variant (4D stands in for 5D),
 // the nesting levels (2/3 stand in for 3/4), and Config.JobScale, which

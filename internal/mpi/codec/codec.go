@@ -47,8 +47,11 @@ import (
 // the evaluator name, new evaluation batch request/reply payloads);
 // 4 = async-root wire changes (candidates and scores gained the branch
 // discriminator Par, job params gained Speculate, new speculation-cancel
-// payload, worker blob gained the pool speculation default).
-const Version = 4
+// payload, worker blob gained the pool speculation default); 5 = chunked
+// pool rollouts (the per-rollout svcJob/svcResult payloads gave way to
+// svcChunk/svcChunkResult, svcScore gained Chunks, the never-used
+// evaluation batch payloads of 3 are gone, application kinds renumbered).
+const Version = 5
 
 // MaxFrame bounds the body length a reader will accept. A corrupt or
 // hostile length prefix must not make a worker allocate gigabytes; the

@@ -24,10 +24,11 @@ import (
 
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with a couple of well-formed frames and classic corruptions;
-	// the committed corpus in testdata/fuzz adds control (ping/pong/bye),
-	// fault-protocol (ranks-lost, regrant, keyed-result) and evaluator
-	// (batch request/reply, eval-carrying job params) frames — the
-	// pre-evaluator seeds are stamped v2 and pin version rejection.
+	// the committed corpus in testdata/fuzz adds control (ping/pong/bye)
+	// and fault-protocol (ranks-lost, regrant) frames and an eval-carrying
+	// candidate, stamped v2 and v3 — they pin version rejection — and the
+	// current version's chunk and chunk-result frames, one well-formed and
+	// one malformed each (an illegal move, an item count that lies).
 	for _, fr := range []codec.Frame{
 		{From: 0, To: 1, Tag: 2, Payload: nil},
 		{From: -2, To: 3, Tag: 64, Payload: uint64(99)},

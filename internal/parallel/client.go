@@ -108,12 +108,7 @@ func runClient(c mpi.Comm, lay cluster.Layout, cfg *Config, index int, coll *col
 			start := c.Now()
 			meter.units = 0
 			r.SeedStream(cfg.Seed, jb.Key)
-			var res core.Result
-			if tc != nil {
-				res = searcher.NestedCached(jb.State, level)
-			} else {
-				res = searcher.Nested(jb.State, level)
-			}
+			score := searcher.Score(jb.State, level, tc != nil)
 			c.Work(meter.units * cfg.jobScale()) // charge the rollout's CPU to this node
 			busy := c.Now() - start
 			coll.add(index, meter.units, busy)
@@ -123,7 +118,7 @@ func runClient(c mpi.Comm, lay cluster.Layout, cfg *Config, index int, coll *col
 				c.Send(lay.Dispatcher, tagFree, nil)
 			}
 			cfg.trace("c", c.Rank(), median, c.Now())
-			c.Send(median, tagResult, jobScore{Seq: jb.Seq, Score: res.Score})
+			c.Send(median, tagResult, jobScore{Seq: jb.Seq, Score: score})
 		}
 	}
 }

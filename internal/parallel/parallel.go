@@ -191,7 +191,7 @@ type Config struct {
 	// communication granularity ratio without inflating the root and
 	// median bookkeeping, whose real cost is genuinely tiny. Speedup
 	// shapes depend on this dimensionless ratio, not on absolute times
-	// (see DESIGN.md §2 and EXPERIMENTS.md).
+	// (see DESIGN.md §2 and benchmark/README.md).
 	JobScale int64
 	// LMFifo is an ablation of the Last-Minute dispatcher: when true,
 	// pending jobs are served in arrival order instead of by the paper's

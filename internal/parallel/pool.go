@@ -120,14 +120,18 @@ type svcCandidate struct {
 	State game.State
 }
 
-// svcJob is the median→client payload: a position to roll out and the
-// parameters of the job it belongs to.
-type svcJob struct {
-	Key   uint64
-	Seq   int
+// svcChunk is the median→client payload: up to chunkLimit rollouts of one
+// median step in one message. Item i is Base after Moves[i], rolled out
+// under rng key Keys[i] and answered as candidate Seqs[i]. On an
+// in-process transport Base and the slices are the median's own step
+// state, read by the client while the median blocks on the results.
+type svcChunk struct {
 	Par   int // branch discriminator of the owning game (see resultKey)
 	P     jobParams
-	State game.State
+	Base  game.State
+	Moves []game.Move
+	Keys  []uint64
+	Seqs  []int
 }
 
 // svcScore is the median→slot result: the final score of the Cand-th
@@ -152,23 +156,33 @@ type svcScore struct {
 	Score    float64
 	Rollouts int64 // client rollouts executed for this candidate's game
 	Units    int64 // metered work units across those rollouts
+	Chunks   int64 // median→client messages that carried those rollouts
 }
 
-// svcResult is the client→median rollout result: the score of the Seq-th
-// candidate of the median's current step and the rollout's metered work.
-// Key is the job's identity echo (resultKey: the rng key folded with the
-// owning job's slot, epoch and branch discriminator) — the median uses it
-// to reject stale results: under worker churn a lost job may be both
-// re-issued and (via the rejoin pending-queue flush) computed by the dead
-// client's replacement, and the duplicate — or a result surviving from an
-// earlier step, from another job at the same logical coordinates, or from
-// a cancelled speculative branch's aborted game — must never be mistaken
-// for a live one.
-type svcResult struct {
-	Key   uint64
-	Seq   int
-	Score float64
-	Units int64
+// svcChunkResult is the client→median answer to one svcChunk: per item,
+// the score of the Seqs[i]-th candidate of the median's current step and
+// the rollout's metered work. Keys[i] is the item's identity echo
+// (resultKey: the rng key folded with the owning job's slot, epoch and
+// branch discriminator) — the median uses it to reject stale items: under
+// worker churn a lost chunk may be both re-issued and (via the rejoin
+// pending-queue flush) computed by the dead client's replacement, and the
+// duplicate — or an item surviving from an earlier step, from another job
+// at the same logical coordinates, or from a cancelled speculative
+// branch's aborted game — must never be mistaken for a live one.
+type svcChunkResult struct {
+	Keys   []uint64
+	Seqs   []int
+	Scores []float64
+	Units  []int64
+}
+
+// chunkLimit is the number of rollouts a median packs into one svcChunk:
+// a step's moves spread evenly over the pool's clients. Read from the
+// layout so that no grain has to be tuned — one client takes a whole step
+// in one message, and with at least as many clients as moves every
+// rollout travels alone, which is the paper's protocol.
+func chunkLimit(moves, clients int) int {
+	return (moves + clients - 1) / clients
 }
 
 // resultKey folds a rollout's rng key with its job's identity. The rng
@@ -184,7 +198,7 @@ type svcResult struct {
 // Par is NOT part of the rng key itself: the winning branch must draw the
 // exact rollout streams the synchronous root would, so only the identity
 // echo discriminates. Computed independently by the issuing median and
-// the executing client from fields that travel in svcJob.
+// the executing client from fields that travel in svcChunk.
 func resultKey(p jobParams, par int, rngKey uint64) uint64 {
 	return rng.Fold(uint64(p.Slot), p.Epoch, rngKey, uint64(par+1))
 }
@@ -352,6 +366,9 @@ type PoolMetrics struct {
 	Jobs int64
 	// WorkUnits is the total metered CPU work across client rollouts.
 	WorkUnits int64
+	// Chunks is the number of median→client messages that carried those
+	// rollouts; Jobs / Chunks is the mean chunk size.
+	Chunks int64
 	// MedianIdle / ClientIdle map each worker to its cumulative
 	// Recv-blocked time — waiting for a grant, an assignment or a result.
 	// Only workers co-resident with the coordinator report here; a worker
@@ -437,6 +454,7 @@ type poolCollector struct {
 	mu           sync.Mutex
 	jobs         int64
 	units        int64
+	chunks       int64
 	medianIdle   []time.Duration
 	clientIdle   []time.Duration
 	depthSamples int64
@@ -465,10 +483,11 @@ type poolCollector struct {
 	remoteClientBase, remoteClientCur []time.Duration
 }
 
-func (co *poolCollector) addRollouts(jobs, units int64) {
+func (co *poolCollector) addRollouts(jobs, units, chunks int64) {
 	co.mu.Lock()
 	co.jobs += jobs
 	co.units += units
+	co.chunks += chunks
 	co.mu.Unlock()
 }
 
@@ -1164,6 +1183,7 @@ func (p *Pool) Metrics() PoolMetrics {
 	m := PoolMetrics{
 		Jobs:             co.jobs,
 		WorkUnits:        co.units,
+		Chunks:           co.chunks,
 		MedianIdle:       append([]time.Duration(nil), co.medianIdle...),
 		ClientIdle:       append([]time.Duration(nil), co.clientIdle...),
 		QueueDepthMax:    co.depthMax,
@@ -1424,6 +1444,7 @@ type poolSpecBranch struct {
 	got      int   // scores already received
 	rollouts int64 // rollout accounting buffered until adoption
 	units    int64
+	chunks   int64
 }
 
 // playJob plays one job's top-level game. It is runRootPull with the work
@@ -1514,7 +1535,7 @@ func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, 
 			got = adopt.got
 			res.Jobs += adopt.rollouts
 			res.WorkUnits += adopt.units
-			p.coll.addRollouts(adopt.rollouts, adopt.units)
+			p.coll.addRollouts(adopt.rollouts, adopt.units, adopt.chunks)
 			adopt = nil
 		} else {
 			// Offer every candidate of the step to the shared scheduler.
@@ -1578,7 +1599,7 @@ func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, 
 					scores[sc.Cand] = sc.Score
 					res.Jobs += sc.Rollouts
 					res.WorkUnits += sc.Units
-					p.coll.addRollouts(sc.Rollouts, sc.Units)
+					p.coll.addRollouts(sc.Rollouts, sc.Units, sc.Chunks)
 					pool.Put(shipped[sc.Cand])
 					got++
 				case sc.Step == step+1 && branches[sc.Par] != nil:
@@ -1593,6 +1614,7 @@ func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, 
 					b.scores[sc.Cand] = sc.Score
 					b.rollouts += sc.Rollouts
 					b.units += sc.Units
+					b.chunks += sc.Chunks
 					b.got++
 					pool.Put(b.shipped[sc.Cand])
 				}
@@ -1995,10 +2017,11 @@ type medianComm struct {
 
 	grants []svcCandidate // prefetched/stale grants awaiting play
 	// clients holds dispatcher assigns received but not yet spent on a
-	// job, in arrival order. Normally at most one (one request in flight
+	// chunk, in arrival order. Normally at most one (one request in flight
 	// at a time); a stale assign flushed to a replacement median (whose
 	// dead predecessor requested it) adds a surplus, which is spent on
-	// the next outgoing jobs so the reserved client is never stranded.
+	// the next outgoing chunks — or handed back when the median goes idle
+	// — so the reserved client is never stranded.
 	clients []mpi.Rank
 	// reqs counts our own unanswered client requests.
 	reqs int
@@ -2072,8 +2095,14 @@ func (mc *medianComm) recv() mpi.Msg {
 // game with one client rollout per candidate move, report the score to
 // the owning slot, repeat. One work request is kept in flight while a
 // game is being played (the PR 2 prefetch window at its default of 1), so
-// the next grant travels during computation. The median's StatePool and
-// move buffers persist across jobs and domains.
+// the next grant travels during computation. The median's move buffers
+// persist across jobs and domains.
+//
+// Rollouts travel in chunks (svcChunk): every client the dispatcher
+// assigns takes up to chunkLimit of the step's unsent moves together with
+// the step position, and plays the moves itself — the median no longer
+// clones a child per move, and a step costs one request/assign/chunk/
+// free/result exchange per client instead of one per rollout.
 //
 // The body is written against mpi.Comm and the poolWorld layout only, so
 // the identical function runs as a coordinator goroutine (wall pool) or
@@ -2084,21 +2113,24 @@ func (mc *medianComm) recv() mpi.Msg {
 // to; a worker-loss notice (tagRanksLost) re-enqueues the rollouts lost
 // with dead clients, and they are re-requested and re-sent with the same
 // coordinate-derived key — so the replayed score is bit-identical and a
-// late duplicate (the original job flushed to the dead client's
-// replacement) is shed by the key/seq guard. The rollout's rng key also
-// disambiguates steps: only a result echoing the exact key issued for a
-// seq in the current step is accepted, so churn can never smuggle a stale
-// step's score into a later one.
+// late duplicate (the original chunk flushed to the dead client's
+// replacement) is shed item by item by the key/seq guard. The rollout's
+// rng key also disambiguates steps: only an item echoing the exact key
+// issued for a seq in the current step is accepted, so churn can never
+// smuggle a stale step's score into a later one.
 func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
-	var pool core.StatePool
 	var moves []game.Move
-	var shipped []game.State
 	var scores []float64
-	var scored []bool    // per-candidate received flag, guards duplicate frames
-	var keys []uint64    // per-candidate rollout rng key (travels in svcJob)
-	var expect []uint64  // per-candidate result identity echo (resultKey)
-	var owner []mpi.Rank // per-candidate client the job was sent to (-1 = none)
-	var sendq []int      // candidate seqs awaiting a client
+	var scored []bool    // per-candidate received flag, guards duplicate items
+	var keys []uint64    // per-candidate rollout rng key
+	var owner []mpi.Rank // per-candidate client the rollout was sent to (-1 = none)
+	// sendq[head:] are the candidate seqs awaiting a client. Sent chunks
+	// alias sendq, cmoves and ckeys, which clients of this process read
+	// until their results are in: within a step the three only grow, and an
+	// aborted game drops them instead of rewinding.
+	var sendq []int
+	var cmoves []game.Move
+	var ckeys []uint64
 	mc := &medianComm{c: c, w: w, idle: idle}
 
 	c.Send(w.sched, tagWorkReq, nil)
@@ -2114,6 +2146,14 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 				mc.grants = mc.grants[:copy(mc.grants, mc.grants[1:])]
 				break
 			}
+			// Idle with clients in hand — the answer to a request an aborted
+			// game left behind: a client held here is reserved at the
+			// dispatcher while other medians may be waiting for one. An
+			// empty job makes it announce itself free again.
+			for _, client := range mc.clients {
+				c.Send(client, tagJob, nil)
+			}
+			mc.clients = mc.clients[:0]
 			mc.recv()
 		}
 		// Prefetch: ask for the next candidate before playing this one.
@@ -2128,7 +2168,7 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 		}
 
 		st := cand.State
-		rollouts, units := int64(0), int64(0)
+		rollouts, units, chunks := int64(0), int64(0), int64(0)
 		aborted := false
 	game:
 		for t := 0; ; t++ {
@@ -2136,24 +2176,14 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 			if len(moves) == 0 {
 				break
 			}
-			shipped = shipped[:0]
-			scores = scores[:0]
-			scored = scored[:0]
-			keys = keys[:0]
-			expect = expect[:0]
-			owner = owner[:0]
-			sendq = sendq[:0]
-			for j, mv := range moves {
-				child := pool.Get(st)
-				c.Work(core.CloneCost)
-				child.Play(mv)
-				c.Work(1)
-				shipped = append(shipped, child)
+			limit := chunkLimit(len(moves), w.cfg.Clients)
+			scores, scored, keys, owner = scores[:0], scored[:0], keys[:0], owner[:0]
+			sendq, cmoves, ckeys = sendq[:0], cmoves[:0], ckeys[:0]
+			head := 0
+			for j := range moves {
 				scores = append(scores, 0)
 				scored = append(scored, false)
-				key := rng.Fold(uint64(cand.Step), uint64(cand.Cand), uint64(t), uint64(j))
-				keys = append(keys, key)
-				expect = append(expect, resultKey(cand.P, cand.Par, key))
+				keys = append(keys, rng.Fold(uint64(cand.Step), uint64(cand.Cand), uint64(t), uint64(j)))
 				owner = append(owner, -1)
 				sendq = append(sendq, j)
 			}
@@ -2161,24 +2191,31 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 			for got := 0; got < len(moves); {
 				// Spend assigned clients on queued rollouts, then keep one
 				// client request in flight while anything remains unsent.
-				for len(mc.clients) > 0 && len(sendq) > 0 {
+				for len(mc.clients) > 0 && head < len(sendq) {
 					client := mc.clients[0]
 					mc.clients = mc.clients[:copy(mc.clients, mc.clients[1:])]
 					if mc.w.isDead(client) {
 						// An assign that was in flight when its client's
-						// worker was abandoned: a job sent there would
+						// worker was abandoned: a chunk sent there would
 						// vanish. Discard the assign; the request counter
 						// is already settled, so the re-request below
 						// fetches a live replacement.
 						continue
 					}
-					j := sendq[0]
-					sendq = sendq[:copy(sendq, sendq[1:])]
-					owner[j] = client
-					c.Send(client, tagJob, svcJob{Key: keys[j], Seq: j, Par: cand.Par, P: cand.P, State: shipped[j]})
+					seqs := sendq[head:min(head+limit, len(sendq))]
+					head += len(seqs)
+					off := len(cmoves)
+					for _, j := range seqs {
+						owner[j] = client
+						cmoves = append(cmoves, moves[j])
+						ckeys = append(ckeys, keys[j])
+					}
+					c.Send(client, tagJob, svcChunk{Par: cand.Par, P: cand.P, Base: st,
+						Moves: cmoves[off:], Keys: ckeys[off:], Seqs: seqs})
+					chunks++
 				}
-				if len(sendq) > 0 && mc.reqs == 0 {
-					c.Send(w.disp, tagRequest, shipped[sendq[0]].MovesPlayed())
+				if head < len(sendq) && mc.reqs == 0 {
+					c.Send(w.disp, tagRequest, st.MovesPlayed()+1)
 					mc.reqs++
 				}
 
@@ -2189,28 +2226,33 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 				if mc.covered(cand) {
 					// The branch this game belongs to just lost its argmax
 					// (or its job ended): abort without scoring. In-flight
-					// rollouts on clients resolve harmlessly — their results
-					// are shed by the next game's key guard — and unscored
-					// shipped states are left to the garbage collector (a
-					// client may still be reading them).
+					// chunks on clients resolve harmlessly — their results
+					// are shed by the next game's key guard — and the step
+					// buffers they alias are left to the garbage collector
+					// (a client may still be reading them).
 					aborted = true
+					sendq, cmoves, ckeys = nil, nil, nil
 					break game
 				}
 				switch msg.Tag {
 				case tagResult:
-					res, ok := msg.Payload.(svcResult)
-					if !ok || !isClientRank(w, msg.From) ||
-						res.Seq < 0 || res.Seq >= len(scores) ||
-						scored[res.Seq] || res.Key != expect[res.Seq] {
-						continue // wrong-typed, forged, stale or duplicated wire frame
+					res, ok := msg.Payload.(svcChunkResult)
+					if !ok || !isClientRank(w, msg.From) || len(res.Keys) != len(res.Seqs) ||
+						len(res.Scores) != len(res.Seqs) || len(res.Units) != len(res.Seqs) {
+						continue // wrong-typed or forged wire frame
 					}
-					scored[res.Seq] = true
-					scores[res.Seq] = res.Score
-					owner[res.Seq] = -1
-					rollouts++
-					units += res.Units
-					pool.Put(shipped[res.Seq])
-					got++
+					for i, seq := range res.Seqs {
+						if seq < 0 || seq >= len(scores) || scored[seq] ||
+							res.Keys[i] != resultKey(cand.P, cand.Par, keys[seq]) {
+							continue // forged, stale or duplicated item
+						}
+						scored[seq] = true
+						scores[seq] = res.Scores[i]
+						owner[seq] = -1
+						rollouts++
+						units += res.Units[i]
+						got++
+					}
 				case tagRanksLost, tagRanksDead:
 					lost, ok := msg.Payload.(svcRanksLost)
 					if !ok || msg.From != mpi.External {
@@ -2236,27 +2278,29 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 		}
 		c.Send(cand.P.Root, tagStepScore, svcScore{
 			Epoch: cand.P.Epoch, Step: cand.Step, Cand: cand.Cand, Par: cand.Par,
-			Score: st.Score(), Rollouts: rollouts, Units: units,
+			Score: st.Score(), Rollouts: rollouts, Units: units, Chunks: chunks,
 		})
 	}
 }
 
-// runPoolClient is the persistent rollout worker. Jobs of any domain,
-// level and memorization mix arrive interleaved; the rollout's random
-// stream is reseeded per job from (job seed, logical coordinates), so a
-// given candidate's score is identical no matter which client executes
-// it, in which order, or what ran on this client before — the property
+// runPoolClient is the persistent rollout worker. Chunks of any domain,
+// level and memorization mix arrive interleaved; each item's random
+// stream is reseeded from (job seed, logical coordinates), so a given
+// candidate's score is identical no matter which client executes it, in
+// which chunk or order, or what ran on this client before — the property
 // the equivalence tests pin against solo RunWall runs on both the wall
 // and net transports. Searchers (one per memorization mode, sharing
-// nothing) and their scratch StatePools persist across jobs. Like
-// runPoolMedian, the body is transport-blind and runs unchanged in the
-// coordinator or in a pnmcs-worker process. tc is the process-shared
-// transposition cache; jobs opt in per job (jb.P.Cache), and because a
-// cached job's sub-searches draw from position-derived rng streams the
-// cache is shared across jobs and clients without coupling their results
-// to each other's hit patterns.
+// nothing), their scratch StatePools and the pool the chunk positions are
+// copied into persist across jobs. Like runPoolMedian, the body is
+// transport-blind and runs unchanged in the coordinator or in a
+// pnmcs-worker process. tc is the process-shared transposition cache;
+// jobs opt in per job (P.Cache), and because a cached job's sub-searches
+// draw from position-derived rng streams the cache is shared across jobs
+// and clients without coupling their results to each other's hit
+// patterns.
 func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache, cacheVerify bool, idle func(time.Duration)) {
 	meter := &unitMeter{}
+	var pool core.StatePool
 	searchers := map[bool]*core.Searcher{}
 	searcherFor := func(memorize bool) *core.Searcher {
 		s, ok := searchers[memorize]
@@ -2278,43 +2322,55 @@ func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache
 			}
 			return
 		case tagJob:
-			jb, ok := msg.Payload.(svcJob)
-			if !ok || !isMedianRank(w, msg.From) || jb.State == nil || jb.P.Level < 2 {
-				// Wrong-typed or degenerate wire frame. Still announce
-				// availability: the dispatcher must not lose this client
-				// from its free list over a frame the client refused.
+			ck, ok := msg.Payload.(svcChunk)
+			if !ok || !isMedianRank(w, msg.From) || ck.Base == nil || ck.P.Level < 2 ||
+				len(ck.Keys) != len(ck.Moves) || len(ck.Seqs) != len(ck.Moves) {
+				// An idle median handing this client back (nil payload), or a
+				// wrong-typed or degenerate wire frame. Announce availability
+				// either way: the dispatcher must not lose this client from
+				// its free list over a frame the client did not run.
 				c.Send(w.disp, tagFree, nil)
 				continue
 			}
-			median := msg.From
 
-			meter.units = 0
-			s := searcherFor(jb.P.Memorize)
+			s := searcherFor(ck.P.Memorize)
 			// Per-job evaluator wiring: jobs of differing evaluator
 			// configurations interleave on one persistent searcher, so the
-			// evaluator is swapped per job like the rng stream is reseeded.
-			// The batched facade blocks this rollout while its batch
+			// evaluator is swapped per chunk like the rng stream is reseeded
+			// per item. The batched facade blocks a rollout while its batch
 			// coalesces with the other client ranks' submissions.
-			if jb.P.Eval != "" {
-				s.SetEvaluator(batch.evaluatorFor(jb.P.Eval))
+			if ck.P.Eval != "" {
+				s.SetEvaluator(batch.evaluatorFor(ck.P.Eval))
 			} else {
 				s.SetEvaluator(nil)
 			}
-			s.Reseed(jb.P.Seed, jb.Key)
-			var res core.Result
-			if jb.P.Cache {
-				s.SetCache(tc, cache.Scope(jb.P.Eval, jb.P.Memorize, 0), cacheVerify)
-				res = s.NestedCached(jb.State, jb.P.Level-2)
-				s.SetCache(nil, 0, false)
-			} else {
-				res = s.Nested(jb.State, jb.P.Level-2)
+			if ck.P.Cache {
+				s.SetCache(tc, cache.Scope(ck.P.Eval, ck.P.Memorize, 0), cacheVerify)
 			}
-			c.Work(meter.units * jb.P.JobScale)
+			// The answer is allocated per chunk, never reused: on an
+			// in-process transport the median reads it after this client
+			// has moved on. Seqs is the median's own slice, echoed.
+			res := svcChunkResult{
+				Keys: make([]uint64, len(ck.Moves)), Seqs: ck.Seqs,
+				Scores: make([]float64, len(ck.Moves)), Units: make([]int64, len(ck.Moves)),
+			}
+			total := int64(0)
+			for i, mv := range ck.Moves {
+				meter.units = 0
+				st := pool.Get(ck.Base)
+				st.Play(mv)
+				s.Reseed(ck.P.Seed, ck.Keys[i])
+				res.Scores[i] = s.Score(st, ck.P.Level-2, ck.P.Cache)
+				pool.Put(st)
+				res.Keys[i] = resultKey(ck.P, ck.Par, ck.Keys[i])
+				res.Units[i] = meter.units
+				total += meter.units
+			}
+			s.SetCache(nil, 0, false)
+			c.Work(total * ck.P.JobScale)
 
 			c.Send(w.disp, tagFree, nil)
-			c.Send(median, tagResult, svcResult{
-				Key: resultKey(jb.P, jb.Par, jb.Key), Seq: jb.Seq, Score: res.Score, Units: meter.units,
-			})
+			c.Send(msg.From, tagResult, res)
 		}
 	}
 }

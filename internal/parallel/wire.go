@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/game"
@@ -24,54 +25,20 @@ import (
 	"repro/internal/mpi/codec"
 )
 
-// EvalBatchRequest is the batcher→evaluation-server frame payload
-// (KindEvalBatchRequest): one flushed batch of rollout positions to score
-// with the named evaluator. Batch is an opaque correlation id echoed by
-// the reply — request/reply pairs may complete out of order on a pipelined
-// connection. Unlike every other state-carrying payload, States carries a
-// per-state length prefix: a bare encoded state extends to the end of its
-// frame, and a batch needs many in one frame.
-type EvalBatchRequest struct {
-	Batch  uint64
-	Eval   string
-	States []game.State
-}
-
-// EvalBatchReply is the evaluation-server→batcher frame payload
-// (KindEvalBatchReply): Weights[i] holds one non-negative weight per legal
-// move of the request's States[i], in LegalMoves order — the same contract
-// as game.Evaluator.Evaluate. An empty vector means "no opinion" (the
-// searcher falls back to a uniform draw for that position).
-type EvalBatchReply struct {
-	Batch   uint64
-	Weights [][]float64
-}
-
 // Application payload kinds (64+ is the application band, see codec).
 const (
-	kindCandidate     codec.Kind = 64 + iota // per-run root -> median
-	kindJob                                  // per-run median -> client
-	kindJobScore                             // per-run client -> median
-	kindStepScore                            // per-run median -> root (pull)
-	kindSvcCandidate                         // pool slot -> scheduler -> median
-	kindSvcJob                               // pool median -> client
-	kindSvcScore                             // pool median -> slot
-	kindSvcResult                            // pool client -> median
-	kindSvcAbandonAck                        // pool scheduler -> slot
-	kindSvcRanksLost                         // pool coordinator -> median: worker ranks died
-	kindSvcRegrant                           // pool scheduler -> slot: grants re-queued
-	// KindEvalBatchRequest / KindEvalBatchReply are the evaluation batch
-	// frames, exported (with their payload types) because their intended
-	// far end is an external inference server speaking the frame protocol:
-	// a batcher ships one request frame per flush and receives one reply
-	// frame with the per-position move weights. The bundled in-process
-	// evaluators never serialize — these kinds exist so plugging a remote
-	// evaluator in later is a new dial target, not another protocol break.
-	KindEvalBatchRequest codec.Kind = 64 + iota // batcher -> evaluation server
-	KindEvalBatchReply                          // evaluation server -> batcher
-	// kindSvcSpecCancel is appended after the exported kinds so their
-	// values stay stable across the async-scheduler protocol change.
-	kindSvcSpecCancel // pool scheduler -> median: speculative branch cancelled
+	kindCandidate      codec.Kind = 64 + iota // per-run root -> median
+	kindJob                                   // per-run median -> client
+	kindJobScore                              // per-run client -> median
+	kindStepScore                             // per-run median -> root (pull)
+	kindSvcCandidate                          // pool slot -> scheduler -> median
+	kindSvcChunk                              // pool median -> client
+	kindSvcScore                              // pool median -> slot
+	kindSvcChunkResult                        // pool client -> median
+	kindSvcAbandonAck                         // pool scheduler -> slot
+	kindSvcRanksLost                          // pool coordinator -> median: worker ranks died
+	kindSvcRegrant                            // pool scheduler -> slot: grants re-queued
+	kindSvcSpecCancel                         // pool scheduler -> median: speculative branch cancelled
 )
 
 // The worker handshake blob (appendWorkerBlob) is NOT a frame payload: it
@@ -206,37 +173,66 @@ func init() {
 			return svcCandidate{Step: int(step), Cand: int(cand), Par: par, P: p, State: st}, nil
 		})
 
-	codec.Register(kindSvcJob,
-		func(buf []byte, v svcJob) ([]byte, error) {
-			buf = binary.LittleEndian.AppendUint64(buf, v.Key)
-			buf = binary.AppendUvarint(buf, uint64(v.Seq))
+	codec.Register(kindSvcChunk,
+		func(buf []byte, v svcChunk) ([]byte, error) {
+			if len(v.Keys) != len(v.Moves) || len(v.Seqs) != len(v.Moves) {
+				return nil, fmt.Errorf("%w: svcChunk with %d moves, %d keys, %d seqs",
+					codec.ErrMalformed, len(v.Moves), len(v.Keys), len(v.Seqs))
+			}
 			buf = appendPar(buf, v.Par)
 			buf = appendJobParams(buf, v.P)
-			return codec.EncodeState(buf, v.State)
+			buf = binary.AppendUvarint(buf, uint64(len(v.Moves)))
+			for i, mv := range v.Moves {
+				buf = binary.AppendUvarint(buf, uint64(mv))
+				buf = binary.LittleEndian.AppendUint64(buf, v.Keys[i])
+				buf = binary.AppendUvarint(buf, uint64(v.Seqs[i]))
+			}
+			return codec.EncodeState(buf, v.Base)
 		},
-		func(data []byte) (svcJob, error) {
-			var j svcJob
-			if len(data) < 8 {
-				return j, fmt.Errorf("%w: svcJob key", codec.ErrTruncated)
-			}
-			key := binary.LittleEndian.Uint64(data)
-			seq, data, err := codec.ReadUvarint(data[8:])
-			if err != nil {
-				return j, err
-			}
+		func(data []byte) (svcChunk, error) {
+			var ck svcChunk
 			par, data, err := readPar(data)
 			if err != nil {
-				return j, err
+				return ck, err
 			}
 			p, data, err := readJobParams(data)
 			if err != nil {
-				return j, err
+				return ck, err
 			}
-			st, err := codec.DecodeState(data)
+			n, data, err := readChunkCount(data, 1+8+1)
 			if err != nil {
-				return j, err
+				return ck, err
 			}
-			return svcJob{Key: key, Seq: int(seq), Par: par, P: p, State: st}, nil
+			ck = svcChunk{Par: par, P: p, Moves: make([]game.Move, n), Keys: make([]uint64, n), Seqs: make([]int, n)}
+			for i := range ck.Moves {
+				mv, rest, err := codec.ReadUvarint(data)
+				if err != nil {
+					return ck, err
+				}
+				if len(rest) < 8 {
+					return ck, fmt.Errorf("%w: svcChunk key %d", codec.ErrTruncated, i)
+				}
+				ck.Moves[i], ck.Keys[i] = game.Move(mv), binary.LittleEndian.Uint64(rest)
+				if ck.Seqs[i], data, err = readChunkSeq(rest[8:]); err != nil {
+					return ck, err
+				}
+			}
+			if ck.Base, err = codec.DecodeState(data); err != nil {
+				return ck, err
+			}
+			// The client plays every move on a copy of Base, and Play
+			// panics on an illegal move: reject here what the position
+			// does not allow.
+			legal := ck.Base.LegalMoves(nil)
+			if n > len(legal) {
+				return ck, fmt.Errorf("%w: svcChunk of %d items on a position with %d moves", codec.ErrMalformed, n, len(legal))
+			}
+			for i, mv := range ck.Moves {
+				if !slices.Contains(legal, mv) {
+					return ck, fmt.Errorf("%w: svcChunk item %d: illegal move %#x", codec.ErrMalformed, i, mv)
+				}
+			}
+			return ck, nil
 		})
 
 	codec.Register(kindSvcScore,
@@ -247,7 +243,8 @@ func init() {
 			buf = appendPar(buf, v.Par)
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Score))
 			buf = binary.AppendUvarint(buf, uint64(v.Rollouts))
-			return binary.AppendUvarint(buf, uint64(v.Units)), nil
+			buf = binary.AppendUvarint(buf, uint64(v.Units))
+			return binary.AppendUvarint(buf, uint64(v.Chunks)), nil
 		},
 		func(data []byte) (svcScore, error) {
 			var s svcScore
@@ -282,43 +279,60 @@ func init() {
 			if err != nil {
 				return s, err
 			}
+			chunks, data, err := codec.ReadUvarint(data)
+			if err != nil {
+				return s, err
+			}
 			if len(data) != 0 {
 				return s, fmt.Errorf("%w: svcScore trailing bytes", codec.ErrMalformed)
 			}
-			s.Rollouts, s.Units = int64(rollouts), int64(units)
+			s.Rollouts, s.Units, s.Chunks = int64(rollouts), int64(units), int64(chunks)
 			return s, nil
 		})
 
-	codec.Register(kindSvcResult,
-		func(buf []byte, v svcResult) ([]byte, error) {
-			buf = binary.LittleEndian.AppendUint64(buf, v.Key)
-			buf = binary.AppendUvarint(buf, uint64(v.Seq))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Score))
-			return binary.AppendUvarint(buf, uint64(v.Units)), nil
+	codec.Register(kindSvcChunkResult,
+		func(buf []byte, v svcChunkResult) ([]byte, error) {
+			if len(v.Keys) != len(v.Seqs) || len(v.Scores) != len(v.Seqs) || len(v.Units) != len(v.Seqs) {
+				return nil, fmt.Errorf("%w: svcChunkResult with %d seqs, %d keys, %d scores, %d units",
+					codec.ErrMalformed, len(v.Seqs), len(v.Keys), len(v.Scores), len(v.Units))
+			}
+			buf = binary.AppendUvarint(buf, uint64(len(v.Seqs)))
+			for i, seq := range v.Seqs {
+				buf = binary.LittleEndian.AppendUint64(buf, v.Keys[i])
+				buf = binary.AppendUvarint(buf, uint64(seq))
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Scores[i]))
+				buf = binary.AppendUvarint(buf, uint64(v.Units[i]))
+			}
+			return buf, nil
 		},
-		func(data []byte) (svcResult, error) {
-			var r svcResult
-			if len(data) < 8 {
-				return r, fmt.Errorf("%w: svcResult key", codec.ErrTruncated)
-			}
-			r.Key = binary.LittleEndian.Uint64(data)
-			seq, data, err := codec.ReadUvarint(data[8:])
+		func(data []byte) (svcChunkResult, error) {
+			var r svcChunkResult
+			n, data, err := readChunkCount(data, 8+1+8+1)
 			if err != nil {
 				return r, err
 			}
-			r.Seq = int(seq)
-			if len(data) < 8 {
-				return r, fmt.Errorf("%w: svcResult score", codec.ErrTruncated)
-			}
-			r.Score = math.Float64frombits(binary.LittleEndian.Uint64(data))
-			units, data, err := codec.ReadUvarint(data[8:])
-			if err != nil {
-				return r, err
+			r = svcChunkResult{Keys: make([]uint64, n), Seqs: make([]int, n), Scores: make([]float64, n), Units: make([]int64, n)}
+			for i := range r.Seqs {
+				if len(data) < 8 {
+					return r, fmt.Errorf("%w: svcChunkResult key %d", codec.ErrTruncated, i)
+				}
+				r.Keys[i] = binary.LittleEndian.Uint64(data)
+				if r.Seqs[i], data, err = readChunkSeq(data[8:]); err != nil {
+					return r, err
+				}
+				if len(data) < 8 {
+					return r, fmt.Errorf("%w: svcChunkResult score %d", codec.ErrTruncated, i)
+				}
+				r.Scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(data))
+				units, rest, err := codec.ReadUvarint(data[8:])
+				if err != nil {
+					return r, err
+				}
+				r.Units[i], data = int64(units), rest
 			}
 			if len(data) != 0 {
-				return r, fmt.Errorf("%w: svcResult trailing bytes", codec.ErrMalformed)
+				return r, fmt.Errorf("%w: svcChunkResult trailing bytes", codec.ErrMalformed)
 			}
-			r.Units = int64(units)
 			return r, nil
 		})
 
@@ -365,103 +379,6 @@ func init() {
 				return r, fmt.Errorf("%w: regrant trailing bytes", codec.ErrMalformed)
 			}
 			r.Count = int(count)
-			return r, nil
-		})
-
-	codec.Register(KindEvalBatchRequest,
-		func(buf []byte, v EvalBatchRequest) ([]byte, error) {
-			buf = binary.LittleEndian.AppendUint64(buf, v.Batch)
-			buf = appendEvalName(buf, v.Eval)
-			buf = binary.AppendUvarint(buf, uint64(len(v.States)))
-			for _, st := range v.States {
-				enc, err := codec.EncodeState(nil, st)
-				if err != nil {
-					return nil, err
-				}
-				buf = binary.AppendUvarint(buf, uint64(len(enc)))
-				buf = append(buf, enc...)
-			}
-			return buf, nil
-		},
-		func(data []byte) (EvalBatchRequest, error) {
-			var r EvalBatchRequest
-			if len(data) < 8 {
-				return r, fmt.Errorf("%w: eval batch id", codec.ErrTruncated)
-			}
-			r.Batch = binary.LittleEndian.Uint64(data)
-			eval, data, err := readEvalName(data[8:])
-			if err != nil {
-				return r, err
-			}
-			r.Eval = eval
-			count, data, err := codec.ReadUvarint(data)
-			if err != nil {
-				return r, err
-			}
-			// Grown per state, not preallocated from count: the count is
-			// remote-controlled and each state consumes at least one byte,
-			// so a lying count fails on the first missing state.
-			for i := uint64(0); i < count; i++ {
-				n, rest, err := codec.ReadUvarint(data)
-				if err != nil {
-					return r, err
-				}
-				if uint64(len(rest)) < n {
-					return r, fmt.Errorf("%w: eval batch state %d", codec.ErrTruncated, i)
-				}
-				st, err := codec.DecodeState(rest[:n])
-				if err != nil {
-					return r, err
-				}
-				r.States = append(r.States, st)
-				data = rest[n:]
-			}
-			if len(data) != 0 {
-				return r, fmt.Errorf("%w: eval batch trailing bytes", codec.ErrMalformed)
-			}
-			return r, nil
-		})
-
-	codec.Register(KindEvalBatchReply,
-		func(buf []byte, v EvalBatchReply) ([]byte, error) {
-			buf = binary.LittleEndian.AppendUint64(buf, v.Batch)
-			buf = binary.AppendUvarint(buf, uint64(len(v.Weights)))
-			for _, w := range v.Weights {
-				buf = binary.AppendUvarint(buf, uint64(len(w)))
-				for _, x := range w {
-					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-				}
-			}
-			return buf, nil
-		},
-		func(data []byte) (EvalBatchReply, error) {
-			var r EvalBatchReply
-			if len(data) < 8 {
-				return r, fmt.Errorf("%w: eval reply id", codec.ErrTruncated)
-			}
-			r.Batch = binary.LittleEndian.Uint64(data)
-			count, data, err := codec.ReadUvarint(data[8:])
-			if err != nil {
-				return r, err
-			}
-			for i := uint64(0); i < count; i++ {
-				n, rest, err := codec.ReadUvarint(data)
-				if err != nil {
-					return r, err
-				}
-				if n > uint64(len(rest))/8 {
-					return r, fmt.Errorf("%w: eval reply weights %d", codec.ErrTruncated, i)
-				}
-				w := make([]float64, n)
-				for j := range w {
-					w[j] = math.Float64frombits(binary.LittleEndian.Uint64(rest[j*8:]))
-				}
-				r.Weights = append(r.Weights, w)
-				data = rest[n*8:]
-			}
-			if len(data) != 0 {
-				return r, fmt.Errorf("%w: eval reply trailing bytes", codec.ErrMalformed)
-			}
 			return r, nil
 		})
 
@@ -535,8 +452,43 @@ const wireMaxLevel = 64
 // corrupt frame must not make the root allocate huge branch tables.
 const wireMaxSpeculate = 1 << 16
 
-// wireMaxEvalName caps the evaluator-name bytes a decoded job or batch
-// frame may carry: names are short registry keys, and the cap bounds the
+// wireMaxChunk caps the items a decoded chunk or chunk result may carry,
+// and the candidate index of each. A chunk never holds more items than its
+// position has legal moves; the widest step of the bundled domains is
+// box-4 sudoku's first, at 4096.
+const wireMaxChunk = 1 << 16
+
+// readChunkCount decodes the item count of a chunk or chunk result and
+// bounds it by the cap and by the bytes that are actually there (each
+// item takes at least itemMin), so a lying count allocates nothing.
+func readChunkCount(data []byte, itemMin int) (int, []byte, error) {
+	n, data, err := codec.ReadUvarint(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > wireMaxChunk {
+		return 0, nil, fmt.Errorf("%w: chunk of %d items exceeds limit %d", codec.ErrMalformed, n, wireMaxChunk)
+	}
+	if n > uint64(len(data)/itemMin) {
+		return 0, nil, fmt.Errorf("%w: chunk of %d items in %d bytes", codec.ErrTruncated, n, len(data))
+	}
+	return int(n), data, nil
+}
+
+// readChunkSeq decodes one item's candidate index.
+func readChunkSeq(data []byte) (int, []byte, error) {
+	seq, data, err := codec.ReadUvarint(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if seq >= wireMaxChunk {
+		return 0, nil, fmt.Errorf("%w: chunk seq %d exceeds limit %d", codec.ErrMalformed, seq, wireMaxChunk)
+	}
+	return int(seq), data, nil
+}
+
+// wireMaxEvalName caps the evaluator-name bytes a decoded job frame may
+// carry: names are short registry keys, and the cap bounds the
 // allocation a remote-controlled length prefix can demand.
 const wireMaxEvalName = 64
 

@@ -5,7 +5,9 @@ package parallel
 // testing/quick-generated field values, plus the worker handshake blob.
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -75,25 +77,39 @@ func TestScalarPayloadRoundTrips(t *testing.T) {
 			return got.Step == v.Step && got.Cand == v.Cand && got.Par == v.Par &&
 				math.Float64bits(got.Score) == math.Float64bits(v.Score)
 		},
-		"svcScore": func(epoch uint64, step, cand, p int, score float64, rollouts, units int64) bool {
+		"svcScore": func(epoch uint64, step, cand, p int, score float64, rollouts, units, chunks int64) bool {
 			v := svcScore{
 				Epoch: epoch, Step: nonneg(step), Cand: nonneg(cand), Par: par(p), Score: score,
 				Rollouts: int64(nonneg(int(rollouts % (1 << 40)))), Units: int64(nonneg(int(units % (1 << 40)))),
+				Chunks: int64(nonneg(int(chunks % (1 << 40)))),
 			}
 			got := payloadTrip(t, v).(svcScore)
 			return got.Epoch == v.Epoch && got.Step == v.Step && got.Cand == v.Cand &&
 				got.Par == v.Par && got.Rollouts == v.Rollouts && got.Units == v.Units &&
-				math.Float64bits(got.Score) == math.Float64bits(v.Score)
+				got.Chunks == v.Chunks && math.Float64bits(got.Score) == math.Float64bits(v.Score)
 		},
 		"svcSpecCancel": func(slot int, epoch uint64, step, keep int) bool {
 			v := svcSpecCancel{Slot: nonneg(slot), Epoch: epoch, Step: par(step), Keep: par(keep)}
 			return payloadTrip(t, v).(svcSpecCancel) == v
 		},
-		"svcResult": func(key uint64, seq int, score float64, units int64) bool {
-			v := svcResult{Key: key, Seq: nonneg(seq), Score: score, Units: int64(nonneg(int(units % (1 << 40))))}
-			got := payloadTrip(t, v).(svcResult)
-			return got.Key == v.Key && got.Seq == v.Seq && got.Units == v.Units &&
-				math.Float64bits(got.Score) == math.Float64bits(v.Score)
+		"svcChunkResult": func(keys []uint64, seq int, score float64, units int64) bool {
+			v := svcChunkResult{Keys: keys}
+			for i := range keys {
+				v.Seqs = append(v.Seqs, (nonneg(seq)+i)%wireMaxChunk)
+				v.Scores = append(v.Scores, score+float64(i))
+				v.Units = append(v.Units, int64(nonneg(int(units%(1<<40))))+int64(i))
+			}
+			got := payloadTrip(t, v).(svcChunkResult)
+			if len(got.Keys) != len(keys) || len(got.Seqs) != len(keys) || len(got.Scores) != len(keys) || len(got.Units) != len(keys) {
+				return false
+			}
+			for i := range keys {
+				if got.Keys[i] != v.Keys[i] || got.Seqs[i] != v.Seqs[i] || got.Units[i] != v.Units[i] ||
+					math.Float64bits(got.Scores[i]) != math.Float64bits(v.Scores[i]) {
+					return false
+				}
+			}
+			return true
 		},
 		"svcAbandonAck": func(epoch uint64, dropped int) bool {
 			v := svcAbandonAck{Epoch: epoch, Dropped: nonneg(dropped)}
@@ -151,57 +167,96 @@ func TestStateCarryingPayloadRoundTrips(t *testing.T) {
 		t.Errorf("svcCandidate: %v", err)
 	}
 
-	if err := quick.Check(func(key uint64, seq, p int, slot int, epoch uint64, level int, seed uint64, mem bool, scale int64, root int) bool {
-		v := svcJob{
-			Key: key, Seq: nonneg(seq), Par: par(p),
-			P:     quickParams(slot, epoch, level, seed, mem, scale, root),
-			State: st,
+	// A chunk carries moves that are legal at its Base (the decoder checks).
+	legal := st.LegalMoves(nil)
+	if err := quick.Check(func(keys []uint64, seq, p int, slot int, epoch uint64, level int, seed uint64, mem bool, scale int64, root int) bool {
+		keys = keys[:min(len(keys), len(legal))]
+		v := svcChunk{Par: par(p), P: quickParams(slot, epoch, level, seed, mem, scale, root), Base: st, Keys: keys}
+		for i := range keys {
+			v.Moves = append(v.Moves, legal[i])
+			v.Seqs = append(v.Seqs, (nonneg(seq)+i)%wireMaxChunk)
 		}
-		g := payloadTrip(t, v).(svcJob)
-		return g.Key == v.Key && g.Seq == v.Seq && g.Par == v.Par && g.P == v.P && g.State.MovesPlayed() == 2
+		g := payloadTrip(t, v).(svcChunk)
+		return g.Par == v.Par && g.P == v.P && g.Base.MovesPlayed() == 2 &&
+			slices.Equal(g.Moves, v.Moves) && slices.Equal(g.Keys, v.Keys) && slices.Equal(g.Seqs, v.Seqs)
 	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Errorf("svcJob: %v", err)
+		t.Errorf("svcChunk: %v", err)
 	}
 }
 
-// TestEvalBatchPayloadRoundTrips covers the exported evaluation batch
-// frames (KindEvalBatchRequest / KindEvalBatchReply) — the wire shapes an
-// external inference server speaks.
-func TestEvalBatchPayloadRoundTrips(t *testing.T) {
-	a := game.NewArmTree(3, 4, 9)
-	b := game.NewArmTree(3, 4, 9)
-	b.Play(1)
+// TestChunkDecodersRejectMalformed pins the hardening of the two chunk
+// decoders: every malformed shape a remote frame can take is an error —
+// never a panic, an unbounded allocation, or a chunk whose moves the
+// client's Play would panic on.
+func TestChunkDecodersRejectMalformed(t *testing.T) {
+	st := game.NewArmTree(3, 4, 9)
+	legal := st.LegalMoves(nil)
+	good := svcChunk{Par: -1, P: jobParams{Level: 2, Epoch: 1}, Base: st,
+		Moves: legal[:2], Keys: []uint64{7, 8}, Seqs: []int{0, 1}}
+	goodRes := svcChunkResult{Keys: []uint64{7, 8}, Seqs: []int{0, 1}, Scores: []float64{1, 2}, Units: []int64{3, 4}}
 
-	req := EvalBatchRequest{Batch: 0xfeedface, Eval: "heuristic", States: []game.State{a, b}}
-	gr := payloadTrip(t, req).(EvalBatchRequest)
-	if gr.Batch != req.Batch || gr.Eval != req.Eval || len(gr.States) != 2 {
-		t.Fatalf("request round trip: %+v", gr)
-	}
-	if gr.States[0].MovesPlayed() != 0 || gr.States[1].MovesPlayed() != 1 {
-		t.Fatalf("request states not restored: %d, %d moves",
-			gr.States[0].MovesPlayed(), gr.States[1].MovesPlayed())
-	}
-
-	// Weights round-trip bit-exactly; an empty vector ("no opinion") and an
-	// empty batch are both legal.
-	rep := EvalBatchReply{Batch: 0xfeedface, Weights: [][]float64{{0.5, 2, 0}, {}, {1}}}
-	gp := payloadTrip(t, rep).(EvalBatchReply)
-	if gp.Batch != rep.Batch || len(gp.Weights) != len(rep.Weights) {
-		t.Fatalf("reply round trip: %+v", gp)
-	}
-	for i, w := range rep.Weights {
-		if len(gp.Weights[i]) != len(w) {
-			t.Fatalf("reply weights %d: %v != %v", i, gp.Weights[i], w)
-		}
-		for j := range w {
-			if math.Float64bits(gp.Weights[i][j]) != math.Float64bits(w[j]) {
-				t.Fatalf("reply weight [%d][%d]: %v != %v", i, j, gp.Weights[i][j], w[j])
-			}
+	// Encoders refuse parallel slices of different lengths.
+	for name, v := range map[string]any{
+		"chunk keys short":   svcChunk{P: good.P, Base: st, Moves: legal[:2], Keys: []uint64{7}, Seqs: []int{0, 1}},
+		"chunk seqs short":   svcChunk{P: good.P, Base: st, Moves: legal[:2], Keys: []uint64{7, 8}, Seqs: []int{0}},
+		"result scores long": svcChunkResult{Keys: []uint64{7}, Seqs: []int{0}, Scores: []float64{1, 2}, Units: []int64{3}},
+		"result units short": svcChunkResult{Keys: []uint64{7}, Seqs: []int{0}, Scores: []float64{1}},
+	} {
+		if _, err := codec.EncodePayload(nil, v); err == nil {
+			t.Errorf("%s: encoded", name)
 		}
 	}
-	empty := payloadTrip(t, EvalBatchReply{Batch: 7}).(EvalBatchReply)
-	if empty.Batch != 7 || len(empty.Weights) != 0 {
-		t.Fatalf("empty reply round trip: %+v", empty)
+
+	encode := func(v any) []byte {
+		buf, err := codec.EncodePayload(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	count := func(n uint64) []byte { return binary.AppendUvarint(nil, n) }
+	chunkHead := appendJobParams(appendPar(binary.LittleEndian.AppendUint16(nil, uint16(kindSvcChunk)), -1), good.P)
+	resHead := binary.LittleEndian.AppendUint16(nil, uint16(kindSvcChunkResult))
+	item := func(mv game.Move, seq uint64) []byte {
+		b := binary.AppendUvarint(nil, uint64(mv))
+		b = binary.LittleEndian.AppendUint64(b, 7)
+		return binary.AppendUvarint(b, seq)
+	}
+	base, err := codec.EncodeState(nil, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+
+	full := encode(good)
+	fullRes := encode(goodRes)
+	cases := map[string][]byte{
+		"chunk count over cap":        cat(chunkHead, count(wireMaxChunk+1), base),
+		"chunk count beyond bytes":    cat(chunkHead, count(1000), item(legal[0], 0), base),
+		"chunk truncated item":        full[:len(chunkHead)+3],
+		"chunk seq out of range":      cat(chunkHead, count(1), item(legal[0], wireMaxChunk), base),
+		"chunk without base":          cat(chunkHead, count(1), item(legal[0], 0)),
+		"chunk undecodable base":      cat(chunkHead, count(1), item(legal[0], 0), []byte{0xff, 0xff, 1, 2}),
+		"chunk illegal move":          cat(chunkHead, count(1), item(game.Move(1<<40), 0), base),
+		"chunk more items than moves": cat(chunkHead, count(4), item(legal[0], 0), item(legal[0], 1), item(legal[1], 2), item(legal[2], 3), base),
+		"result count over cap":       cat(resHead, count(wireMaxChunk+1)),
+		"result count beyond bytes":   cat(resHead, count(3), fullRes[len(resHead)+1:]),
+		"result truncated":            fullRes[:len(fullRes)-1],
+		"result trailing bytes":       cat(fullRes, []byte{0}),
+		"result seq out of range": cat(resHead, count(1), binary.LittleEndian.AppendUint64(nil, 7),
+			binary.AppendUvarint(nil, wireMaxChunk), binary.LittleEndian.AppendUint64(nil, 0), []byte{0}),
+	}
+	for name, buf := range cases {
+		if v, err := codec.DecodePayload(buf); err == nil {
+			t.Errorf("%s: decoded as %+v", name, v)
+		}
+	}
+	// The well-formed twins of the cases above do decode.
+	for name, buf := range map[string][]byte{"chunk": full, "result": fullRes,
+		"handmade chunk": cat(chunkHead, count(1), item(legal[0], 0), base)} {
+		if _, err := codec.DecodePayload(buf); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

@@ -43,6 +43,7 @@ type State struct {
 	mark    []int32
 	markGen int32
 	stack   []int32
+	members []int32 // cells of the group Play removes
 
 	// Undo history. Gravity and column collapse scramble cell positions
 	// irreversibly, so each Play snapshots the pre-move board into the
@@ -253,14 +254,14 @@ func (s *State) Play(m game.Move) {
 		panic(fmt.Sprintf("samegame: illegal move %d", idx))
 	}
 	s.markGen++
-	var members []int32
-	n := s.flood(idx, s.cells[idx], &members)
+	s.members = s.members[:0]
+	n := s.flood(idx, s.cells[idx], &s.members)
 	if n < 2 {
 		panic(fmt.Sprintf("samegame: move %d names a singleton group", idx))
 	}
 	s.histCells = append(s.histCells, s.cells...)
 	s.hist = append(s.hist, histEntry{score: s.score, hash: s.hash})
-	for _, c := range members {
+	for _, c := range s.members {
 		s.cells[c] = 0
 	}
 	s.score += float64((n - 2) * (n - 2))

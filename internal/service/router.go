@@ -384,6 +384,7 @@ func foldMetrics(acc, pm Metrics, first bool) Metrics {
 	p, q := &acc.Pool, &pm.Pool
 	p.Jobs += q.Jobs
 	p.WorkUnits += q.WorkUnits
+	p.Chunks += q.Chunks
 	p.MedianIdle = append(p.MedianIdle, q.MedianIdle...)
 	p.ClientIdle = append(p.ClientIdle, q.ClientIdle...)
 	if q.QueueDepthMax > p.QueueDepthMax {

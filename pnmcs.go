@@ -38,7 +38,7 @@
 //
 // The experiment harness that regenerates every table and figure of the
 // paper lives in cmd/experiments; DESIGN.md maps each experiment to the
-// modules implementing it and EXPERIMENTS.md records paper-vs-measured.
+// modules implementing it and benchmark/README.md records what is measured.
 package pnmcs
 
 import (
