@@ -24,6 +24,8 @@ package morpion
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/game"
 	"repro/internal/rng"
@@ -31,10 +33,9 @@ import (
 
 // Incremental position hashing (game.Hasher). The hash is a Zobrist XOR
 // over the cells of the five planes (occupancy plus the four per-direction
-// usage planes) on top of a per-variant base salt. Feature keys are derived
-// with one rng.Mix per cell — boards are user-sizeable, so a precomputed
-// table cannot cover every size, and a Mix costs a few nanoseconds against
-// a Play whose move-list maintenance walks the whole legal list anyway.
+// usage planes) on top of a per-variant base salt. The feature key of cell
+// idx of plane p is rng.Mix(planeSalt[p], idx), tabulated per board (see
+// board) so Play and Undo look keys up instead of mixing them.
 const hashSalt = 0x4d6f7270696f6e88 // "Morpion" flavoured
 
 // planeSalt[p] salts the feature keys of plane p (0 = occupancy, 1+d =
@@ -46,6 +47,79 @@ func init() {
 	for p := range planeSalt {
 		planeSalt[p] = rng.Fold(hashSalt, uint64(p))
 	}
+}
+
+// board tabulates what depends only on the board side and the line
+// length, so the kernels below neither divide nor hash. One board per
+// (side, length) is built per process and shared by pointer by every state
+// of that geometry.
+type board struct {
+	step [numDirs]int // cell index delta of one step along each direction
+	// keys[p*w*w+idx] is the Zobrist key of cell idx of plane p.
+	keys []uint64
+	// reach[idx] holds one byte per direction d, at bit 8*d: the low nibble
+	// is the number of steps the grid allows from idx against d, the high
+	// nibble along d, both capped at LineLen-1.
+	reach []uint32
+	// wins[occ], for the occupancy word of the 2L-1 cells centred on a
+	// point (see addMovesThrough), has bit k set iff the line holding the
+	// point at offset k has exactly one empty cell.
+	wins []uint8
+}
+
+var boards = struct {
+	sync.Mutex
+	m map[[2]int]*board
+}{m: map[[2]int]*board{}}
+
+func boardFor(w, lineLen int) *board {
+	boards.Lock()
+	defer boards.Unlock()
+	g := boards.m[[2]int{w, lineLen}]
+	if g != nil {
+		return g
+	}
+	cells := w * w
+	g = &board{
+		keys:  make([]uint64, (1+numDirs)*cells),
+		reach: make([]uint32, cells),
+		wins:  make([]uint8, 1<<(2*lineLen-1)),
+	}
+	for occ := range g.wins {
+		for k := 0; k < lineLen; k++ {
+			if bits.OnesCount(uint(occ)>>(lineLen-1-k)&(1<<lineLen-1)) == lineLen-1 {
+				g.wins[occ] |= 1 << k
+			}
+		}
+	}
+	for p, salt := range planeSalt {
+		for idx := 0; idx < cells; idx++ {
+			g.keys[p*cells+idx] = rng.Mix(salt, uint64(idx))
+		}
+	}
+	// room is the number of steps from coordinate c to the border in the
+	// direction of sign, capped at lineLen-1 (no border in direction 0).
+	room := func(c, sign int) int {
+		switch {
+		case sign < 0:
+			return min(c, lineLen-1)
+		case sign > 0:
+			return min(w-1-c, lineLen-1)
+		}
+		return lineLen - 1
+	}
+	for d := 0; d < numDirs; d++ {
+		dx, dy := dirDX[d], dirDY[d]
+		g.step[d] = dy*w + dx
+		for idx := 0; idx < cells; idx++ {
+			x, y := idx%w, idx/w
+			back := min(room(x, -dx), room(y, -dy))
+			fwd := min(room(x, dx), room(y, dy))
+			g.reach[idx] |= uint32(back|fwd<<4) << (8 * d)
+		}
+	}
+	boards.m[[2]int{w, lineLen}] = g
+	return g
 }
 
 // baseHash returns the variant-dependent starting value of the hash.
@@ -170,7 +244,8 @@ func (v Variant) CrossPoints() int {
 // moves. It implements game.State. The zero value is not usable; call New.
 type State struct {
 	v Variant
-	w int // board side
+	w int    // board side
+	g *board // tables of the (w, v.LineLen) geometry
 
 	// planes is the single backing array for the five cell planes below;
 	// keeping them contiguous makes Clone a single allocation plus copy,
@@ -225,7 +300,11 @@ func New(v Variant) *State {
 	if w < len(cross)+4*v.LineLen {
 		panic(fmt.Sprintf("morpion: board size %d too small for line length %d", w, v.LineLen))
 	}
-	s := &State{v: v, w: w}
+	if w > 256 {
+		// packMove keeps 16 bits of base cell.
+		panic(fmt.Sprintf("morpion: board size %d too large (max 256)", w))
+	}
+	s := &State{v: v, w: w, g: boardFor(w, v.LineLen)}
 	s.attachPlanes(make([]uint8, 5*w*w))
 	s.originX = (w - len(cross)) / 2
 	s.originY = (w - len(cross)) / 2
@@ -234,10 +313,12 @@ func New(v Variant) *State {
 		for _, x := range xs {
 			idx := (s.originY+y)*w + s.originX + x
 			s.occ[idx] = 1
-			s.hash ^= rng.Mix(planeSalt[0], uint64(idx))
+			s.hash ^= s.g.keys[idx]
 		}
 	}
-	s.moves = s.scanAllMoves(nil)
+	// Every line of a first move holds LineLen-1 cross points, so its base
+	// lies within LineLen of the cross's bounding box.
+	s.moves = s.scanMoves(max(0, s.originX-v.LineLen), min(w, s.originX+len(cross)+v.LineLen))
 	return s
 }
 
@@ -296,6 +377,7 @@ func (s *State) Clone() game.State {
 	c := &State{
 		v:       s.v,
 		w:       s.w,
+		g:       s.g,
 		moves:   append([]game.Move(nil), s.moves...),
 		seq:     append([]game.Move(nil), s.seq...),
 		originX: s.originX,
@@ -316,7 +398,7 @@ func (s *State) CopyFrom(src game.State) {
 	if !ok {
 		panic("morpion: CopyFrom with a non-Morpion state")
 	}
-	s.v = o.v
+	s.v, s.g = o.v, o.g
 	if s.w != o.w {
 		s.w = o.w
 		s.attachPlanes(make([]uint8, len(o.planes)))
@@ -338,25 +420,6 @@ func (s *State) CopyFrom(src game.State) {
 // depend on it must select moves order-independently — see
 // core.Searcher's derived mode).
 func (s *State) Hash() uint64 { return s.hash }
-
-// hashFromScratch recomputes the position hash from the planes alone. It
-// is the oracle the fuzz tests compare the incremental hash against.
-func (s *State) hashFromScratch() uint64 {
-	h := baseHash(s.v, s.w)
-	for idx, occ := range s.occ {
-		if occ != 0 {
-			h ^= rng.Mix(planeSalt[0], uint64(idx))
-		}
-	}
-	for d := 0; d < numDirs; d++ {
-		for idx, used := range s.used[d] {
-			if used != 0 {
-				h ^= rng.Mix(planeSalt[1+d], uint64(idx))
-			}
-		}
-	}
-	return h
-}
 
 // EncodedSize implements game.Sizer: an upper bound on the bytes needed to
 // ship this position between cluster processes (occupancy and usage planes
@@ -399,216 +462,158 @@ func (s *State) MoveParts(m game.Move) (newX, newY, baseX, baseY int, d Dir, k i
 
 // --- legality ------------------------------------------------------------
 
-// lineCells writes the cell indices of the line (base, d) into cells and
-// reports whether the whole line is on the board.
-func (s *State) lineCells(baseX, baseY int, d Dir, cells []int) bool {
-	dx, dy := dirDX[d], dirDY[d]
-	L := s.v.LineLen
-	endX := baseX + (L-1)*dx
-	endY := baseY + (L-1)*dy
-	if baseX < 0 || baseY < 0 || baseX >= s.w || baseY >= s.w ||
-		endX < 0 || endY < 0 || endX >= s.w || endY >= s.w {
-		return false
+// claimed returns how many cells of a line, from its base, the line marks
+// in its direction's usage plane: every point under the D rule (no point
+// may be shared), the lower endpoint of every unit link under the T rule
+// (no link may be shared).
+func (s *State) claimed() int {
+	if s.v.Disjoint {
+		return s.v.LineLen
 	}
-	idx := baseY*s.w + baseX
-	step := dy*s.w + dx
-	for i := 0; i < L; i++ {
-		cells[i] = idx
-		idx += step
-	}
-	return true
+	return s.v.LineLen - 1
 }
 
-// usageFree reports whether the line with the given cells violates the
-// variant's same-direction constraint against already-drawn lines.
-func (s *State) usageFree(cells []int, d Dir) bool {
-	u := s.used[d]
-	L := s.v.LineLen
-	if s.v.Disjoint {
-		// D rule: no point of the new line may belong to an existing line
-		// of the same direction.
-		for i := 0; i < L; i++ {
-			if u[cells[i]] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	// T rule: no unit link of the new line may belong to an existing line
-	// of the same direction. A link is identified by its lower cell.
-	for i := 0; i < L-1; i++ {
-		if u[cells[i]] != 0 {
+// usageFree reports whether the line (base, d) respects the variant's
+// same-direction rule against the lines already drawn.
+func (s *State) usageFree(base int, d Dir) bool {
+	u, step := s.used[d], s.g.step[d]
+	for n := s.claimed(); n > 0; n, base = n-1, base+step {
+		if u[base] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// candidate checks whether the line (baseX, baseY, d) is a legal move and,
-// if so, returns the packed move. A legal move has the whole line on the
-// board, exactly one empty point, and satisfies the usage constraint.
-func (s *State) candidate(baseX, baseY int, d Dir, cells []int) (game.Move, bool) {
-	if !s.lineCells(baseX, baseY, d, cells) {
-		return 0, false
-	}
+// scanMoves lists the legal moves whose base cell lies in [lo,hi)×[lo,hi),
+// in (y, x, direction) order of the base. A legal move has the whole line
+// on the board, exactly one empty point, and satisfies the usage rule. New
+// lists the first moves with it; from there Play and Undo maintain the
+// list incrementally.
+func (s *State) scanMoves(lo, hi int) []game.Move {
+	var moves []game.Move
 	L := s.v.LineLen
-	empty := -1
-	for i := 0; i < L; i++ {
-		if s.occ[cells[i]] == 0 {
-			if empty >= 0 {
-				return 0, false // two empty points
-			}
-			empty = i
-		}
-	}
-	if empty < 0 {
-		return 0, false // line already complete
-	}
-	if !s.usageFree(cells, d) {
-		return 0, false
-	}
-	return packMove(baseY*s.w+baseX, d, empty), true
-}
-
-// scanAllMoves recomputes the full legal move list from scratch. Used to
-// initialize the position and by tests as an oracle for the incremental
-// update.
-func (s *State) scanAllMoves(buf []game.Move) []game.Move {
-	cells := make([]int, s.v.LineLen)
-	for y := 0; y < s.w; y++ {
-		for x := 0; x < s.w; x++ {
+	for y := lo; y < hi; y++ {
+		for x := lo; x < hi; x++ {
+			base := y*s.w + x
 			for d := Dir(0); d < numDirs; d++ {
-				if m, ok := s.candidate(x, y, d, cells); ok {
-					buf = append(buf, m)
+				// The line fits iff L-1 steps along d stay on the grid.
+				if int(s.g.reach[base]>>(8*d+4)&15) < L-1 {
+					continue
+				}
+				empty, k := 0, 0
+				for i, c := 0, base; i < L; i, c = i+1, c+s.g.step[d] {
+					if s.occ[c] == 0 {
+						empty, k = empty+1, i
+					}
+				}
+				if empty == 1 && s.usageFree(base, d) {
+					moves = append(moves, packMove(base, d, k))
 				}
 			}
 		}
 	}
-	return buf
+	return moves
 }
 
 // --- play / undo ---------------------------------------------------------
+
+// mark sets (on = 1) or clears (on = 0) the point and the usage claim of
+// move m in the planes and the hash, and returns the move's new point and
+// direction.
+func (s *State) mark(m game.Move, on uint8) (newCell int, d Dir) {
+	base, d, k := unpackMove(m)
+	step := s.g.step[d]
+	newCell = base + k*step
+	s.occ[newCell] = on
+	h := s.hash ^ s.g.keys[newCell]
+	u, keys := s.used[d], s.g.keys[(1+int(d))*len(s.occ):]
+	for n := s.claimed(); n > 0; n, base = n-1, base+step {
+		u[base] = on
+		h ^= keys[base]
+	}
+	s.hash = h
+	return newCell, d
+}
 
 // Play applies a legal move: places the new point, claims the line's usage,
 // and updates the legal move list incrementally. Playing a move that is not
 // currently legal corrupts the position; the search only plays moves it got
 // from LegalMoves.
 func (s *State) Play(m game.Move) {
-	base, d, k := unpackMove(m)
-	L := s.v.LineLen
-	step := dirDY[d]*s.w + dirDX[d]
-	newCell := base + k*step
-
-	s.occ[newCell] = 1
-	s.hash ^= rng.Mix(planeSalt[0], uint64(newCell))
-	u := s.used[d]
-	uSalt := planeSalt[1+d]
-	if s.v.Disjoint {
-		idx := base
-		for i := 0; i < L; i++ {
-			u[idx] = 1
-			s.hash ^= rng.Mix(uSalt, uint64(idx))
-			idx += step
-		}
-	} else {
-		idx := base
-		for i := 0; i < L-1; i++ {
-			u[idx] = 1
-			s.hash ^= rng.Mix(uSalt, uint64(idx))
-			idx += step
-		}
-	}
+	newCell, d := s.mark(m, 1)
 	s.seq = append(s.seq, m)
 
 	// Incremental move list maintenance. Two invalidation causes:
 	//  1. a listed move's new point is newCell, which is now occupied;
 	//  2. a listed move's line conflicts with the just-claimed line under
-	//     the same-direction rule.
+	//     the same-direction rule. Its own claim was free while it was
+	//     listed, so any mark on it now is the new line's.
 	// And one creation cause: lines through newCell that now have exactly
 	// one empty point. Removed moves go onto the arena stacks so Undo can
 	// restore the list in its exact pre-Play order.
-	removed := int32(0)
-	keep := s.moves[:0]
+	kept := 0
 	for i, mv := range s.moves {
-		if s.moveInvalidated(mv, newCell, base, d, step) {
+		b, md, mk := unpackMove(mv)
+		if b+mk*s.g.step[md] == newCell || (md == d && !s.usageFree(b, d)) {
 			s.histMoves = append(s.histMoves, mv)
 			s.histIdx = append(s.histIdx, int32(i))
-			removed++
 		} else {
-			keep = append(keep, mv)
+			s.moves[kept] = mv
+			kept++
 		}
 	}
-	s.moves = keep
+	removed := len(s.moves) - kept
+	s.moves = s.moves[:kept]
 	added := s.addMovesThrough(newCell)
-	s.hist = append(s.hist, histEntry{move: m, numRemoved: removed, numAdded: int32(added)})
+	s.hist = append(s.hist, histEntry{move: m, numRemoved: int32(removed), numAdded: int32(added)})
 }
 
-// moveInvalidated reports whether listed move mv is killed by playing the
-// line (lineBase, d) whose new point is newCell.
-func (s *State) moveInvalidated(mv game.Move, newCell, lineBase int, d Dir, step int) bool {
-	b, md, mk := unpackMove(mv)
-	if b+mk*s.stepOf(md) == newCell {
-		return true // its new point just got occupied
-	}
-	if md != d {
-		return false
-	}
-	// Same direction: check colinearity and overlap with the claimed line.
-	// Two lines in direction d lie on the same lattice line iff their base
-	// cells differ by a multiple of step along that direction; compute the
-	// offset in line coordinates and verify it is consistent in x and y.
-	bx, by := b%s.w, b/s.w
-	lx, ly := lineBase%s.w, lineBase/s.w
-	dx, dy := dirDX[d], dirDY[d]
-	var t int
-	switch {
-	case dx != 0:
-		if (bx-lx)%dx != 0 {
-			return false
-		}
-		t = (bx - lx) / dx
-		if by-ly != t*dy {
-			return false
-		}
-	default: // vertical: dx == 0
-		if bx != lx {
-			return false
-		}
-		t = (by - ly) / dy
-	}
-	L := s.v.LineLen
-	if s.v.Disjoint {
-		// Share a point iff the two length-L ranges [0,L-1] and [t,t+L-1]
-		// intersect.
-		return t > -(L) && t < L
-	}
-	// Touching: share a link iff the link ranges [0,L-2] and [t,t+L-2]
-	// intersect.
-	return t > -(L-1) && t < L-1
-}
+func (s *State) stepOf(d Dir) int { return s.g.step[d] }
 
-func (s *State) stepOf(d Dir) int { return dirDY[d]*s.w + dirDX[d] }
-
-// addMovesThrough appends all moves whose line passes through cell p, and
+// addMovesThrough appends all moves whose line passes through the just
+// occupied cell p, in (direction, offset of p in the line) order, and
 // returns how many were added. Only lines through p can have become legal,
 // because p is the only cell whose occupancy changed.
+//
+// Per direction, the occupancy of the 2L-1 cells centred on p is gathered
+// into one word, bit j for the cell j-(L-1) steps along the direction, and
+// each of the L lines through p is an L-bit window of it — for L = 5, with
+// p in the middle and k the offset of p in the line:
+//
+//	bit    0 1 2 3 4 5 6 7 8
+//	cell   . . o o P o . o .
+//	k=4    [-------]            3 of 5: no move
+//	k=3      [-------]          4 of 5: legal, empty point at bit 1
+//	k=2        [-------]        4 of 5: legal, empty point at bit 6
+//	k=1          [-------]      4 of 5: legal, empty point at bit 6
+//	k=0            [-------]    3 of 5: no move
+//
+// The board's wins table answers all L windows in one look-up. Cells
+// beyond the border stay zero bits, and reach masks off the windows that
+// would cover them.
 func (s *State) addMovesThrough(p int) int {
-	px, py := p%s.w, p/s.w
 	L := s.v.LineLen
-	var cells [8]int
-	added := 0
-	for d := Dir(0); d < numDirs; d++ {
-		dx, dy := dirDX[d], dirDY[d]
-		for k := 0; k < L; k++ {
-			baseX := px - k*dx
-			baseY := py - k*dy
-			if m, ok := s.candidate(baseX, baseY, d, cells[:L]); ok {
-				s.moves = append(s.moves, m)
-				added++
+	before := len(s.moves)
+	reach := s.g.reach[p]
+	for d := Dir(0); d < numDirs; d, reach = d+1, reach>>8 {
+		back, fwd := int(reach&15), int(reach>>4&15)
+		step := s.g.step[d]
+		var occ uint32
+		for c := p + fwd*step; c != p-back*step-step; c -= step {
+			occ = occ<<1 | uint32(s.occ[c])
+		}
+		occ <<= L - 1 - back
+		fit := uint8((1<<(back+1) - 1) &^ (1<<(L-1-fwd) - 1)) // offsets L-1-fwd..back
+		for ks := s.g.wins[occ] & fit; ks != 0; ks &= ks - 1 {
+			k := bits.TrailingZeros8(ks)
+			if s.usageFree(p-k*step, d) {
+				empty := bits.TrailingZeros32(^(occ >> (L - 1 - k)))
+				s.moves = append(s.moves, packMove(p-k*step, d, empty))
 			}
 		}
 	}
-	return added
+	return len(s.moves) - before
 }
 
 // Undo reverts the most recent move, implementing game.Undoer. It panics
@@ -620,45 +625,24 @@ func (s *State) Undo() {
 	}
 	h := s.hist[len(s.hist)-1]
 	s.hist = s.hist[:len(s.hist)-1]
-
-	base, d, k := unpackMove(h.move)
-	L := s.v.LineLen
-	step := s.stepOf(d)
-	newCell := base + k*step
-
-	s.occ[newCell] = 0
-	s.hash ^= rng.Mix(planeSalt[0], uint64(newCell))
-	u := s.used[d]
-	uSalt := planeSalt[1+d]
-	if s.v.Disjoint {
-		idx := base
-		for i := 0; i < L; i++ {
-			u[idx] = 0
-			s.hash ^= rng.Mix(uSalt, uint64(idx))
-			idx += step
-		}
-	} else {
-		idx := base
-		for i := 0; i < L-1; i++ {
-			u[idx] = 0
-			s.hash ^= rng.Mix(uSalt, uint64(idx))
-			idx += step
-		}
-	}
+	s.mark(h.move, 0)
 	s.seq = s.seq[:len(s.seq)-1]
 	// Restore the move list to its exact pre-Play order: drop the appended
-	// moves, then reinsert the removed ones (popped off the arena stacks)
-	// at their original positions. Ascending insertion order keeps later
-	// original indices valid, and the exact order is what makes an undo
-	// traversal bit-identical to a clone traversal.
-	s.moves = s.moves[:len(s.moves)-int(h.numAdded)]
+	// moves, then merge the removed ones (popped off the arena stacks) back
+	// in at their original positions, filling from the back so every entry
+	// moves at most once. The exact order is what makes an undo traversal
+	// bit-identical to a clone traversal.
 	lo := len(s.histMoves) - int(h.numRemoved)
-	for i := 0; i < int(h.numRemoved); i++ {
-		mv := s.histMoves[lo+i]
-		idx := int(s.histIdx[lo+i])
-		s.moves = append(s.moves, 0)
-		copy(s.moves[idx+1:], s.moves[idx:])
-		s.moves[idx] = mv
+	kept := len(s.moves) - int(h.numAdded)
+	s.moves = s.moves[:kept+int(h.numRemoved)] // the length before Play: within capacity
+	for i, r := len(s.moves)-1, len(s.histMoves)-1; r >= lo; i-- {
+		if int(s.histIdx[r]) == i {
+			s.moves[i] = s.histMoves[r]
+			r--
+		} else {
+			kept--
+			s.moves[i] = s.moves[kept]
+		}
 	}
 	s.histMoves = s.histMoves[:lo]
 	s.histIdx = s.histIdx[:lo]

@@ -17,6 +17,7 @@ package samegame
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/game"
 	"repro/internal/rng"
@@ -35,7 +36,8 @@ const (
 type State struct {
 	w, h   int
 	colors int
-	cells  []int8 // column-major: cells[x*h+y], y=0 is the BOTTOM row; 0 = empty
+	lay    *layout // tables of the w×h shape
+	cells  []int8  // column-major: cells[x*h+y], y=0 is the BOTTOM row; 0 = empty
 	score  float64
 	moves  int
 
@@ -67,15 +69,50 @@ type histEntry struct {
 }
 
 // hashSalt seeds the feature keys and the base hash; fixed so hashes are
-// stable across processes. Keys are derived with one rng.Mix per changed
-// cell: boards are user-sizeable, so a precomputed table cannot cover every
-// size, and Play already pays an O(cells) snapshot copy per move.
+// stable across processes.
 const hashSalt = 0x53616d6547616d65 // "SameGame"
 
-// cellKey returns the Zobrist key of colour c at cell idx (c > 0; empty
-// cells contribute nothing).
-func cellKey(idx int, c int8) uint64 {
-	return rng.Mix(hashSalt, uint64(idx)<<8|uint64(uint8(c)))
+// layout tabulates what depends only on the board's shape, so the kernels
+// neither divide nor hash per cell. One layout per shape is built per
+// process and shared by pointer by every state of that shape.
+type layout struct {
+	y    []int32  // y[idx] = idx % h, the height of cell idx in its column
+	keys []uint64 // keys[idx<<4|c] is the Zobrist key of colour c (1..9) at cell idx
+}
+
+// tables memoizes the layouts. The keys do not depend on the shape, so
+// every layout holds a prefix of one process-wide key table, which grows
+// by doubling into a new array (published prefixes are never written).
+var tables = struct {
+	sync.Mutex
+	layouts map[[2]int]*layout
+	keys    []uint64 // keys[idx<<4|c] = rng.Mix(hashSalt, idx<<8|c)
+}{layouts: map[[2]int]*layout{}}
+
+func layoutFor(w, h int) *layout {
+	t := &tables
+	t.Lock()
+	defer t.Unlock()
+	l := t.layouts[[2]int{w, h}]
+	if l != nil {
+		return l
+	}
+	need := w * h << 4
+	if len(t.keys) < need {
+		grown := make([]uint64, max(need, 2*len(t.keys)))
+		for i := copy(grown, t.keys); i < len(grown); i++ {
+			if c := i & 15; c >= 1 && c <= 9 {
+				grown[i] = rng.Mix(hashSalt, uint64(i>>4)<<8|uint64(c))
+			}
+		}
+		t.keys = grown
+	}
+	l = &layout{y: make([]int32, w*h), keys: t.keys[:need]}
+	for idx := range l.y {
+		l.y[idx] = int32(idx % h)
+	}
+	t.layouts[[2]int{w, h}] = l
+	return l
 }
 
 // NewRandom returns a uniformly random w×h board with the given number of
@@ -87,12 +124,12 @@ func NewRandom(w, h, colors int, seed uint64) *State {
 	if colors < 1 || colors > 9 {
 		panic("samegame: colours must be in 1..9")
 	}
-	s := &State{w: w, h: h, colors: colors, cells: make([]int8, w*h)}
+	s := &State{w: w, h: h, colors: colors, lay: layoutFor(w, h), cells: make([]int8, w*h)}
 	r := rng.New(seed)
 	for i := range s.cells {
 		s.cells[i] = int8(r.Intn(colors) + 1)
 	}
-	s.hash = s.hashFromScratch()
+	s.hash = s.contentHash()
 	s.initScratch()
 	return s
 }
@@ -111,7 +148,7 @@ func Parse(text string) (*State, error) {
 	}
 	h := len(lines)
 	w := len(lines[0])
-	s := &State{w: w, h: h, colors: 0, cells: make([]int8, w*h)}
+	s := &State{w: w, h: h, colors: 0, lay: layoutFor(w, h), cells: make([]int8, w*h)}
 	for row, line := range lines {
 		if len(line) != w {
 			return nil, fmt.Errorf("samegame: row %d has %d cells, want %d", row, len(line), w)
@@ -136,7 +173,7 @@ func Parse(text string) (*State, error) {
 	// A parsed board must already satisfy gravity/collapse invariants for
 	// the move generator to be meaningful; normalize it.
 	s.settle()
-	s.hash = s.hashFromScratch()
+	s.hash = s.contentHash()
 	s.initScratch()
 	return s, nil
 }
@@ -173,12 +210,16 @@ func (s *State) Terminal() bool {
 // order (deterministic).
 func (s *State) LegalMoves(buf []game.Move) []game.Move {
 	s.markGen++
-	for i := range s.cells {
-		if s.cells[i] == 0 || s.mark[i] == s.markGen {
+	h, y := s.h, s.lay.y
+	for i, c := range s.cells {
+		if c == 0 || s.mark[i] == s.markGen {
 			continue
 		}
-		size := s.flood(int32(i), s.cells[i], nil)
-		if size >= 2 {
+		// An unmarked block has no same-coloured neighbour below or to the
+		// left (that one would have flooded it), so it heads a group iff
+		// the block above or to the right matches.
+		if (int(y[i])+1 < h && s.cells[i+1] == c) || (i+h < len(s.cells) && s.cells[i+h] == c) {
+			s.flood(int32(i), c, nil)
 			buf = append(buf, game.Move(i))
 		}
 	}
@@ -188,7 +229,7 @@ func (s *State) LegalMoves(buf []game.Move) []game.Move {
 // anyGroup reports whether any removable group exists (cheaper than a full
 // LegalMoves when only termination matters).
 func (s *State) anyGroup() bool {
-	h := s.h
+	h, y := s.h, s.lay.y
 	for i, c := range s.cells {
 		if c == 0 {
 			continue
@@ -197,7 +238,7 @@ func (s *State) anyGroup() bool {
 		if i+h < len(s.cells) && s.cells[i+h] == c {
 			return true
 		}
-		if (i%h)+1 < h && s.cells[i+1] == c {
+		if int(y[i])+1 < h && s.cells[i+1] == c {
 			return true
 		}
 	}
@@ -208,41 +249,39 @@ func (s *State) anyGroup() bool {
 // generation and returns its size. When out is non-nil the member cells
 // are appended to it.
 func (s *State) flood(idx int32, c int8, out *[]int32) int {
-	h := int32(s.h)
+	h, top := int32(s.h), int32(s.h-1)
+	cells, mark, gen, y := s.cells, s.mark, s.markGen, s.lay.y
+	visit := func(stack []int32, nb int32) []int32 {
+		if cells[nb] == c && mark[nb] != gen {
+			mark[nb] = gen
+			stack = append(stack, nb)
+		}
+		return stack
+	}
 	n := 0
-	s.stack = s.stack[:0]
-	s.stack = append(s.stack, idx)
-	s.mark[idx] = s.markGen
-	for len(s.stack) > 0 {
-		cur := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
+	stack := append(s.stack[:0], idx)
+	mark[idx] = gen
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		n++
 		if out != nil {
 			*out = append(*out, cur)
 		}
-		x, y := cur/h, cur%h
-		for dir := 0; dir < 4; dir++ {
-			nx, ny := x, y
-			switch dir {
-			case 0:
-				nx--
-			case 1:
-				nx++
-			case 2:
-				ny--
-			case 3:
-				ny++
-			}
-			if nx < 0 || nx >= int32(s.w) || ny < 0 || ny >= h {
-				continue
-			}
-			nb := nx*h + ny
-			if s.cells[nb] == c && s.mark[nb] != s.markGen {
-				s.mark[nb] = s.markGen
-				s.stack = append(s.stack, nb)
-			}
+		if cur >= h {
+			stack = visit(stack, cur-h)
+		}
+		if int(cur+h) < len(cells) {
+			stack = visit(stack, cur+h)
+		}
+		if y[cur] > 0 {
+			stack = visit(stack, cur-1)
+		}
+		if y[cur] < top {
+			stack = visit(stack, cur+1)
 		}
 	}
+	s.stack = stack
 	return n
 }
 
@@ -273,15 +312,12 @@ func (s *State) Play(m game.Move) {
 	// Incremental hash update: gravity and collapse move many cells, but
 	// the pre-move board is already snapshotted in the histCells arena, so
 	// one diff pass XORs exactly the changed features in and out.
+	// Colour 0 has key 0: empty cells contribute nothing.
 	snap := s.histCells[len(s.histCells)-len(s.cells):]
+	keys := s.lay.keys
 	for i, c := range s.cells {
 		if old := snap[i]; old != c {
-			if old != 0 {
-				s.hash ^= cellKey(i, old)
-			}
-			if c != 0 {
-				s.hash ^= cellKey(i, c)
-			}
+			s.hash ^= keys[i<<4|int(old)] ^ keys[i<<4|int(c)]
 		}
 	}
 }
@@ -352,7 +388,7 @@ func (s *State) Undo() {
 // starts with an empty undo history floored at the cloned position.
 func (s *State) Clone() game.State {
 	c := &State{
-		w: s.w, h: s.h, colors: s.colors,
+		w: s.w, h: s.h, colors: s.colors, lay: s.lay,
 		cells: append([]int8(nil), s.cells...),
 		score: s.score, moves: s.moves,
 		hash: s.hash,
@@ -370,7 +406,7 @@ func (s *State) CopyFrom(src game.State) {
 		panic("samegame: CopyFrom with a non-SameGame state")
 	}
 	if s.w != o.w || s.h != o.h {
-		s.w, s.h = o.w, o.h
+		s.w, s.h, s.lay = o.w, o.h, o.lay
 		s.cells = make([]int8, len(o.cells))
 		s.initScratch()
 	}
@@ -388,14 +424,12 @@ func (s *State) CopyFrom(src game.State) {
 // store score deltas (see the game.Hasher contract).
 func (s *State) Hash() uint64 { return s.hash }
 
-// hashFromScratch recomputes the position hash from the cells alone. It is
-// the oracle the fuzz tests compare the incremental hash against.
-func (s *State) hashFromScratch() uint64 {
+// contentHash computes the position hash from the cells alone; Play keeps
+// it up to date incrementally from there.
+func (s *State) contentHash() uint64 {
 	h := rng.Mix(hashSalt, uint64(s.w)<<32|uint64(s.h))
 	for i, c := range s.cells {
-		if c != 0 {
-			h ^= cellKey(i, c)
-		}
+		h ^= s.lay.keys[i<<4|int(c)] // colour 0 has key 0
 	}
 	return h
 }

@@ -61,7 +61,7 @@ func DecodeWire(data []byte) (*State, error) {
 	score := math.Float64frombits(binary.LittleEndian.Uint64(data))
 	data = data[8:]
 	s := &State{
-		w: w, h: h, colors: colors,
+		w: w, h: h, colors: colors, lay: layoutFor(w, h),
 		cells: make([]int8, w*h),
 		score: score,
 		moves: int(moves),
@@ -72,7 +72,7 @@ func DecodeWire(data []byte) (*State, error) {
 		}
 		s.cells[i] = int8(b)
 	}
-	s.hash = s.hashFromScratch()
+	s.hash = s.contentHash()
 	s.initScratch()
 	return s, nil
 }

@@ -35,17 +35,10 @@ func fuzzHash(st game.State, buf []game.Move) (uint64, []game.Move) {
 	return h, buf
 }
 
-// checkZobrist asserts the incrementally maintained game.Hasher hash
-// equals a from-scratch recomputation over the grid — the property the
-// transposition cache keys on (a drifted incremental hash would silently
-// alias unrelated positions).
-func checkZobrist(t *testing.T, st *State, when string) {
-	t.Helper()
-	if got, want := st.Hash(), st.hashFromScratch(); got != want {
-		t.Fatalf("%s: incremental hash %x != from-scratch %x", when, got, want)
-	}
-}
-
+// FuzzPlayUndoRoundTrip also runs checkOracles (oracle_test.go) at every
+// position: the legal-move list and the incremental game.Hasher hash — the
+// property the transposition cache keys on — must equal a recomputation
+// from the board that shares no table with the kernels.
 func FuzzPlayUndoRoundTrip(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -66,7 +59,7 @@ func FuzzPlayUndoRoundTrip(f *testing.F) {
 		var hashes []uint64
 		h, buf := fuzzHash(st, buf)
 		hashes = append(hashes, h)
-		checkZobrist(t, st, "fresh position")
+		checkOracles(t, st, "fresh position")
 
 		var legal []game.Move
 		for _, b := range picks {
@@ -77,7 +70,7 @@ func FuzzPlayUndoRoundTrip(f *testing.F) {
 			st.Play(legal[int(b)%len(legal)])
 			h, buf = fuzzHash(st, buf)
 			hashes = append(hashes, h)
-			checkZobrist(t, st, "after play")
+			checkOracles(t, st, "after play")
 		}
 
 		for depth := len(hashes) - 1; depth > 0; depth-- {
@@ -87,7 +80,7 @@ func FuzzPlayUndoRoundTrip(f *testing.F) {
 				t.Fatalf("undo to depth %d: position hash %x != %x (score/move-order not restored)",
 					depth-1, h, hashes[depth-1])
 			}
-			checkZobrist(t, st, "after undo")
+			checkOracles(t, st, "after undo")
 		}
 		if st.MovesPlayed() != 0 {
 			t.Fatalf("fully rewound position still has %d moves", st.MovesPlayed())

@@ -12,6 +12,7 @@ package sudoku
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/game"
@@ -46,11 +47,31 @@ func init() {
 // cellKey returns the Zobrist key of value v placed at cell idx.
 func cellKey(idx int, v int8) uint64 { return zobrist[idx*(maxSide+1)+int(v)] }
 
+// unit names the row, column and box a cell belongs to.
+type unit struct{ row, col, box uint8 }
+
+// units[box] tabulates unit per cell of the box-side-`box` grid, so the
+// kernels below never divide. Built once at init and shared by pointer by
+// every state of that box side.
+var units [6]*[maxCells]unit
+
+func init() {
+	for box := 2; box <= 5; box++ {
+		side := box * box
+		units[box] = new([maxCells]unit)
+		for idx := 0; idx < side*side; idx++ {
+			r, c := idx/side, idx%side
+			units[box][idx] = unit{uint8(r), uint8(c), uint8(r/box*box + c/box)}
+		}
+	}
+}
+
 // State is a Sudoku filling position. Create with New or ParseGivens.
 type State struct {
-	box  int    // box side; grid side is box*box
-	side int    // cached box*box
-	grid []int8 // 0 = empty, else 1..side
+	box  int             // box side; grid side is box*box
+	side int             // cached box*box
+	unit *[maxCells]unit // units[box]
+	grid []int8          // 0 = empty, else 1..side
 
 	// Constraint bitmasks: bit v-1 set when value v is used.
 	rows, cols, boxes []uint32
@@ -84,7 +105,7 @@ func New(box int) *State {
 	}
 	side := box * box
 	s := &State{
-		box: box, side: side,
+		box: box, side: side, unit: units[box],
 		grid: make([]int8, side*side),
 		rows: make([]uint32, side), cols: make([]uint32, side), boxes: make([]uint32, side),
 		hash: rng.Mix(hashSalt, uint64(box)),
@@ -116,11 +137,9 @@ func ParseGivens(box int, text string) (*State, error) {
 			if int(v) > s.side {
 				return nil, fmt.Errorf("sudoku: row %d col %d: value %d exceeds side %d", r, c, v, s.side)
 			}
-			idx := r*s.side + c
-			if !s.canPlace(idx, v) {
+			if !s.place(r*s.side+c, v) {
 				return nil, fmt.Errorf("sudoku: given at row %d col %d conflicts", r, c)
 			}
-			s.place(idx, v)
 			s.givens++
 		}
 	}
@@ -147,32 +166,28 @@ func (s *State) Side() int { return s.side }
 // Cell returns the value at (row, col), 0 when empty.
 func (s *State) Cell(row, col int) int { return int(s.grid[row*s.side+col]) }
 
-// boxIndex returns the box number of a cell index.
-func (s *State) boxIndex(idx int) int {
-	r, c := idx/s.side, idx%s.side
-	return (r/s.box)*s.box + c/s.box
+// used returns the values taken in the row, column and box of cell idx,
+// bit v-1 for value v.
+func (s *State) used(idx int) uint32 {
+	u := s.unit[idx]
+	return s.rows[u.row] | s.cols[u.col] | s.boxes[u.box]
 }
 
-// canPlace reports whether value v can be placed at cell idx.
-func (s *State) canPlace(idx int, v int8) bool {
-	if s.grid[idx] != 0 {
+// place writes v at the empty cell idx and updates the constraint masks
+// and the incremental hash. It reports false, changing nothing, when the
+// cell is filled or v is already used in its row, column or box.
+func (s *State) place(idx int, v int8) bool {
+	bit := uint32(1) << (v - 1)
+	u := s.unit[idx]
+	if s.grid[idx] != 0 || (s.rows[u.row]|s.cols[u.col]|s.boxes[u.box])&bit != 0 {
 		return false
 	}
-	bit := uint32(1) << (v - 1)
-	r, c := idx/s.side, idx%s.side
-	return s.rows[r]&bit == 0 && s.cols[c]&bit == 0 && s.boxes[s.boxIndex(idx)]&bit == 0
-}
-
-// place writes v at idx and updates the constraint masks and the
-// incremental hash.
-func (s *State) place(idx int, v int8) {
-	bit := uint32(1) << (v - 1)
-	r, c := idx/s.side, idx%s.side
 	s.grid[idx] = v
-	s.rows[r] |= bit
-	s.cols[c] |= bit
-	s.boxes[s.boxIndex(idx)] |= bit
+	s.rows[u.row] |= bit
+	s.cols[u.col] |= bit
+	s.boxes[u.box] |= bit
 	s.hash ^= cellKey(idx, v)
+	return true
 }
 
 // nextEmpty returns the index of the first empty cell, or -1 when full.
@@ -195,11 +210,8 @@ func (s *State) LegalMoves(buf []game.Move) []game.Move {
 	if idx < 0 {
 		return buf
 	}
-	used := s.rows[idx/s.side] | s.cols[idx%s.side] | s.boxes[s.boxIndex(idx)]
-	for v := 1; v <= s.side; v++ {
-		if used&(1<<(v-1)) == 0 {
-			buf = append(buf, game.Move(idx<<8|v))
-		}
+	for free := ^s.used(idx) & (1<<s.side - 1); free != 0; free &= free - 1 {
+		buf = append(buf, game.Move(idx<<8|(bits.TrailingZeros32(free)+1)))
 	}
 	return buf
 }
@@ -208,11 +220,10 @@ func (s *State) LegalMoves(buf []game.Move) []game.Move {
 func (s *State) Play(m game.Move) {
 	idx := int(m >> 8)
 	v := int8(m & 0xff)
-	if idx < 0 || idx >= len(s.grid) || v < 1 || int(v) > s.side || !s.canPlace(idx, v) {
+	if idx < 0 || idx >= len(s.grid) || v < 1 || int(v) > s.side || !s.place(idx, v) {
 		panic(fmt.Sprintf("sudoku: illegal move cell=%d value=%d", idx, v))
 	}
 	s.hist = append(s.hist, histEntry{cell: int32(idx), prevNext: int32(s.next)})
-	s.place(idx, v)
 	s.filled++
 	if idx >= s.next {
 		s.next = idx + 1
@@ -232,12 +243,12 @@ func (s *State) Undo() {
 	idx := int(h.cell)
 	v := s.grid[idx]
 	bit := uint32(1) << (v - 1)
-	r, c := idx/s.side, idx%s.side
+	u := s.unit[idx]
 	s.hash ^= cellKey(idx, v)
 	s.grid[idx] = 0
-	s.rows[r] &^= bit
-	s.cols[c] &^= bit
-	s.boxes[s.boxIndex(idx)] &^= bit
+	s.rows[u.row] &^= bit
+	s.cols[u.col] &^= bit
+	s.boxes[u.box] &^= bit
 	s.filled--
 	s.next = int(h.prevNext)
 }
@@ -249,9 +260,7 @@ func (s *State) Terminal() bool {
 	if idx < 0 {
 		return true
 	}
-	used := s.rows[idx/s.side] | s.cols[idx%s.side] | s.boxes[s.boxIndex(idx)]
-	full := uint32(1)<<s.side - 1
-	return used == full
+	return s.used(idx) == 1<<s.side-1
 }
 
 // Score implements game.State: cells filled during play (givens excluded).
@@ -267,7 +276,7 @@ func (s *State) Solved() bool { return s.nextEmpty() < 0 }
 // starts with an empty undo history floored at the cloned position.
 func (s *State) Clone() game.State {
 	return &State{
-		box: s.box, side: s.side,
+		box: s.box, side: s.side, unit: s.unit,
 		grid:   append([]int8(nil), s.grid...),
 		rows:   append([]uint32(nil), s.rows...),
 		cols:   append([]uint32(nil), s.cols...),
@@ -286,7 +295,7 @@ func (s *State) CopyFrom(src game.State) {
 		panic("sudoku: CopyFrom with a non-Sudoku state")
 	}
 	if s.box != o.box {
-		s.box, s.side = o.box, o.side
+		s.box, s.side, s.unit = o.box, o.side, o.unit
 		s.grid = make([]int8, len(o.grid))
 		s.rows = make([]uint32, o.side)
 		s.cols = make([]uint32, o.side)

@@ -80,15 +80,13 @@ func DecodeWire(data []byte) (*State, error) {
 			continue
 		}
 		// int(b) — not int8 — so bytes ≥ 0x80 are caught here instead of
-		// wrapping negative and feeding canPlace a negative shift count.
+		// wrapping negative and feeding place a negative shift count.
 		if int(b) > s.side {
 			return nil, fmt.Errorf("sudoku: wire: cell %d holds %d on a side-%d grid", idx, b, s.side)
 		}
-		v := int8(b)
-		if !s.canPlace(idx, v) {
-			return nil, fmt.Errorf("sudoku: wire: cell %d value %d conflicts", idx, v)
+		if !s.place(idx, int8(b)) {
+			return nil, fmt.Errorf("sudoku: wire: cell %d value %d conflicts", idx, b)
 		}
-		s.place(idx, v)
 		nonEmpty++
 	}
 	if filled+givens != nonEmpty {
