@@ -1,5 +1,5 @@
 // Command benchreg turns `go test -bench` output into the repository's
-// BENCH_*.json artifact and gates CI on ns/op regressions against the
+// BENCH_*.json artifact and gates CI on allocs/op regressions against the
 // committed baseline.
 //
 // Usage:
@@ -14,10 +14,9 @@
 // between machines with different core counts.
 //
 // compare exits non-zero when any benchmark present in both files
-// regressed by more than the threshold — on allocs/op always, and on
-// ns/op when baseline and candidate come from the same CPU (see Compare).
-// Missing benchmarks are reported but do not fail the gate (new
-// benchmarks land before their baseline does).
+// regressed by more than the threshold on allocs/op; ns/op is printed as a
+// trend and never gated (see Compare). Missing benchmarks are reported but
+// do not fail the gate (new benchmarks land before their baseline does).
 package main
 
 import (
@@ -72,7 +71,7 @@ func main() {
 		fs := flag.NewFlagSet("compare", flag.ExitOnError)
 		baseline := fs.String("baseline", "", "baseline BENCH_*.json")
 		candidate := fs.String("candidate", "", "candidate BENCH_*.json")
-		threshold := fs.Float64("threshold", 0.20, "allowed fractional ns/op regression")
+		threshold := fs.Float64("threshold", 0.20, "allowed fractional allocs/op regression")
 		fs.Parse(os.Args[2:])
 		if *baseline == "" || *candidate == "" {
 			fs.Usage()
@@ -234,19 +233,12 @@ func runParse(r io.Reader, outPath string) error {
 }
 
 // Compare checks candidate against baseline; it returns false when any
-// shared benchmark regressed beyond the threshold.
-//
-// Two gates:
-//
-//   - allocs/op is hardware-independent and (at -benchtime=1x) essentially
-//     deterministic, so it is gated unconditionally — an allocation
-//     regression fails CI no matter which machine recorded the baseline.
-//   - ns/op is only gated when both files were produced on the same CPU:
-//     absolute ns/op is meaningless across different hardware, so on a
-//     CPU mismatch the timing comparison is reported but never fails. To
-//     arm the timing gate on CI, refresh the committed baseline from a
-//     BENCH_*.json artifact that CI itself produced (download it from a
-//     main run and commit it as BENCH_baseline.json).
+// shared benchmark regressed beyond the threshold on allocs/op, which is
+// hardware-independent and (at -benchtime=1x) essentially deterministic.
+// ns/op is printed next to it as a trend and never fails the gate: one
+// iteration on a shared CI machine spreads by more than any threshold
+// worth setting, so it failed untouched code. Timing claims go through
+// benchmark/run.sh --compare instead.
 func Compare(w io.Writer, baseline, candidate File, threshold float64) bool {
 	base := map[string]Bench{}
 	for _, b := range baseline.Benches {
@@ -260,15 +252,6 @@ func Compare(w io.Writer, baseline, candidate File, threshold float64) bool {
 	cand := map[string]Bench{}
 	for _, b := range candidate.Benches {
 		cand[b.Name] = b
-	}
-
-	timeGate := true
-	if baseline.CPU != "" && candidate.CPU != "" && baseline.CPU != candidate.CPU {
-		timeGate = false
-		fmt.Fprintf(w, "note: baseline CPU %q != candidate CPU %q; absolute ns/op is not\n", baseline.CPU, candidate.CPU)
-		fmt.Fprintf(w, "note: comparable across hardware, so the ns/op gate is DISARMED for this run\n")
-		fmt.Fprintf(w, "note: (allocs/op is still gated) — refresh BENCH_baseline.json from this\n")
-		fmt.Fprintf(w, "note: machine's artifact to arm the timing gate\n")
 	}
 
 	ok := true
@@ -293,10 +276,7 @@ func Compare(w io.Writer, baseline, candidate File, threshold float64) bool {
 			status = "REGRESSION"
 			ok = false
 		case nsDelta > threshold:
-			status = "REGRESSION"
-			if timeGate {
-				ok = false
-			}
+			status = "slower"
 		case nsDelta < -threshold:
 			status = "improved"
 		}
@@ -309,7 +289,7 @@ func Compare(w io.Writer, baseline, candidate File, threshold float64) bool {
 		}
 	}
 	if !ok {
-		fmt.Fprintf(w, "FAIL: regression beyond %.0f%% against the committed baseline\n", 100*threshold)
+		fmt.Fprintf(w, "FAIL: allocs/op regression beyond %.0f%% against the committed baseline\n", 100*threshold)
 	}
 	return ok
 }

@@ -21,9 +21,7 @@ package mpi
 // new unit of work into Offer; both sides of the queue (idle workers,
 // ready items) are matched FIFO. Completion is tracked with Done so the
 // owner can drain outstanding grants before tearing the world down (e.g.
-// on a mid-game stop). Workers left waiting when the work runs out are
-// listed by Waiting, so the owner can send them a shutdown instead of a
-// grant.
+// on a mid-game stop).
 type PullSource struct {
 	c        Comm
 	grantTag Tag
@@ -99,19 +97,11 @@ func (s *PullSource) Outstanding() int { return s.granted }
 // Ready returns the number of items queued with no idle worker.
 func (s *PullSource) Ready() int { return len(s.ready) }
 
-// Abandon drops every queued item without granting it (mid-run stop) and
-// returns how many were dropped. Outstanding grants are unaffected; the
-// owner still drains them with Done.
-func (s *PullSource) Abandon() int {
-	n := len(s.ready)
-	s.ready = s.ready[:0]
-	return n
-}
-
-// AbandonFunc drops every queued item for which drop returns true
-// (selective mid-run purge — e.g. cancelling one speculative branch
-// while keeping another) and returns how many were dropped. Kept items
-// preserve their FIFO order; outstanding grants are unaffected.
+// AbandonFunc drops every queued item for which drop returns true without
+// granting it (a mid-run stop, or a selective purge — e.g. cancelling one
+// speculative branch while keeping another) and returns how many were
+// dropped. Kept items preserve their FIFO order; outstanding grants are
+// unaffected, and the owner still drains them with Done.
 func (s *PullSource) AbandonFunc(drop func(item any) bool) int {
 	kept := s.ready[:0]
 	n := 0
@@ -129,10 +119,6 @@ func (s *PullSource) AbandonFunc(drop func(item any) bool) int {
 	s.sample()
 	return n
 }
-
-// Waiting returns the idle workers currently queued for work. The slice
-// aliases internal state; callers must not retain it across calls.
-func (s *PullSource) Waiting() []Rank { return s.waiting }
 
 // sample records the current ready-queue depth for DepthStats.
 func (s *PullSource) sample() {

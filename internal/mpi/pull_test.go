@@ -43,10 +43,7 @@ func TestPullSourceMatchesFIFO(t *testing.T) {
 	if f.sends[0].Payload != "x" || f.sends[1].Payload != "y" {
 		t.Fatalf("grants out of order: %+v", f.sends)
 	}
-	if got := len(s.Waiting()); got != 1 {
-		t.Fatalf("waiting %d, want 1", got)
-	}
-	s.Offer("z") // granted straight to the waiting worker
+	s.Offer("z") // granted straight to the one worker left waiting
 	if len(f.sends) != 3 || f.sends[2].From != 5 || f.sends[2].Payload != "z" {
 		t.Fatalf("third grant wrong: %+v", f.sends)
 	}
@@ -62,17 +59,19 @@ func TestPullSourceMatchesFIFO(t *testing.T) {
 }
 
 func TestPullSourceAbandonAndDepth(t *testing.T) {
+	// The mid-run stop: every queued item is dropped, grants already out
+	// are unaffected.
 	f := &fakeComm{}
 	s := NewPullSource(f, Tag(7))
 	for i := 0; i < 4; i++ {
 		s.Offer(i)
 	}
 	s.Request(2) // grants item 0
-	if n := s.Abandon(); n != 3 {
+	if n := s.AbandonFunc(func(any) bool { return true }); n != 3 {
 		t.Fatalf("abandoned %d, want 3", n)
 	}
 	if s.Ready() != 0 {
-		t.Fatal("ready items survived Abandon")
+		t.Fatal("ready items survived the abandon")
 	}
 	if s.Outstanding() != 1 {
 		t.Fatalf("outstanding %d after abandon, want 1 (grants unaffected)", s.Outstanding())

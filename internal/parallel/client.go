@@ -63,7 +63,7 @@ func (u *unitMeter) Add(n int64) { u.units += n }
 // longer on the virtual cluster. The availability notice (line 4) is sent
 // before the score, exactly as in the paper, so the dispatcher learns of
 // the free client as early as possible; under the pull scheduler every
-// client announces (the demand dispatcher is availability-driven for both
+// client announces (the dispatcher is availability-driven for both
 // policies), under Config.Static only Last-Minute clients do.
 //
 // The rollout's random stream is reseeded per job from the job's logical

@@ -2,73 +2,38 @@ package parallel
 
 import (
 	"slices"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 )
 
-// runDispatcher runs the configured dispatching policy until shutdown.
-//
-// Under the pull scheduler the client layer is demand-driven for both
-// policies — clients announce availability after every job and requests
-// queue until a client is free — with Algo selecting only the job
-// ordering: Last-Minute serves the longest-expected pending job first,
-// Round-Robin serves in arrival order. Under Config.Static the paper's
-// §IV-A blind cyclic dispatcher is reproduced exactly for Round-Robin.
-func runDispatcher(c mpi.Comm, lay cluster.Layout, cfg *Config) {
-	if !cfg.Static {
-		longest := cfg.Algo == LastMinute && !cfg.LMFifo
-		runDemandDispatcher(c, lay, cfg, longest)
-		return
-	}
-	switch cfg.Algo {
-	case RoundRobin:
-		runRoundRobinDispatcher(c, lay, cfg)
-	case LastMinute:
-		runLastMinuteDispatcher(c, lay, cfg)
-	default:
-		panic("parallel: unknown algorithm")
-	}
+// dispatchPolicy is the dispatcher's policy, as data.
+type dispatchPolicy struct {
+	// blind is the paper's Round-Robin (§IV-A): clients are handed out
+	// cyclically whatever their load, and availability notices are ignored.
+	// A busy client keeps receiving jobs (they queue in its mailbox) even
+	// while other clients sit idle — the load imbalance Last-Minute fixes on
+	// heterogeneous clusters.
+	blind bool
+	// longestFirst serves the pending request with the fewest moves played
+	// first (§IV-B line 8): fewer moves played means a longer game ahead.
+	// Otherwise requests are served in arrival order.
+	longestFirst bool
+	// faultAware is the pool's form: the dispatcher additionally tracks
+	// which median each busy client serves, so the pool's worker-loss
+	// notices can repair the free list. The per-run protocol never sees
+	// losses and skips the bookkeeping, so its hot path is untouched.
+	faultAware bool
 }
 
-// runRoundRobinDispatcher is the paper's Round-Robin dispatcher (§IV-A):
-//
-//	1 client = first client
-//	2 while true
-//	3   receive median node from any median node
-//	4   send client to median node
-//	5   if client is last client: client = first client
-//	6   else: client = next client
-//
-// It cycles through clients blindly: a busy client keeps receiving jobs
-// (they queue in its mailbox) even while other clients sit idle — the load
-// imbalance the Last-Minute algorithm fixes on heterogeneous clusters.
-func runRoundRobinDispatcher(c mpi.Comm, lay cluster.Layout, cfg *Config) {
-	next := 0
-	for {
-		msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
-		switch msg.Tag {
-		case tagShutdown:
-			return
-		case tagRequest:
-			client := lay.Clients[next]
-			next = (next + 1) % len(lay.Clients)
-			cfg.trace("b", c.Rank(), msg.From, c.Now())
-			c.Send(msg.From, tagAssign, client)
-		case tagFree:
-			// Round-Robin ignores availability notices (clients only send
-			// them under Last-Minute, but tolerate them for robustness).
-		}
-	}
-}
-
-// lmJob is a pending request in the Last-Minute dispatcher's queue.
+// lmJob is a pending request in the dispatcher's queue.
 type lmJob struct {
 	sender mpi.Rank // the median that asked
 	moves  int      // moves already played in the position to analyze
 }
 
-// runLastMinuteDispatcher is the paper's Last-Minute dispatcher (§IV-B):
+// runDispatcher is the paper's dispatcher process — Last-Minute (§IV-B):
 //
 //	1 listFreeClients = all Clients
 //	2 jobs = empty list
@@ -86,70 +51,56 @@ type lmJob struct {
 //	14    if listFreeClients is empty: add {node, moves} to jobs
 //	15    else: assign the first free client
 //
-// Jobs are ordered by expected computation time: a position with fewer
-// moves played has a longer game ahead of it, so it is served first. The
-// first-in free client is used, so recently freed (likely fast) nodes keep
-// cycling on a heterogeneous cluster.
-func runLastMinuteDispatcher(c mpi.Comm, lay cluster.Layout, cfg *Config) {
-	runDemandDispatcher(c, lay, cfg, !cfg.LMFifo)
-}
-
-// runDemandDispatcher is the availability-driven client dispatcher shared
-// by the paper's Last-Minute policy and the pull scheduler: free clients
-// are tracked (all start free, each announces with (c') after a job),
-// median requests queue while no client is free, and the queue is served
-// either longest-expected-job-first (the paper's §IV-B heuristic, see
-// runLastMinuteDispatcher) or in arrival order.
-func runDemandDispatcher(c mpi.Comm, lay cluster.Layout, cfg *Config, longestFirst bool) {
-	runDispatcherLoop(c, lay, cfg, longestFirst, false)
-}
-
-// runFaultAwareDispatcher is the pool's form of the demand dispatcher: it
-// additionally tracks which median each busy client is assigned to, so a
-// worker-loss notice (tagRanksLost) can return stranded clients to the
-// free list — clients whose assign or job frame died with a median, and
-// clients that died with their worker and whose replacement (same rank)
-// boots free. The per-run protocol never sees losses and skips the
-// bookkeeping entirely, so its hot path is untouched.
-func runFaultAwareDispatcher(c mpi.Comm, lay cluster.Layout, cfg *Config, longestFirst bool) {
-	runDispatcherLoop(c, lay, cfg, longestFirst, true)
-}
-
-func runDispatcherLoop(c mpi.Comm, lay cluster.Layout, cfg *Config, longestFirst, faultAware bool) {
+// The first-in free client is used, so recently freed (likely fast) nodes
+// keep cycling on a heterogeneous cluster. Round-Robin (§IV-A) is the same
+// loop with lines 5–11 struck out and every client free again the moment it
+// is assigned (dispatchPolicy.blind), so line 14 never applies. trace, when
+// non-nil, records each assignment.
+func runDispatcher(c mpi.Comm, lay cluster.Layout, pol dispatchPolicy, trace func(kind string, from, to mpi.Rank, at time.Duration)) {
 	free := append([]mpi.Rank(nil), lay.Clients...) // line 1
 	var jobs []lmJob                                // line 2
 	var assigned map[mpi.Rank]mpi.Rank              // busy client -> median it serves
 	var dead map[mpi.Rank]bool                      // clients abandoned with their worker
-	if faultAware {
+	if pol.faultAware {
 		assigned = make(map[mpi.Rank]mpi.Rank, len(lay.Clients))
 	}
 	// assign hands the first free client to a median, recording the pair.
 	assign := func(to mpi.Rank) {
 		client := free[0]
 		free = free[1:]
-		if faultAware {
+		if pol.blind {
+			free = append(free, client) // straight back in line: the list is the cyclic order
+		}
+		if pol.faultAware {
 			assigned[client] = to
 		}
-		cfg.trace("b", c.Rank(), to, c.Now())
+		if trace != nil {
+			trace("b", c.Rank(), to, c.Now())
+		}
 		c.Send(to, tagAssign, client)
 	}
-	// serve matches a newly available client against the pending queue:
+	// serve matches available clients against the pending queue:
 	// longest-expected-job-first or arrival order.
 	serve := func() {
-		if len(jobs) == 0 || len(free) == 0 {
-			return
-		}
-		best := 0
-		if longestFirst {
-			for i := 1; i < len(jobs); i++ {
-				if jobs[i].moves < jobs[best].moves {
-					best = i
+		for len(jobs) > 0 && len(free) > 0 {
+			best := 0
+			if pol.longestFirst {
+				for i := 1; i < len(jobs); i++ {
+					if jobs[i].moves < jobs[best].moves {
+						best = i
+					}
 				}
 			}
+			j := jobs[best]
+			jobs = append(jobs[:best], jobs[best+1:]...)
+			assign(j.sender)
 		}
-		j := jobs[best]
-		jobs = append(jobs[:best], jobs[best+1:]...)
-		assign(j.sender)
+	}
+	// refree returns a client to the free list unless it is already there.
+	refree := func(client mpi.Rank) {
+		if !slices.Contains(free, client) {
+			free = append(free, client)
+		}
 	}
 
 	for {
@@ -171,13 +122,15 @@ func runDispatcherLoop(c mpi.Comm, lay cluster.Layout, cfg *Config, longestFirst
 			// others idle. Legit traffic never trips either check; wire
 			// frames are remote-controlled and might (and after worker
 			// churn a preemptively re-freed client's own notice does).
-			if !slices.Contains(lay.Clients, msg.From) || slices.Contains(free, msg.From) {
+			// Blind Round-Robin ignores availability (clients only announce
+			// under the other policies, but tolerate it for robustness).
+			if pol.blind || !slices.Contains(lay.Clients, msg.From) || slices.Contains(free, msg.From) {
 				break
 			}
 			if dead[msg.From] {
 				break // a notice outliving its abandoned sender
 			}
-			if faultAware {
+			if pol.faultAware {
 				delete(assigned, msg.From)
 			}
 			free = append(free, msg.From)
@@ -192,17 +145,33 @@ func runDispatcherLoop(c mpi.Comm, lay cluster.Layout, cfg *Config, longestFirst
 			if !slices.Contains(lay.Medians, msg.From) {
 				break
 			}
-			moves, ok := msg.Payload.(int)
-			if !ok {
-				moves = 0
-			}
+			moves, _ := msg.Payload.(int)
 			if len(free) == 0 {
 				jobs = append(jobs, lmJob{sender: msg.From, moves: moves})
 				break
 			}
 			assign(msg.From)
 
-		case tagRanksLost:
+		case tagRanksLost, tagRanksDead, tagRanksRevived:
+			span, ok := msg.Payload.(svcRanksLost)
+			if !ok || msg.From != mpi.External || !pol.faultAware {
+				break // forged wire frame: only the pool declares losses
+			}
+			in := func(r mpi.Rank) bool { return r >= span.Lo && r < span.Hi }
+			if msg.Tag == tagRanksRevived {
+				// An abandoned worker rejoined after all. Its clients boot
+				// idle in the fresh process, so they re-enter the free list
+				// directly; their own availability notices arrive later and
+				// are shed by the duplicate guard.
+				for _, cl := range lay.Clients {
+					if in(cl) && dead[cl] {
+						delete(dead, cl)
+						refree(cl)
+					}
+				}
+				serve()
+				break
+			}
 			// A worker died. Requests from its medians will never be
 			// consumed (the replacement re-requests for itself), and
 			// clients tied up by the lost ranks would otherwise be
@@ -215,102 +184,33 @@ func runDispatcherLoop(c mpi.Comm, lay cluster.Layout, cfg *Config, longestFirst
 			// free notice from the client is shed by the duplicate guard
 			// above, and extra jobs queue at the client's mailbox — load
 			// skew for a moment, never corruption.
-			lost, ok := msg.Payload.(svcRanksLost)
-			if !ok || msg.From != mpi.External || !faultAware {
-				break // forged wire frame: only the pool declares losses
-			}
-			kept := jobs[:0]
-			for _, j := range jobs {
-				if j.sender < lost.Lo || j.sender >= lost.Hi {
-					kept = append(kept, j)
+			//
+			// tagRanksDead says the worker was abandoned: no replacement is
+			// coming, so its clients must instead leave the rotation
+			// entirely — re-freeing them would hand medians assignments that
+			// can never compute.
+			if msg.Tag == tagRanksDead {
+				if dead == nil {
+					dead = make(map[mpi.Rank]bool, len(lay.Clients))
 				}
-			}
-			jobs = kept
-			for client, median := range assigned {
-				dead := client >= lost.Lo && client < lost.Hi
-				orphaned := median >= lost.Lo && median < lost.Hi
-				if !dead && !orphaned {
-					continue
-				}
-				delete(assigned, client)
-				if !slices.Contains(free, client) {
-					free = append(free, client)
-				}
-			}
-			for len(jobs) > 0 && len(free) > 0 {
-				serve()
-			}
-
-		case tagRanksDead:
-			// A lost worker was abandoned: no replacement is coming, so
-			// unlike tagRanksLost its clients must leave the rotation
-			// entirely — re-freeing them would hand medians assignments
-			// that can never compute. Dead medians' queued requests are
-			// dropped, dead clients leave both the free list and the
-			// assignment table, and live clients stranded on dead medians
-			// are freed as in the loss path.
-			lost, ok := msg.Payload.(svcRanksLost)
-			if !ok || msg.From != mpi.External || !faultAware {
-				break // forged wire frame: only the pool declares abandonment
-			}
-			if dead == nil {
-				dead = make(map[mpi.Rank]bool, len(lay.Clients))
-			}
-			for _, cl := range lay.Clients {
-				if cl >= lost.Lo && cl < lost.Hi {
-					dead[cl] = true
-				}
-			}
-			kept := jobs[:0]
-			for _, j := range jobs {
-				if j.sender < lost.Lo || j.sender >= lost.Hi {
-					kept = append(kept, j)
-				}
-			}
-			jobs = kept
-			keptFree := free[:0]
-			for _, cl := range free {
-				if !dead[cl] {
-					keptFree = append(keptFree, cl)
-				}
-			}
-			free = keptFree
-			for client, median := range assigned {
-				if dead[client] {
-					delete(assigned, client)
-					continue
-				}
-				if median >= lost.Lo && median < lost.Hi {
-					delete(assigned, client)
-					if !slices.Contains(free, client) {
-						free = append(free, client)
+				for _, cl := range lay.Clients {
+					if in(cl) {
+						dead[cl] = true
 					}
 				}
+				free = slices.DeleteFunc(free, func(cl mpi.Rank) bool { return dead[cl] })
 			}
-			for len(jobs) > 0 && len(free) > 0 {
-				serve()
-			}
-
-		case tagRanksRevived:
-			// An abandoned worker rejoined after all. Its clients boot
-			// idle in the fresh process, so they re-enter the free list
-			// directly; their own availability notices arrive later and
-			// are shed by the duplicate guard.
-			lost, ok := msg.Payload.(svcRanksLost)
-			if !ok || msg.From != mpi.External || !faultAware {
-				break
-			}
-			for _, cl := range lay.Clients {
-				if cl >= lost.Lo && cl < lost.Hi && dead[cl] {
-					delete(dead, cl)
-					if !slices.Contains(free, cl) {
-						free = append(free, cl)
-					}
+			jobs = slices.DeleteFunc(jobs, func(j lmJob) bool { return in(j.sender) })
+			for client, median := range assigned {
+				switch {
+				case dead[client]:
+					delete(assigned, client)
+				case in(client) || in(median):
+					delete(assigned, client)
+					refree(client)
 				}
 			}
-			for len(jobs) > 0 && len(free) > 0 {
-				serve()
-			}
+			serve()
 		}
 	}
 }

@@ -18,18 +18,19 @@
 //   - Client processes run the actual nested rollouts at level ℓ−2 and
 //     return the score.
 //
-// Two root-level schedulers are provided. The default is demand-driven
+// The root ships its candidates under one of three policies (root.go), all
+// driving the same step loop (gather.go). The default is demand-driven
 // (work stealing): idle medians pull their next candidate position from
 // the root's work queue (mpi.PullSource), so heterogeneous node speeds and
 // uneven playout lengths self-balance; a bounded prefetch window
 // (Config.Prefetch) hides the request/grant round trip without deviating
-// from the paper's small-message Gigabit cost model. Config.Static selects
-// the paper's §IV-A scheduler instead — candidate positions pushed to
-// medians in fixed cyclic order — kept for A/B reproduction of the paper's
-// tables. Client rollout scores are derived from the job's logical
-// coordinates in the search tree, not from the executing rank, so both
-// schedulers produce bit-identical move sequences for the same seed (see
-// pull_test.go).
+// from the paper's small-message Gigabit cost model, and Config.Speculate
+// keeps the queue fed across step boundaries. Config.Static selects the
+// paper's §IV-A scheduler instead — candidate positions pushed to medians
+// in fixed cyclic order — kept for A/B reproduction of the paper's tables.
+// Client rollout scores are derived from the job's logical coordinates in
+// the search tree, not from the executing rank, so every policy produces
+// bit-identical move sequences for the same seed (see pull_test.go).
 //
 // The code is written against mpi.Comm only and runs identically on the
 // deterministic virtual cluster (speedup tables) and on real goroutines.
@@ -89,12 +90,10 @@ const (
 // coordinates seed the job-key random streams (see job.Key), which is what
 // decouples search results from scheduling decisions.
 //
-// Par is the branch discriminator of the async scheduler: the index of
-// the parent move played at the previous step (−1 at step 0, and for
-// every candidate issued by the non-speculating schedulers). A
-// speculative candidate for step s+1 carries the step-s move it assumes
-// will win; when the argmax resolves, scores whose Par is not the
-// winning move are shed.
+// Par is the branch discriminator: the index of the parent move played at
+// the previous step (−1 at step 0). A speculative candidate for step s+1
+// carries the step-s move it assumes will win; when the argmax resolves,
+// scores whose Par is not the winning move are shed.
 type candidate struct {
 	Step  int // root game step the candidate belongs to
 	Cand  int // candidate (move) index within that step
@@ -144,10 +143,8 @@ func (jobScore) EncodedSize() int { return 16 }
 // game score of the Cand-th candidate of the root's current step. The
 // static scheduler ships bare float64 scores instead, answered in FIFO
 // order per median, exactly like the paper's MPI messages. Step and Par
-// echo the granted candidate's coordinates so the async root can match a
-// score to the step and speculative branch that issued it (the pull and
-// static gathers key scores by arrival step alone, where the echo is
-// redundant but harmless).
+// echo the granted candidate's coordinates so the root can match a score
+// to the step and speculative branch that issued it.
 type stepScore struct {
 	Step  int
 	Cand  int
@@ -284,13 +281,26 @@ func (cfg *Config) prefetch() int {
 
 // speculate returns the effective speculation width: the number of
 // leading moves whose next-step candidates are enqueued before the
-// argmax resolves. 0 = speculation off (and always 0 in static mode,
-// where the paper's lockstep protocol has no queue to pipeline).
+// argmax resolves. 0 = speculation off — always in static mode, where the
+// paper's lockstep protocol has no queue to pipeline, and in first-move
+// mode, where the single step has no boundary to pipeline across.
 func (cfg *Config) speculate() int {
-	if cfg.Static || cfg.Speculate <= 0 {
+	if cfg.Static || cfg.FirstMoveOnly || cfg.Speculate <= 0 {
 		return 0
 	}
 	return cfg.Speculate
+}
+
+// dispatchPolicy returns the per-run dispatcher policy. Under the pull
+// scheduler the client layer is demand-driven for both algorithms —
+// clients announce availability after every job — and Algo selects only
+// the job ordering. Under Config.Static the paper's blind cyclic
+// dispatcher is reproduced exactly for Round-Robin.
+func (cfg *Config) dispatchPolicy() dispatchPolicy {
+	return dispatchPolicy{
+		blind:        cfg.Static && cfg.Algo == RoundRobin,
+		longestFirst: cfg.Algo == LastMinute && !cfg.LMFifo,
+	}
 }
 
 // stopDue reports whether the StopAfter budget has run out.
@@ -410,6 +420,9 @@ func Execute(cl mpi.Cluster, lay cluster.Layout, cfg Config) (Result, error) {
 	if cfg.Root == nil {
 		return Result{}, fmt.Errorf("parallel: no root position")
 	}
+	if cfg.Algo != RoundRobin && cfg.Algo != LastMinute {
+		return Result{}, fmt.Errorf("parallel: unknown algorithm %v", cfg.Algo)
+	}
 	if cl.Size() != lay.Size() {
 		return Result{}, fmt.Errorf("parallel: cluster has %d ranks, layout wants %d", cl.Size(), lay.Size())
 	}
@@ -436,7 +449,7 @@ func Execute(cl mpi.Cluster, lay cluster.Layout, cfg Config) (Result, error) {
 		runRoot(c, lay, &cfg, res)
 	})
 	cl.Start(lay.Dispatcher, func(c mpi.Comm) {
-		runDispatcher(c, lay, &cfg)
+		runDispatcher(c, lay, cfg.dispatchPolicy(), cfg.trace)
 	})
 	for i, m := range lay.Medians {
 		i := i

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -156,8 +157,30 @@ func TestLastMinuteBeatsRoundRobinOnHeterogeneous(t *testing.T) {
 	}
 }
 
+// noGoroutineLeak fails the test if, once it is over, the process does not
+// get back to the goroutine count it had when the test began: every rank,
+// timer and helper a run, a stop or a shutdown started must have exited.
+// The count is polled because a goroutine that has been told to stop may
+// still be on its way out.
+func noGoroutineLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines before the test, %d after:\n%s",
+					before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
 func TestWallTransportSmoke(t *testing.T) {
 	// The same protocol runs natively on goroutines.
+	noGoroutineLeak(t)
 	tree := game.NewArmTree(3, 2, 5)
 	cfg := Config{Algo: LastMinute, Level: 2, Root: tree, Seed: 2, Memorize: true}
 	res, err := RunWall(4, 6, cfg)
@@ -225,6 +248,16 @@ func TestExecuteValidation(t *testing.T) {
 	bad.Root = nil
 	if _, err := RunVirtual(spec, bad, fastVirtual(2)); err == nil {
 		t.Error("nil root accepted")
+	}
+
+	// An unknown algorithm used to reach a panic inside the dispatcher's
+	// goroutine (static) or silently run arrival-order dispatch (pull).
+	for _, static := range []bool{false, true} {
+		bad = good
+		bad.Algo, bad.Static = 7, static
+		if _, err := RunVirtual(spec, bad, fastVirtual(2)); err == nil {
+			t.Errorf("static=%v: algorithm 7 accepted", static)
+		}
 	}
 
 	lay := spec.Layout(2)

@@ -1099,22 +1099,16 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		p.cluster.Start(mpi.Rank(slot), func(c mpi.Comm) { p.runSlot(c, slot) })
 	}
 	p.cluster.Start(world.sched, func(c mpi.Comm) { p.runScheduler(c) })
-	// The demand dispatcher is reused verbatim: it only needs the worker
+	// The per-run dispatcher is reused verbatim: it only needs the worker
 	// rank lists (medians for request validation, clients for the free
-	// list) and the policy ordering.
+	// list) and the policy — fault-aware, so worker-loss notices can return
+	// stranded clients to the free list.
 	dispLay := cluster.Layout{
 		Medians: append([]mpi.Rank(nil), world.medians...),
 		Clients: append([]mpi.Rank(nil), world.clients...),
 	}
-	dispCfg := &Config{Algo: cfg.Algo}
-	longest := cfg.Algo == LastMinute
-	p.cluster.Start(world.disp, func(c mpi.Comm) {
-		// The pool's dispatcher runs fault-aware: it tracks client
-		// assignments so worker-loss notices can return stranded clients
-		// to the free list. The per-run dispatcher never sees losses and
-		// skips the bookkeeping.
-		runFaultAwareDispatcher(c, dispLay, dispCfg, longest)
-	})
+	pol := dispatchPolicy{longestFirst: cfg.Algo == LastMinute, faultAware: true}
+	p.cluster.Start(world.disp, func(c mpi.Comm) { runDispatcher(c, dispLay, pol, nil) })
 	startPoolWorkers(p.cluster, world, p.batch, p.cache, cfg.CacheVerify, p.coll.addMedianIdle, p.coll.addClientIdle)
 
 	go func() {
@@ -1430,42 +1424,22 @@ func (p *Pool) runSlot(c mpi.Comm, slot int) {
 	}
 }
 
-// poolSpecBranch is one speculated next-step branch of an async pool job:
-// the per-run specBranch plus the rollout accounting that rides svcScore
-// (counted into the job only if the branch is adopted, so Result.Jobs and
-// Result.WorkUnits stay bit-identical to a non-speculating run).
-type poolSpecBranch struct {
-	step     int          // the speculated root step (current step + 1)
-	par      int          // the leading move this branch assumes wins
-	moves    []game.Move  // legal moves of the speculated child position
-	shipped  []game.State // shipped child states, by candidate index
-	scores   []float64
-	scored   []bool
-	got      int   // scores already received
-	rollouts int64 // rollout accounting buffered until adoption
-	units    int64
-	chunks   int64
-}
-
-// playJob plays one job's top-level game. It is runRootPull with the work
-// queue moved to the shared scheduler rank: candidates are offered on the
-// slot's tag band, scores come back tagged with the job epoch, and
-// cancellation (explicit, deadline or shutdown) abandons the queued
-// candidates at the scheduler and drains the granted ones before
-// returning, so the pool is never torn down with work in flight.
+// playJob plays one job's top-level game. It drives the same stepGather as
+// the per-run root, with the work queue moved to the shared scheduler
+// rank: candidates are offered on the slot's tag band, scores come back
+// tagged with the job epoch, and cancellation (explicit, deadline or
+// shutdown) abandons the queued candidates at the scheduler and drains the
+// granted ones before returning, so the pool is never torn down with work
+// in flight.
 //
-// With an effective Speculate width k > 0 the gather turns into the async
-// pipelined root of runRootAsync: once at most k scores are missing, the
-// top-k leaders' next-step candidates are offered ahead of the argmax
-// under their real logical coordinates (so adopted scores are
-// bit-identical); at resolution the winner's branch is adopted wholesale
-// and the losers are cancelled — queued candidates purged at the
-// scheduler, in-flight games aborted at the medians via svcSpecCancel,
-// stray scores shed by the Step/Par guards below.
+// With an effective Speculate width k > 0 the gather pipelines step
+// boundaries; at resolution the winner's branch is adopted wholesale and
+// the losers are cancelled — queued candidates purged at the scheduler,
+// in-flight games aborted at the medians via svcSpecCancel, stray scores
+// shed by the gather's step/Par guards.
 func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, movebuf *[]game.Move) (Result, error) {
 	cfg := js.cfg
 	res := Result{}
-	st := cfg.Root.Clone()
 	start := c.Now()
 	// Effective speculation width: the job's own ask, defaulted from the
 	// pool. FirstMoveOnly jobs never speculate — speculation pipelines
@@ -1490,133 +1464,61 @@ func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, 
 		Speculate: k,
 	}
 	deadline := deadlineFunc(c, start, cfg.StopAfter)
+	toSched := func(off mpi.Tag, payload any) {
+		c.Send(p.world.sched, p.world.space.For(slot, off), payload)
+	}
+	specCancel := func(step, keep int) {
+		toSched(offSpecCancel, svcSpecCancel{Slot: slot, Epoch: js.epoch, Step: step, Keep: keep})
+	}
 
-	var shipped []game.State
-	var scores []float64
-	var scored []bool // per-candidate received flag, guards duplicate frames
+	g := &stepGather{c: c, pool: pool, st: cfg.Root.Clone(), k: k, par: -1, moves: *movebuf,
+		offer: func(step, cand, par int, child game.State) {
+			toSched(offOffer, svcCandidate{Step: step, Cand: cand, Par: par, P: params, State: child})
+		},
+		count: func(a rolloutAcct) {
+			res.Jobs += a.rollouts
+			res.WorkUnits += a.units
+			p.coll.addRollouts(a.rollouts, a.units, a.chunks)
+		},
+	}
+	defer func() { *movebuf = g.moves }()
+	if k > 0 {
+		defer func() { p.coll.addSpec(res.Speculated, res.SpecWasted) }()
+	}
 	cancelled := false
 	var failErr error
 
-	curPar := -1              // move index played at the previous step
-	var adopt *poolSpecBranch // winning branch carried into the next step
-	var branches map[int]*poolSpecBranch
-	if k > 0 {
-		branches = make(map[int]*poolSpecBranch) // live speculation, by leader move
-		defer func() { p.coll.addSpec(res.Speculated, res.SpecWasted) }()
-	}
-	specCancel := func(step, keep int) {
-		c.Send(p.world.sched, p.world.space.For(slot, offSpecCancel),
-			svcSpecCancel{Slot: slot, Epoch: js.epoch, Step: step, Keep: keep})
-	}
-
-	for step := 0; !cancelled; step++ {
+	for !cancelled && g.next() {
 		stepStart := c.Now()
-		moves := st.LegalMoves((*movebuf)[:0])
-		*movebuf = moves
-		if len(moves) == 0 {
-			break
-		}
 		if deadline() {
 			res.Stopped = true
 			break
 		}
-
-		got := 0
-		if adopt != nil {
-			// The winning branch was speculated: its candidates are already
-			// offered (some granted, some even scored). LegalMoves is a
-			// deterministic function of position content, so the branch's
-			// enumeration is exactly the one just computed — adopt its
-			// gather state wholesale instead of re-offering, and count its
-			// buffered rollout accounting now that the work is real.
-			shipped = append(shipped[:0], adopt.shipped...)
-			scores = append(scores[:0], adopt.scores...)
-			scored = append(scored[:0], adopt.scored...)
-			got = adopt.got
-			res.Jobs += adopt.rollouts
-			res.WorkUnits += adopt.units
-			p.coll.addRollouts(adopt.rollouts, adopt.units, adopt.chunks)
-			adopt = nil
-		} else {
-			// Offer every candidate of the step to the shared scheduler.
-			shipped = shipped[:0]
-			scores = scores[:0]
-			scored = scored[:0]
-			for i, m := range moves {
-				child := pool.Get(st)
-				c.Work(core.CloneCost)
-				child.Play(m)
-				c.Work(1)
-				shipped = append(shipped, child)
-				scores = append(scores, 0)
-				scored = append(scored, false)
-				c.Send(p.world.sched, p.world.space.For(slot, offOffer),
-					svcCandidate{Step: step, Cand: i, Par: curPar, P: params, State: child})
-			}
-		}
+		g.open()
 
 		// Gather scores; a cancellation mid-step abandons what is still
 		// queued at the scheduler and keeps draining what was granted.
-		want := len(moves)
-		speculated := false
 		abandon := func() {
 			if !cancelled {
 				cancelled = true
 				res.Stopped = true
-				c.Send(p.world.sched, p.world.space.For(slot, offAbandon),
-					svcAbandon{Epoch: js.epoch, Step: step})
+				toSched(offAbandon, svcAbandon{Epoch: js.epoch, Step: g.step})
 			}
 		}
 		// Payload type checks throughout the gather loop: frames arriving
 		// over the wire carry remote-controlled payloads, and a
 		// wrong-typed one must be dropped, not allowed to panic the
 		// coordinator.
-		for got < want && failErr == nil {
+		for !g.done() && failErr == nil {
 			msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
 			switch msg.Tag {
 			case tagStepScore:
 				// Scores come from medians only; cancellations only from
 				// outside the rank world (Inject); abandon acks only from
-				// the scheduler. Anything else is a forged wire frame. The
-				// step and Par checks shed a re-granted duplicate of an
-				// earlier step whose original score survived a worker
-				// crash, and a losing speculative branch's game coming
-				// home (its waste is charged when the branch is purged).
-				sc, ok := msg.Payload.(svcScore)
-				if !ok || !isMedianRank(p.world, msg.From) || sc.Epoch != js.epoch {
-					break // stray from a previous job; harmless
-				}
-				switch {
-				case sc.Step == step && sc.Par == curPar:
-					// Range and duplication guards: a duplicated frame must
-					// not double-free the shipped state or end the gather
-					// early (which would let a real score bleed into the
-					// next step).
-					if sc.Cand < 0 || sc.Cand >= len(scores) || scored[sc.Cand] {
-						break
-					}
-					scored[sc.Cand] = true
-					scores[sc.Cand] = sc.Score
-					res.Jobs += sc.Rollouts
-					res.WorkUnits += sc.Units
-					p.coll.addRollouts(sc.Rollouts, sc.Units, sc.Chunks)
-					pool.Put(shipped[sc.Cand])
-					got++
-				case sc.Step == step+1 && branches[sc.Par] != nil:
-					// A speculative game finished before its step started:
-					// buffer it against its branch. (branches is nil unless
-					// k > 0, and a nil map read just returns nil.)
-					b := branches[sc.Par]
-					if sc.Cand < 0 || sc.Cand >= len(b.scores) || b.scored[sc.Cand] {
-						break
-					}
-					b.scored[sc.Cand] = true
-					b.scores[sc.Cand] = sc.Score
-					b.rollouts += sc.Rollouts
-					b.units += sc.Units
-					b.chunks += sc.Chunks
-					b.got++
-					pool.Put(b.shipped[sc.Cand])
+				// the scheduler. Anything else is a forged wire frame, and
+				// a score of another epoch a stray from a previous job.
+				if sc, ok := msg.Payload.(svcScore); ok && isMedianRank(p.world, msg.From) && sc.Epoch == js.epoch {
+					g.record(sc.Step, sc.Par, sc.Cand, sc.Score, rolloutAcct{sc.Rollouts, sc.Units, sc.Chunks})
 				}
 			case tagJobCancel:
 				if epoch, ok := msg.Payload.(uint64); ok && msg.From == mpi.External && epoch == js.epoch {
@@ -1631,12 +1533,11 @@ func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, 
 				// states are left to the garbage collector.
 				if epoch, ok := msg.Payload.(uint64); ok && msg.From == mpi.External && epoch == js.epoch {
 					failErr = ErrDegraded
-					c.Send(p.world.sched, p.world.space.For(slot, offAbandon),
-						svcAbandon{Epoch: js.epoch, Step: step})
+					toSched(offAbandon, svcAbandon{Epoch: js.epoch, Step: g.step})
 				}
 			case tagAbandonAck:
 				if ack, ok := msg.Payload.(svcAbandonAck); ok && msg.From == p.world.sched && ack.Epoch == js.epoch {
-					want -= ack.Dropped
+					g.want -= ack.Dropped
 				}
 			case tagRegrant:
 				// The scheduler re-queued candidates of this job that were
@@ -1650,38 +1551,8 @@ func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, 
 			if !cancelled && deadline() {
 				abandon()
 			}
-			if k > 0 && !speculated && !cancelled && failErr == nil &&
-				got >= 1 && want-got <= k {
-				// Close enough to resolution: pick the top-k leaders by
-				// partial score and offer their next-step candidates, so
-				// idle medians start on step+1 while the stragglers finish.
-				speculated = true
-				for _, lead := range topLeaders(scores, scored, k) {
-					parent := pool.Get(st)
-					c.Work(core.CloneCost)
-					parent.Play(moves[lead])
-					c.Work(1)
-					bm := parent.LegalMoves(nil)
-					if len(bm) == 0 {
-						pool.Put(parent)
-						continue // terminal child: nothing to pipeline
-					}
-					b := &poolSpecBranch{step: step + 1, par: lead, moves: bm}
-					for j, mv := range bm {
-						child := pool.Get(parent)
-						c.Work(core.CloneCost)
-						child.Play(mv)
-						c.Work(1)
-						b.shipped = append(b.shipped, child)
-						b.scores = append(b.scores, 0)
-						b.scored = append(b.scored, false)
-						c.Send(p.world.sched, p.world.space.For(slot, offOffer),
-							svcCandidate{Step: step + 1, Cand: j, Par: lead, P: params, State: child})
-						res.Speculated++
-					}
-					pool.Put(parent)
-					branches[lead] = b
-				}
+			if !cancelled && failErr == nil {
+				res.Speculated += g.speculate()
 			}
 		}
 		if failErr != nil {
@@ -1696,80 +1567,46 @@ func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, 
 			break
 		}
 
-		// Play the best move; ties go to the first-seen move, matching the
-		// sequential search and the per-run root.
-		best := argmax(scores)
-		if k > 0 {
-			// Resolve the speculation: adopt the winner's branch, charge
-			// the losers and cancel their queued and in-flight work. A
-			// loser's shipped states are left to the garbage collector,
-			// never recycled — a median may still be playing them.
-			losers := 0
-			for par, b := range branches {
-				if par == best {
-					adopt = b
-				} else {
-					res.SpecWasted += int64(len(b.moves))
-					losers++
-				}
-				delete(branches, par)
-			}
-			if losers > 0 {
-				specCancel(step+1, best)
-			}
+		best, score, wasted := g.resolve()
+		if wasted > 0 {
+			// Cancel the losers' queued and in-flight work.
+			res.SpecWasted += wasted
+			specCancel(g.step, g.par)
 		}
-		st.Play(moves[best])
-		c.Work(1)
-		curPar = best
 		res.Steps++
 		stepD := c.Now() - stepStart
 		res.StepLatency = append(res.StepLatency, stepD)
 		p.coll.addStepLatency(stepD)
-		if len(res.Sequence) == 0 {
-			res.FirstMove = moves[best]
+		res.Sequence = append(res.Sequence, best)
+		if res.Steps == 1 {
+			res.FirstMove = best
 			if cfg.FirstMoveOnly {
-				res.Score = scores[best]
-				res.Sequence = append(res.Sequence, moves[best])
+				res.Score = score
 				res.Elapsed = c.Now() - start
 				res.Degraded = p.world.anyDead()
 				return res, nil
 			}
 		}
-		res.Sequence = append(res.Sequence, moves[best])
 		if js.progress != nil {
 			js.progress(Progress{
 				Steps:     res.Steps,
-				BestScore: scores[best],
+				BestScore: score,
 				Sequence:  append([]game.Move(nil), res.Sequence...),
 				Elapsed:   c.Now() - start,
 			})
 		}
 	}
 
-	// Whatever speculation is still pending — the last gather's branches
-	// (the game ended, their positions will never be played) or an adopted
-	// branch a cancellation cut off — is moot: charge it and tell the
+	// Whatever speculation is still pending is moot: charge it and tell the
 	// scheduler and medians to drop and abort it. The slot never waits for
 	// speculative scores, so nothing here blocks; strays are shed by the
 	// next job's epoch guard.
-	if k > 0 {
-		stale := 0
-		for par, b := range branches {
-			res.SpecWasted += int64(len(b.moves))
-			delete(branches, par)
-			stale++
-		}
-		if adopt != nil {
-			res.SpecWasted += int64(len(adopt.moves))
-			adopt = nil
-			stale++
-		}
-		if stale > 0 {
-			specCancel(-1, -1)
-		}
+	if wasted := g.pending(); wasted > 0 {
+		res.SpecWasted += wasted
+		specCancel(-1, -1)
 	}
 
-	res.Score = st.Score()
+	res.Score = g.st.Score()
 	res.Elapsed = c.Now() - start
 	res.Degraded = p.world.anyDead()
 	return res, nil

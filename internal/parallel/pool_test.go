@@ -159,6 +159,7 @@ func TestPoolDeadline(t *testing.T) {
 // TestPoolShutdownDrainsRunningJobs verifies Shutdown cancels in-flight
 // jobs, waits for them, and refuses new work afterwards.
 func TestPoolShutdownDrainsRunningJobs(t *testing.T) {
+	noGoroutineLeak(t)
 	pool, err := NewPool(PoolConfig{Slots: 1, Medians: 2, Clients: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -159,6 +159,7 @@ func TestStopAfterDrainsInFlightGrants(t *testing.T) {
 	// Mid-game cancellation: the root stops granting, drains the scores of
 	// the already-granted candidates, and tears the world down with no
 	// process left parked mid-protocol.
+	noGoroutineLeak(t)
 	full := Config{Algo: LastMinute, Level: 2, Root: morpion.New(morpion.Var4D),
 		Seed: 7, Memorize: true}
 	ref := run(t, cluster.Homogeneous(4), full, fastVirtual(4))

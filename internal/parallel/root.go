@@ -1,421 +1,13 @@
 package parallel
 
 import (
-	"sort"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/game"
 	"repro/internal/mpi"
 )
 
-// runRoot plays the top-level game. The default scheduler is demand-driven
-// (runRootPull); Config.Static selects the paper's cyclic push scheduler
-// (runRootStatic). Both play the exact same game — client scores are keyed
-// by logical job coordinates, not by executing rank — so the choice only
-// affects timing.
-func runRoot(c mpi.Comm, lay cluster.Layout, cfg *Config, res *Result) {
-	switch {
-	case cfg.Static:
-		runRootStatic(c, lay, cfg, res)
-	case cfg.speculate() > 0:
-		runRootAsync(c, lay, cfg, res)
-	default:
-		runRootPull(c, lay, cfg, res)
-	}
-	// Tear down every other process, as mpirun would at the end of a run.
-	for r := 0; r < c.Size(); r++ {
-		if mpi.Rank(r) != c.Rank() {
-			c.Send(mpi.Rank(r), tagShutdown, nil)
-		}
-	}
-}
-
-// argmax returns the index of the highest score; ties go to the first-seen
-// move, matching the sequential search's argmax.
-func argmax(scores []float64) int {
-	best := 0
-	for i := 1; i < len(scores); i++ {
-		if scores[i] > scores[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// runRootPull is the demand-driven root scheduler. Every step, the root
-// offers one candidate position per legal move to its work queue; idle
-// medians pull them with (q) work requests and are answered with (g)
-// grants. Grants self-balance: a 2×-slower median simply requests half as
-// often, instead of stalling the whole step as it does under the static
-// cyclic order. Scores come back tagged with their candidate index, so no
-// pairing bookkeeping is needed.
-//
-//	1 while not end of game
-//	2   offer one child position per possible move to the work queue
-//	3   while scores missing
-//	4     on work request: grant the oldest queued child (or queue the median)
-//	5     on score: record it against its candidate index
-//	6   position = play(move with best score)
-//	7 return score
-//
-// A StopAfter budget cancels mid-step: queued candidates are abandoned,
-// already-granted ones are drained (line 5 keeps running) before returning.
-func runRootPull(c mpi.Comm, lay cluster.Layout, cfg *Config, res *Result) {
-	st := cfg.Root.Clone()
-	var moves []game.Move
-	var pool core.StatePool
-	var shipped []game.State // this step's shipped positions, by move index
-	var scores []float64
-
-	src := mpi.NewPullSource(c, tagPosition)
-	src.Granted = func(to mpi.Rank) { cfg.trace("g", c.Rank(), to, c.Now()) }
-
-	for step := 0; ; step++ {
-		stepStart := c.Now()
-		moves = st.LegalMoves(moves[:0])
-		if len(moves) == 0 {
-			break
-		}
-		if cfg.stopDue(c) {
-			res.Stopped = true
-			break
-		}
-
-		// Offer every candidate of the step (line 2). Medians whose
-		// requests queued up during the previous step are granted
-		// immediately; the rest of the queue drains on demand. Shipped
-		// positions recycle last step's states through the free list.
-		shipped = shipped[:0]
-		scores = scores[:0]
-		for i, m := range moves {
-			child := pool.Get(st)
-			c.Work(core.CloneCost)
-			child.Play(m)
-			c.Work(1)
-			shipped = append(shipped, child)
-			scores = append(scores, 0)
-			src.Offer(candidate{Step: step, Cand: i, Par: -1, State: child})
-		}
-
-		// Serve requests and gather scores (lines 3–5) until every
-		// non-abandoned candidate is scored.
-		want := len(moves)
-		got := 0
-		for got < want {
-			msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
-			switch msg.Tag {
-			case tagWorkReq:
-				src.Request(msg.From)
-			case tagScore:
-				sc := msg.Payload.(stepScore)
-				scores[sc.Cand] = sc.Score
-				pool.Put(shipped[sc.Cand])
-				src.Done()
-				got++
-			}
-			if !res.Stopped && cfg.stopDue(c) {
-				// Mid-step cancellation: stop granting, drain what is out.
-				res.Stopped = true
-				want -= src.Abandon()
-			}
-		}
-		if res.Stopped {
-			break
-		}
-
-		// Play the best move (line 6).
-		best := argmax(scores)
-		st.Play(moves[best])
-		c.Work(1)
-		res.Steps++
-		res.StepLatency = append(res.StepLatency, c.Now()-stepStart)
-		if len(res.Sequence) == 0 {
-			res.FirstMove = moves[best]
-			if cfg.FirstMoveOnly {
-				res.Score = scores[best]
-				res.Sequence = append(res.Sequence, moves[best])
-				res.QueueDepthMax, res.QueueDepthMean = src.DepthStats()
-				return
-			}
-		}
-		res.Sequence = append(res.Sequence, moves[best])
-	}
-
-	res.Score = st.Score()
-	res.QueueDepthMax, res.QueueDepthMean = src.DepthStats()
-}
-
-// specBranch is one speculated next-step branch of the async root: the
-// candidates of step `step` that would be offered if move `par` won the
-// current step's argmax, issued before the argmax resolved.
-type specBranch struct {
-	step    int          // the speculated step (current step + 1)
-	par     int          // the leading move this branch assumes wins
-	moves   []game.Move  // legal moves of the speculated child position
-	shipped []game.State // shipped child states, by candidate index
-	scores  []float64
-	scored  []bool
-	got     int // scores already received
-}
-
-// runRootAsync is the asynchronous pipelined root (Config.Speculate > 0):
-// the pull scheduler extended with outstanding-sample accounting in the
-// WU-UCT style — the root knows, per candidate, which samples are
-// initiated but unobserved, and uses the partial information to keep the
-// pipeline full across step boundaries.
-//
-//	1 while not end of game
-//	2   offer one child per possible move (unless already offered
-//	    speculatively last step — then adopt the branch wholesale)
-//	3   while scores missing
-//	4     on work request: grant the oldest queued child
-//	5     on score for this step: record it
-//	6     on score for a speculated branch: buffer it against the branch
-//	7     once ≤ Speculate scores are missing: for each of the top-k
-//	       leaders by partial score, speculatively offer the *next*
-//	       step's candidates under that leader's branch
-//	8   position = play(move with best score)
-//	9   adopt the winner's branch; purge the losers' queued candidates
-//	    and let their in-flight grants drain (scores shed by the Par
-//	    branch discriminator)
-//
-// Determinism: a speculative candidate carries the same logical
-// coordinates (Step, Cand) — and therefore the same rng keys — that the
-// pull scheduler would issue after the argmax, and its State is
-// content-equal (clone + Play(leader) + Play(move) vs. the in-place
-// path), so an adopted branch's scores are bit-identical to the
-// non-speculative ones. Losing branches cost work (Result.SpecWasted),
-// never correctness.
-func runRootAsync(c mpi.Comm, lay cluster.Layout, cfg *Config, res *Result) {
-	st := cfg.Root.Clone()
-	var moves []game.Move
-	var pool core.StatePool
-	var shipped []game.State
-	var scores []float64
-	var scored []bool
-
-	src := mpi.NewPullSource(c, tagPosition)
-	src.Granted = func(to mpi.Rank) { cfg.trace("g", c.Rank(), to, c.Now()) }
-	k := cfg.speculate()
-
-	curPar := -1                      // move index played at the previous step
-	var adopt *specBranch             // winning branch carried into this step
-	branches := map[int]*specBranch{} // live speculation, keyed by leader move
-	var bmoves []game.Move            // scratch for branch move enumeration
-
-	// purge drops a branch's still-queued candidates and charges the whole
-	// branch to SpecWasted; its in-flight grants drain through the gather
-	// and final-drain loops, shed by the Par guard.
-	purge := func(b *specBranch) {
-		if b == nil {
-			return
-		}
-		src.AbandonFunc(func(it any) bool {
-			cd := it.(candidate)
-			if cd.Step == b.step && cd.Par == b.par {
-				pool.Put(cd.State)
-				return true
-			}
-			return false
-		})
-		res.SpecWasted += int64(len(b.moves))
-	}
-
-	for step := 0; ; step++ {
-		stepStart := c.Now()
-		moves = st.LegalMoves(moves[:0])
-		if len(moves) == 0 {
-			break
-		}
-		if cfg.stopDue(c) {
-			res.Stopped = true
-			break
-		}
-
-		var got int
-		if adopt != nil {
-			// The winning branch was speculated: its candidates are already
-			// offered (some granted, some even scored). LegalMoves is a
-			// deterministic function of position content, so the branch's
-			// enumeration is exactly the one just computed — adopt its
-			// gather state wholesale instead of re-offering.
-			shipped = append(shipped[:0], adopt.shipped...)
-			scores = append(scores[:0], adopt.scores...)
-			scored = append(scored[:0], adopt.scored...)
-			got = adopt.got
-			adopt = nil
-		} else {
-			shipped = shipped[:0]
-			scores = scores[:0]
-			scored = scored[:0]
-			for i, m := range moves {
-				child := pool.Get(st)
-				c.Work(core.CloneCost)
-				child.Play(m)
-				c.Work(1)
-				shipped = append(shipped, child)
-				scores = append(scores, 0)
-				scored = append(scored, false)
-				src.Offer(candidate{Step: step, Cand: i, Par: curPar, State: child})
-			}
-		}
-		want := len(moves)
-		speculated := false
-
-		for got < want {
-			msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
-			switch msg.Tag {
-			case tagWorkReq:
-				src.Request(msg.From)
-			case tagScore:
-				sc := msg.Payload.(stepScore)
-				switch {
-				case sc.Step == step && sc.Par == curPar:
-					if !scored[sc.Cand] {
-						scores[sc.Cand] = sc.Score
-						scored[sc.Cand] = true
-						pool.Put(shipped[sc.Cand])
-						src.Done()
-						got++
-					}
-				case sc.Step == step+1 && branches[sc.Par] != nil:
-					// A speculative game finished before the step it belongs
-					// to even started: buffer it against its branch.
-					b := branches[sc.Par]
-					b.scores[sc.Cand] = sc.Score
-					b.scored[sc.Cand] = true
-					b.got++
-					pool.Put(b.shipped[sc.Cand])
-					src.Done()
-				default:
-					// A cancelled branch's grant coming home: shed it. Its
-					// waste was charged when the branch was purged.
-					src.Done()
-				}
-			}
-			if !res.Stopped && cfg.stopDue(c) {
-				// Mid-step cancellation: purge the whole queue — the current
-				// step's ungranted candidates (which reduce want) and every
-				// speculative one — then drain what is out.
-				res.Stopped = true
-				cur := 0
-				src.AbandonFunc(func(it any) bool {
-					cd := it.(candidate)
-					pool.Put(cd.State)
-					if cd.Step == step && cd.Par == curPar {
-						cur++
-					}
-					return true
-				})
-				want -= cur
-			}
-			if !speculated && !res.Stopped && !cfg.FirstMoveOnly &&
-				got >= 1 && want-got <= k {
-				// Close enough to resolution: pick the top-k leaders by
-				// partial score and offer their next-step candidates, so
-				// idle medians start on step+1 while the stragglers finish.
-				speculated = true
-				for _, lead := range topLeaders(scores, scored, k) {
-					parent := pool.Get(st)
-					c.Work(core.CloneCost)
-					parent.Play(moves[lead])
-					c.Work(1)
-					bmoves = parent.LegalMoves(bmoves[:0])
-					if len(bmoves) == 0 {
-						pool.Put(parent)
-						continue // terminal child: nothing to pipeline
-					}
-					b := &specBranch{step: step + 1, par: lead}
-					b.moves = append(b.moves, bmoves...)
-					for j, mv := range bmoves {
-						child := pool.Get(parent)
-						c.Work(core.CloneCost)
-						child.Play(mv)
-						c.Work(1)
-						b.shipped = append(b.shipped, child)
-						b.scores = append(b.scores, 0)
-						b.scored = append(b.scored, false)
-						src.Offer(candidate{Step: step + 1, Cand: j, Par: lead, State: child})
-						res.Speculated++
-					}
-					pool.Put(parent)
-					branches[lead] = b
-				}
-			}
-		}
-		if res.Stopped {
-			break
-		}
-
-		// Resolve the argmax: adopt the winner's branch, cancel the rest.
-		best := argmax(scores)
-		for par, b := range branches {
-			if par == best {
-				adopt = b
-			} else {
-				purge(b)
-			}
-			delete(branches, par)
-		}
-		st.Play(moves[best])
-		c.Work(1)
-		curPar = best
-		res.Steps++
-		res.StepLatency = append(res.StepLatency, c.Now()-stepStart)
-		if len(res.Sequence) == 0 {
-			res.FirstMove = moves[best]
-			if cfg.FirstMoveOnly {
-				res.Score = scores[best]
-				res.Sequence = append(res.Sequence, moves[best])
-				res.QueueDepthMax, res.QueueDepthMean = src.DepthStats()
-				return
-			}
-		}
-		res.Sequence = append(res.Sequence, moves[best])
-	}
-
-	// Cancel whatever speculation is still pending — the last gather's
-	// branches (the game ended, so their positions will never be played)
-	// or an adopted branch a stop cut off — then drain every outstanding
-	// grant so no median is parked with work the root never collected.
-	for par, b := range branches {
-		purge(b)
-		delete(branches, par)
-	}
-	purge(adopt)
-	for src.Outstanding() > 0 {
-		msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
-		switch msg.Tag {
-		case tagWorkReq:
-			src.Request(msg.From)
-		case tagScore:
-			src.Done()
-		}
-	}
-
-	res.Score = st.Score()
-	res.QueueDepthMax, res.QueueDepthMean = src.DepthStats()
-}
-
-// topLeaders returns up to k candidate indices ordered best-score-first
-// (ties to the lower index, matching argmax), considering only candidates
-// whose scores have been observed.
-func topLeaders(scores []float64, scored []bool, k int) []int {
-	var lead []int
-	for i, ok := range scored {
-		if ok {
-			lead = append(lead, i)
-		}
-	}
-	sort.SliceStable(lead, func(a, b int) bool { return scores[lead[a]] > scores[lead[b]] })
-	if len(lead) > k {
-		lead = lead[:k]
-	}
-	return lead
-}
-
-// runRootStatic is the paper's root process (§IV-A pseudocode):
+// runRoot is the paper's root process (§IV-A pseudocode):
 //
 //	1 while not end of game
 //	2   node = first median node
@@ -428,84 +20,147 @@ func topLeaders(scores []float64, scored []bool, k int) []int {
 //	9   position = play(position, move with best score)
 //	10 return score
 //
-// Candidate positions go to medians cyclically; when there are more moves
-// than medians a median receives several positions and answers them in
-// order (mailboxes are FIFO per sender, like MPI message ordering), so
-// pairing scores to moves only needs a per-median FIFO of move indices.
-// Kept behind Config.Static as the A/B baseline for the paper's tables.
-func runRootStatic(c mpi.Comm, lay cluster.Layout, cfg *Config, res *Result) {
-	st := cfg.Root.Clone()
-	var moves []game.Move
+// The step loop itself is stepGather's; this driver owns how a candidate
+// travels (lines 2–6) and what arrives (lines 7–8). There are three
+// shipping policies, all playing the exact same game — client scores are
+// keyed by logical job coordinates, not by executing rank — so the choice
+// only affects timing:
+//
+//   - Config.Static, the paper's: candidates go to medians cyclically;
+//     when there are more moves than medians a median receives several
+//     positions and answers them in order (mailboxes are FIFO per sender,
+//     like MPI message ordering), so pairing the bare scores to moves only
+//     needs a per-median FIFO of move indices. Kept as the A/B baseline
+//     for the paper's tables.
+//   - pull, the default: candidates are offered to a work queue; idle
+//     medians pull them with (q) work requests and are answered with (g)
+//     grants. Grants self-balance: a 2×-slower median simply requests half
+//     as often, instead of stalling the whole step as it does under the
+//     cyclic order. Scores come back tagged with their coordinates.
+//   - pull + speculate (Config.Speculate > 0): the same queue also carries
+//     the next step's candidates for the leading moves, so it never drains
+//     at a step boundary. When the argmax resolves the losers' queued
+//     candidates are purged and their in-flight grants drain, shed by the
+//     Par branch discriminator.
+//
+// A StopAfter budget cancels the pull policies mid-step: queued candidates
+// are abandoned, already-granted ones are drained before returning.
+func runRoot(c mpi.Comm, lay cluster.Layout, cfg *Config, res *Result) {
 	var pool core.StatePool
-	var shipped []game.State // this step's shipped positions, by move index
-	// The score-pairing queues are reused across steps: the map is cleared,
-	// not reallocated, every iteration.
-	queues := make(map[mpi.Rank][]int, len(lay.Medians))
-	var scores []float64
+	src := mpi.NewPullSource(c, tagPosition)
+	src.Granted = func(to mpi.Rank) { cfg.trace("g", c.Rank(), to, c.Now()) }
+	queues := make(map[mpi.Rank][]int, len(lay.Medians)) // static: unanswered move indices per median
 
-	for step := 0; ; step++ {
-		stepStart := c.Now()
-		moves = st.LegalMoves(moves[:0])
-		if len(moves) == 0 {
-			break
+	g := &stepGather{c: c, pool: &pool, st: cfg.Root.Clone(), k: cfg.speculate(), par: -1}
+	g.offer = func(step, cand, par int, child game.State) {
+		cd := candidate{Step: step, Cand: cand, Par: par, State: child}
+		if !cfg.Static {
+			src.Offer(cd)
+			return
 		}
+		med := lay.Medians[cand%len(lay.Medians)]
+		cfg.trace("a", c.Rank(), med, c.Now())
+		c.Send(med, tagPosition, cd)
+		queues[med] = append(queues[med], cand)
+	}
+	// purge drops the queued candidates that are not of the step being
+	// gathered — speculation that lost or will never be played — and, with
+	// all set, those too, whose count it returns. In-flight grants are not
+	// recalled: they drain through the gather and the final drain below.
+	purge := func(all bool) (current int) {
+		src.AbandonFunc(func(it any) bool {
+			cd := it.(candidate)
+			if cd.Step == g.step && cd.Par == g.par {
+				if !all {
+					return false
+				}
+				current++
+			}
+			pool.Put(cd.State)
+			return true
+		})
+		return current
+	}
+	for g.next() {
+		stepStart := c.Now()
 		if cfg.stopDue(c) {
-			// The static scheduler stops at step boundaries only: once the
-			// fan-out of lines 3–6 has happened, every shipped position
-			// must be answered anyway.
 			res.Stopped = true
 			break
 		}
-
-		// Send each candidate position to the next median (lines 2–6).
-		// Shipped positions come from the free list: a median is done with
-		// a position once it has sent its score back, so last step's
-		// states are rewritten in place instead of allocating fresh ones.
-		shipped = shipped[:0]
-		scores = scores[:0]
-		for i, m := range moves {
-			child := pool.Get(st)
-			c.Work(core.CloneCost)
-			child.Play(m)
-			c.Work(1)
-			shipped = append(shipped, child)
-			scores = append(scores, 0)
-			med := lay.Medians[i%len(lay.Medians)]
-			cfg.trace("a", c.Rank(), med, c.Now())
-			c.Send(med, tagPosition, candidate{Step: step, Cand: i, Par: -1, State: child})
-			queues[med] = append(queues[med], i)
-		}
-
-		// Receive one bare score per candidate (lines 7–8), paired through
-		// the per-median FIFO. Each received score also releases the
-		// position it answers.
-		for range moves {
-			msg := c.Recv(mpi.AnyRank, tagScore)
-			q := queues[msg.From]
-			scores[q[0]] = msg.Payload.(float64)
-			pool.Put(shipped[q[0]])
-			queues[msg.From] = q[1:]
-		}
-		for k := range queues {
-			delete(queues, k)
-		}
-
-		// Play the best move (line 9).
-		best := argmax(scores)
-		st.Play(moves[best])
-		c.Work(1)
-		res.Steps++
-		res.StepLatency = append(res.StepLatency, c.Now()-stepStart)
-		if len(res.Sequence) == 0 {
-			res.FirstMove = moves[best]
-			if cfg.FirstMoveOnly {
-				res.Score = scores[best]
-				res.Sequence = append(res.Sequence, moves[best])
-				return
+		g.open()
+		for !g.done() {
+			msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
+			switch msg.Tag {
+			case tagWorkReq:
+				src.Request(msg.From)
+			case tagScore:
+				if sc, ok := msg.Payload.(stepScore); ok {
+					src.Done()
+					g.record(sc.Step, sc.Par, sc.Cand, sc.Score, rolloutAcct{})
+					break
+				}
+				// A static median answers with bare scores, oldest position first.
+				q := queues[msg.From]
+				queues[msg.From] = q[1:]
+				g.record(g.step, g.par, q[0], msg.Payload.(float64), rolloutAcct{})
+			}
+			// The static scheduler stops at step boundaries only: once the
+			// fan-out of lines 3–6 has happened, every shipped position
+			// must be answered anyway.
+			if !res.Stopped && !cfg.Static && cfg.stopDue(c) {
+				res.Stopped = true
+				g.want -= purge(true)
+			}
+			if !res.Stopped {
+				res.Speculated += g.speculate()
 			}
 		}
-		res.Sequence = append(res.Sequence, moves[best])
+		if res.Stopped {
+			break
+		}
+
+		best, score, wasted := g.resolve()
+		if wasted > 0 {
+			res.SpecWasted += wasted
+			purge(false)
+		}
+		res.Steps++
+		res.StepLatency = append(res.StepLatency, c.Now()-stepStart)
+		res.Sequence = append(res.Sequence, best)
+		if res.Steps == 1 {
+			res.FirstMove = best
+			if cfg.FirstMoveOnly {
+				res.Score = score
+				break
+			}
+		}
 	}
 
-	res.Score = st.Score()
+	// Cancel whatever speculation is still pending, then drain every
+	// outstanding grant so no median is parked with work the root never
+	// collected.
+	if wasted := g.pending(); wasted > 0 {
+		res.SpecWasted += wasted
+		purge(true)
+	}
+	for src.Outstanding() > 0 {
+		msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
+		switch msg.Tag {
+		case tagWorkReq:
+			src.Request(msg.From)
+		case tagScore:
+			src.Done()
+		}
+	}
+	if !cfg.FirstMoveOnly || res.Steps == 0 {
+		res.Score = g.st.Score()
+	}
+	res.QueueDepthMax, res.QueueDepthMean = src.DepthStats()
+
+	// Tear down every other process, as mpirun would at the end of a run.
+	for r := 0; r < c.Size(); r++ {
+		if mpi.Rank(r) != c.Rank() {
+			c.Send(mpi.Rank(r), tagShutdown, nil)
+		}
+	}
 }

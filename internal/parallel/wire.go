@@ -1,12 +1,13 @@
 package parallel
 
-// Wire encodings of the parallel protocol's payloads, registered with the
-// frame codec so every message of the per-run protocol (candidates, jobs,
-// scores) and the pool protocol (service candidates, rollout results,
-// abandon acks) can cross process boundaries on the net transport. The
+// Wire encodings of the pool protocol's payloads (service candidates,
+// rollout chunks and results, abandon acks), registered with the frame
+// codec so they can cross process boundaries on the net transport. The
 // in-process transports never touch these: payloads stay bare Go values
-// between goroutines, so the per-run hot path allocates exactly what it
-// did before the codec existed.
+// between goroutines. The per-run protocol (candidate, job, jobScore,
+// stepScore) has no encodings: Execute only ever runs on the virtual and
+// wall transports, so no frame of those kinds was ever sent, and a kind
+// the coordinator can decode is a kind a worker socket can make it decode.
 //
 // Encodings follow the codec conventions: fixed-width little-endian
 // scalars via encoding/binary, uvarints for small counts, and a nested
@@ -26,12 +27,10 @@ import (
 )
 
 // Application payload kinds (64+ is the application band, see codec).
+// 64–67 were the per-run protocol's and stay unassigned, so the surviving
+// kinds keep their wire values.
 const (
-	kindCandidate      codec.Kind = 64 + iota // per-run root -> median
-	kindJob                                   // per-run median -> client
-	kindJobScore                              // per-run client -> median
-	kindStepScore                             // per-run median -> root (pull)
-	kindSvcCandidate                          // pool slot -> scheduler -> median
+	kindSvcCandidate   codec.Kind = 68 + iota // pool slot -> scheduler -> median
 	kindSvcChunk                              // pool median -> client
 	kindSvcScore                              // pool median -> slot
 	kindSvcChunkResult                        // pool client -> median
@@ -46,100 +45,6 @@ const (
 // has no codec kind.
 
 func init() {
-	codec.Register(kindCandidate,
-		func(buf []byte, v candidate) ([]byte, error) {
-			buf = binary.AppendUvarint(buf, uint64(v.Step))
-			buf = binary.AppendUvarint(buf, uint64(v.Cand))
-			buf = appendPar(buf, v.Par)
-			return codec.EncodeState(buf, v.State)
-		},
-		func(data []byte) (candidate, error) {
-			var c candidate
-			step, data, err := codec.ReadUvarint(data)
-			if err != nil {
-				return c, err
-			}
-			cand, data, err := codec.ReadUvarint(data)
-			if err != nil {
-				return c, err
-			}
-			par, data, err := readPar(data)
-			if err != nil {
-				return c, err
-			}
-			st, err := codec.DecodeState(data)
-			if err != nil {
-				return c, err
-			}
-			return candidate{Step: int(step), Cand: int(cand), Par: par, State: st}, nil
-		})
-
-	codec.Register(kindJob,
-		func(buf []byte, v job) ([]byte, error) {
-			buf = binary.LittleEndian.AppendUint64(buf, v.Key)
-			buf = binary.AppendUvarint(buf, uint64(v.Seq))
-			return codec.EncodeState(buf, v.State)
-		},
-		func(data []byte) (job, error) {
-			var j job
-			if len(data) < 8 {
-				return j, fmt.Errorf("%w: job key", codec.ErrTruncated)
-			}
-			key := binary.LittleEndian.Uint64(data)
-			seq, data, err := codec.ReadUvarint(data[8:])
-			if err != nil {
-				return j, err
-			}
-			st, err := codec.DecodeState(data)
-			if err != nil {
-				return j, err
-			}
-			return job{Key: key, Seq: int(seq), State: st}, nil
-		})
-
-	codec.Register(kindJobScore,
-		func(buf []byte, v jobScore) ([]byte, error) {
-			buf = binary.AppendUvarint(buf, uint64(v.Seq))
-			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Score)), nil
-		},
-		func(data []byte) (jobScore, error) {
-			seq, data, err := codec.ReadUvarint(data)
-			if err != nil {
-				return jobScore{}, err
-			}
-			if len(data) != 8 {
-				return jobScore{}, fmt.Errorf("%w: jobScore", codec.ErrTruncated)
-			}
-			return jobScore{Seq: int(seq), Score: math.Float64frombits(binary.LittleEndian.Uint64(data))}, nil
-		})
-
-	codec.Register(kindStepScore,
-		func(buf []byte, v stepScore) ([]byte, error) {
-			buf = binary.AppendUvarint(buf, uint64(v.Step))
-			buf = binary.AppendUvarint(buf, uint64(v.Cand))
-			buf = appendPar(buf, v.Par)
-			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Score)), nil
-		},
-		func(data []byte) (stepScore, error) {
-			step, data, err := codec.ReadUvarint(data)
-			if err != nil {
-				return stepScore{}, err
-			}
-			cand, data, err := codec.ReadUvarint(data)
-			if err != nil {
-				return stepScore{}, err
-			}
-			par, data, err := readPar(data)
-			if err != nil {
-				return stepScore{}, err
-			}
-			if len(data) != 8 {
-				return stepScore{}, fmt.Errorf("%w: stepScore", codec.ErrTruncated)
-			}
-			return stepScore{Step: int(step), Cand: int(cand), Par: par,
-				Score: math.Float64frombits(binary.LittleEndian.Uint64(data))}, nil
-		})
-
 	codec.Register(kindSvcCandidate,
 		func(buf []byte, v svcCandidate) ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(v.Step))

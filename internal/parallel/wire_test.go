@@ -6,6 +6,7 @@ package parallel
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -66,17 +67,6 @@ func quickParams(slot int, epoch uint64, level int, seed uint64, memorize bool, 
 func TestScalarPayloadRoundTrips(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	checks := map[string]any{
-		"jobScore": func(seq int, score float64) bool {
-			v := jobScore{Seq: nonneg(seq), Score: score}
-			got := payloadTrip(t, v).(jobScore)
-			return got.Seq == v.Seq && math.Float64bits(got.Score) == math.Float64bits(v.Score)
-		},
-		"stepScore": func(step, cand, p int, score float64) bool {
-			v := stepScore{Step: nonneg(step), Cand: nonneg(cand), Par: par(p), Score: score}
-			got := payloadTrip(t, v).(stepScore)
-			return got.Step == v.Step && got.Cand == v.Cand && got.Par == v.Par &&
-				math.Float64bits(got.Score) == math.Float64bits(v.Score)
-		},
 		"svcScore": func(epoch uint64, step, cand, p int, score float64, rollouts, units, chunks int64) bool {
 			v := svcScore{
 				Epoch: epoch, Step: nonneg(step), Cand: nonneg(cand), Par: par(p), Score: score,
@@ -140,21 +130,6 @@ func TestStateCarryingPayloadRoundTrips(t *testing.T) {
 	st.Play(1)
 	st.Play(2)
 
-	cand := candidate{Step: 4, Cand: 2, Par: 1, State: st}
-	got := payloadTrip(t, cand).(candidate)
-	if got.Step != cand.Step || got.Cand != cand.Cand || got.Par != cand.Par {
-		t.Fatalf("candidate coordinates: %+v", got)
-	}
-	if got.State.MovesPlayed() != 2 || got.State.Score() != st.Score() {
-		t.Fatalf("candidate state not restored: %+v", got.State)
-	}
-
-	jb := job{Key: 0xdeadbeef, Seq: 3, State: st}
-	gj := payloadTrip(t, jb).(job)
-	if gj.Key != jb.Key || gj.Seq != jb.Seq || gj.State.MovesPlayed() != 2 {
-		t.Fatalf("job: %+v", gj)
-	}
-
 	if err := quick.Check(func(step, candIdx, p int, slot int, epoch uint64, level int, seed uint64, mem bool, scale int64, root int) bool {
 		v := svcCandidate{
 			Step: nonneg(step), Cand: nonneg(candIdx), Par: par(p),
@@ -181,6 +156,32 @@ func TestStateCarryingPayloadRoundTrips(t *testing.T) {
 			slices.Equal(g.Moves, v.Moves) && slices.Equal(g.Keys, v.Keys) && slices.Equal(g.Seqs, v.Seqs)
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Errorf("svcChunk: %v", err)
+	}
+}
+
+// TestPerRunKindsAreUnknown pins the deletion of the per-run protocol's
+// codec kinds: Execute never runs on the net transport, so a frame of kind
+// 64–67 (candidate, job, jobScore, stepScore) can only come from a
+// misbehaving worker socket, and the coordinator must refuse to decode it.
+func TestPerRunKindsAreUnknown(t *testing.T) {
+	good, err := codec.AppendFrame(nil, codec.Frame{From: 3, To: 0, Tag: int32(tagStepScore), Payload: svcRegrant{Epoch: 1, Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := good[4:] // past the length prefix
+	if _, err := codec.DecodeFrame(body); err != nil {
+		t.Fatalf("control frame: %v", err)
+	}
+	for kind := uint16(64); kind < uint16(kindSvcCandidate); kind++ {
+		binary.LittleEndian.PutUint16(body[13:], kind) // the payload kind follows the 13-byte header
+		if _, err := codec.DecodeFrame(body); !errors.Is(err, codec.ErrKind) {
+			t.Errorf("frame of kind %d: decode error %v, want ErrKind", kind, err)
+		}
+	}
+	for _, v := range []any{candidate{}, job{}, jobScore{}, stepScore{}} {
+		if _, err := codec.EncodePayload(nil, v); !errors.Is(err, codec.ErrKind) {
+			t.Errorf("%T: encode error %v, want ErrKind", v, err)
+		}
 	}
 }
 
