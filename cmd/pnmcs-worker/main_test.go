@@ -77,7 +77,7 @@ func TestServeLoopRedialsAfterSilence(t *testing.T) {
 
 	// A served job proves the first connection is live.
 	cfg := parallel.Config{Level: 2, Root: sudoku.New(2), Seed: 7}
-	solo, err := parallel.RunWall(4, 3, cfg)
+	solo, err := parallel.Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,14 @@
 // It builds both binaries, wires the processes together (with handshake
 // authentication: every worker presents the shared -worker-token),
 // submits one job per domain over the HTTP API, and verifies each
-// distributed result is bit-identical to the same JobSpec run solo
-// in-process (parallel.RunWall with the same seed) — score, move
-// sequence, and rollout accounting.
+// distributed result is bit-identical to the same JobSpec's answer
+// computed in-process by parallel.Reference — score, move sequence, and
+// rollout accounting.
 //
 // It then rehearses the failure model (DESIGN.md §8): another job is
 // submitted, one worker process is SIGKILLed mid-run, a replacement
 // worker dials in and reclaims the lost rank range, and the job must
-// still complete bit-identical to its solo twin — the coordinator
+// still complete bit-identical to its reference — the coordinator
 // re-queues the dead worker's candidate grants and the surviving ranks
 // re-issue the lost rollouts, which /metrics must show
 // (pnmcs_worker_lost_total, pnmcs_worker_rejoined_total).
@@ -364,14 +364,15 @@ func await(id string) service.JobStatus {
 	}
 }
 
-// verify runs the same spec solo in this process and compares every
-// deterministic field — the cross-process form of the equivalence tests.
+// verify computes the spec's answer with parallel.Reference in this process
+// and compares every deterministic field — the cross-process form of the
+// equivalence tests.
 func verify(spec service.JobSpec, st service.JobStatus) {
 	cfg, err := spec.Config()
 	if err != nil {
 		die("%v", err)
 	}
-	solo, err := parallel.RunWall(4, 3, cfg)
+	solo, err := parallel.Reference(cfg)
 	if err != nil {
 		die("%v", err)
 	}

@@ -17,12 +17,11 @@ import (
 )
 
 func main() {
-	svc, err := pnmcs.NewService(pnmcs.ServiceConfig{
-		Slots:      3, // jobs served concurrently
-		Medians:    4, // shared level-(ℓ−1) workers
-		Clients:    8, // shared rollout workers
-		QueueLimit: 8, // waiting jobs beyond the slots before ErrServiceSaturated
-	})
+	svc, err := pnmcs.New(
+		pnmcs.WithSlots(3),      // jobs served concurrently
+		pnmcs.WithPool(4, 8),    // shared level-(ℓ−1) medians, rollout clients
+		pnmcs.WithQueueLimit(8), // waiting jobs beyond the slots before ErrServiceSaturated
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -352,12 +352,12 @@ func (s *Searcher) Nested(st game.State, level int) Result {
 
 // NestedCached is Nested with the WHOLE call treated as a cache boundary:
 // the result is keyed by (scope, st's position hash, level) and shared
-// with any other job or worker that searches an identical position. The
-// pool's client ranks use it for their per-job rollouts, which is what
-// makes the cache cross-job — a position re-searched by a different job
-// (under a different seed) hits, because derived mode ignores the job seed
-// entirely. Falls back to Nested when no cache is attached or the domain
-// does not hash.
+// with any other job or worker that searches an identical position. Client
+// ranks get the same boundary from Score(st, level, true) for their rollouts,
+// which is what makes the cache cross-job — a position re-searched by a
+// different job (under a different seed) hits, because derived mode ignores
+// the job seed entirely. Falls back to Nested when no cache is attached or
+// the domain does not hash.
 func (s *Searcher) NestedCached(st game.State, level int) Result {
 	var seq []game.Move
 	score := s.search(st, level, true, &seq)

@@ -150,7 +150,7 @@ func TestAsyncStopCancelled(t *testing.T) {
 }
 
 // TestPoolAsyncMatchesSolo runs speculating jobs on the shared pool and
-// requires them bit-identical to solo RunWall — including Jobs and
+// requires them bit-identical to Reference — including Jobs and
 // WorkUnits, because the pool path only charges a speculative branch's
 // rollouts to the job when the branch is adopted (wasted ones are
 // reported separately in SpecWasted).
@@ -164,7 +164,7 @@ func TestPoolAsyncMatchesSolo(t *testing.T) {
 	speculated := false
 	for name, cfg := range asyncCfgs() {
 		t.Run(name, func(t *testing.T) {
-			solo, err := RunWall(4, 3, cfg)
+			solo, err := Reference(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestPoolAsyncConcurrentJobs(t *testing.T) {
 	wg.Wait()
 	for i, cfg := range cfgs {
 		cfg.Speculate = 0
-		solo, err := RunWall(4, 2, cfg)
+		solo, err := Reference(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestPoolAsyncCancelDrains(t *testing.T) {
 	// The same slot must serve a synchronous job bit-identically: stale
 	// speculative candidates or a parked median would break this.
 	short := Config{Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5, Memorize: true}
-	solo, err := RunWall(2, 2, short)
+	solo, err := Reference(short)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestPoolAsyncCancelDrains(t *testing.T) {
 func TestChaosKillMidSpeculation(t *testing.T) {
 	for name, cfg := range asyncCfgs() {
 		t.Run(name, func(t *testing.T) {
-			solo, err := RunWall(4, 3, cfg)
+			solo, err := Reference(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +331,7 @@ func TestPoolSpeculateDefault(t *testing.T) {
 	if forced.Speculated != 0 {
 		t.Fatalf("Speculate=-1 job still speculated %d times", forced.Speculated)
 	}
-	solo, err := RunWall(2, 2, Config{Level: 2, Root: sudoku.New(2), Seed: 7})
+	solo, err := Reference(Config{Level: 2, Root: sudoku.New(2), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

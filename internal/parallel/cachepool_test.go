@@ -58,8 +58,8 @@ func TestPoolCacheCrossJobSharing(t *testing.T) {
 	}
 }
 
-// TestPoolCachedMatchesRunWall pins that a cached pool job equals the same
-// cached Config run solo through RunWall: purity makes the answer
+// TestPoolCachedMatchesRunWall pins that a cached pool job equals
+// Reference's answer for the same cached Config: purity makes the answer
 // independent of which cache (run-local vs pool-shared) served it.
 func TestPoolCachedMatchesRunWall(t *testing.T) {
 	pool, err := NewPool(PoolConfig{Slots: 1, Medians: 2, Clients: 2, CacheVerify: true})
@@ -72,7 +72,7 @@ func TestPoolCachedMatchesRunWall(t *testing.T) {
 		Level: 3, Root: samegame.NewRandom(4, 4, 3, 3), Seed: 5,
 		Memorize: true, Cache: true, CacheVerify: true,
 	}
-	solo, err := RunWall(2, 2, cfg)
+	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

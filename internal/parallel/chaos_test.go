@@ -4,8 +4,8 @@ package parallel
 // coordinator through faultnet proxies; tests kill (sever) or blackhole a
 // worker mid-job, let a replacement reclaim the slot, and assert the
 // acceptance contract — Score, FirstMove, Sequence, Steps, Jobs and
-// WorkUnits bit-identical to the undisturbed solo RunWall run with the
-// same seed, on every domain. Determinism under churn is the whole point:
+// WorkUnits bit-identical to Reference's answer for the same seed, on
+// every domain. Determinism under churn is the whole point:
 // re-granted candidates and re-issued rollouts replay the same
 // coordinate-keyed rng streams, and every duplicate the churn can
 // manufacture is shed by the epoch/key guards. Run with -race in CI.
@@ -148,7 +148,7 @@ func TestChaosKillEquivalence(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			solo, err := RunWall(4, 3, cfg)
+			solo, err := Reference(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestChaosKillEquivalence(t *testing.T) {
 // dead clients and the job still matches solo bit-for-bit.
 func TestChaosKillClientsReissue(t *testing.T) {
 	cfg := Config{Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5, Memorize: true}
-	solo, err := RunWall(4, 3, cfg)
+	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestChaosKillClientsReissue(t *testing.T) {
 // and a bit-identical result.
 func TestChaosBlackholeHeartbeat(t *testing.T) {
 	cfg := Config{Level: 2, Root: sudoku.New(2), Seed: 7}
-	solo, err := RunWall(4, 3, cfg)
+	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestChaosLateJoinDuringCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := RunWall(4, 3, cfg)
+	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestChaosDegradeNoReplacement(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			solo, err := RunWall(4, 3, cfg)
+			solo, err := Reference(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,7 +396,7 @@ func TestChaosDegradeNoReplacement(t *testing.T) {
 // the pool to full, bit-identical service.
 func TestChaosDegradeFailFast(t *testing.T) {
 	cfg := Config{Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5, Memorize: true}
-	solo, err := RunWall(4, 3, cfg)
+	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

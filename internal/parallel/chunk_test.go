@@ -6,7 +6,7 @@ package parallel
 //   - an equivalence table over chunk shapes: the pool layout alone decides
 //     how a step's rollouts are packed (one client: a step per message; two:
 //     halves; sixteen: one rollout per message, the paper's protocol), and
-//     every shape must return exactly what solo RunWall returns;
+//     every shape must return exactly what Reference returns;
 //   - scripted protocol tests: a wall cluster laid out like a pool in which
 //     the test plays every rank but the one under test, so the moments the
 //     chaos suite can only hit by chance — a client lost while it holds a
@@ -47,7 +47,7 @@ func lateGame(root game.State, left int, seed uint64) game.State {
 
 // TestChunkShapeEquivalence is the chunk-shape table: 1, 2 and 16 clients
 // × three domains × level 2 and 3 × the lockstep and the speculating root,
-// on the wall pool and on the net pool, each against solo RunWall.
+// on the wall pool and on the net pool, each against Reference.
 func TestChunkShapeEquivalence(t *testing.T) {
 	type job struct {
 		name string
@@ -73,7 +73,7 @@ func TestChunkShapeEquivalence(t *testing.T) {
 	solo := make([]Result, len(jobs))
 	for i, j := range jobs {
 		var err error
-		if solo[i], err = RunWall(3, 2, j.cfg); err != nil {
+		if solo[i], err = Reference(j.cfg); err != nil {
 			t.Fatal(err)
 		}
 		if solo[i].Steps < 2 || solo[i].Jobs == 0 {
@@ -131,7 +131,7 @@ func TestChunkShapeEquivalence(t *testing.T) {
 // drift in Jobs or WorkUnits.
 func TestChaosKillClientsHoldingChunks(t *testing.T) {
 	cfg := Config{Level: 2, Root: samegame.NewRandom(8, 8, 4, 7), Seed: 5, Memorize: true}
-	solo, err := RunWall(4, 3, cfg)
+	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestPoolAsyncCancelsChunksInFlight(t *testing.T) {
 	defer pool.Shutdown()
 	wasted := int64(0)
 	for name, cfg := range asyncCfgs() {
-		solo, err := RunWall(4, 3, cfg)
+		solo, err := Reference(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,18 +59,26 @@ var goldenNil = []struct {
 
 // TestNilEvaluatorGolden is the backwards-compatibility pin: a config with
 // no evaluator must reproduce the recorded pre-evaluator results exactly —
-// score, step count and the full rollout accounting.
+// score, step count and the full rollout accounting. Reference is held to
+// the same constants as RunWall, which anchors the oracle independently of
+// every engine it judges.
 func TestNilEvaluatorGolden(t *testing.T) {
+	runs := map[string]func(Config) (Result, error){
+		"wall":      func(cfg Config) (Result, error) { return RunWall(4, 3, cfg) },
+		"reference": Reference,
+	}
 	for _, g := range goldenNil {
 		t.Run(g.name, func(t *testing.T) {
-			res, err := RunWall(4, 3, g.cfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Score != g.score || res.Steps != g.steps ||
-				res.Jobs != g.jobs || res.WorkUnits != g.workUnits {
-				t.Fatalf("nil-evaluator run diverged from pre-evaluator golden:\n got %+v\nwant score=%v steps=%d jobs=%d units=%d",
-					res, g.score, g.steps, g.jobs, g.workUnits)
+			for run, fn := range runs {
+				res, err := fn(g.cfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Score != g.score || res.Steps != g.steps ||
+					res.Jobs != g.jobs || res.WorkUnits != g.workUnits {
+					t.Fatalf("%s: nil-evaluator run diverged from pre-evaluator golden:\n got %+v\nwant score=%v steps=%d jobs=%d units=%d",
+						run, res, g.score, g.steps, g.jobs, g.workUnits)
+				}
 			}
 		})
 	}
@@ -102,7 +110,7 @@ func TestEvaluatorEquivalence(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			cfg := g.cfg()
 			cfg.Evaluator = "heuristic"
-			solo, err := RunWall(4, 3, cfg)
+			solo, err := Reference(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +158,7 @@ func TestChaosKillEvaluatorBatch(t *testing.T) {
 		Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5,
 		Memorize: true, Evaluator: "heuristic",
 	}
-	solo, err := RunWall(4, 3, cfg)
+	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +194,7 @@ func TestEvalBatchClampedToClients(t *testing.T) {
 		Level: 2, Root: samegame.NewRandom(5, 5, 3, 3), Seed: 5,
 		Memorize: true, Evaluator: "heuristic",
 	}
-	solo, err := RunWall(4, 3, cfg)
+	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

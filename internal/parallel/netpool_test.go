@@ -74,8 +74,8 @@ func assertSameResult(t *testing.T, name string, got, want Result) {
 }
 
 // TestNetPoolEquivalence runs one job per domain on a distributed pool
-// (coordinator + 2 loopback workers) and checks each against the same
-// seed run solo on RunWall and on an in-process pool.
+// (coordinator + 2 loopback workers) and on an in-process pool, and checks
+// each against Reference for the same seed.
 func TestNetPoolEquivalence(t *testing.T) {
 	pool, err := NewNetPool(
 		PoolConfig{Slots: 2, Medians: 2, Clients: 3},
@@ -102,7 +102,7 @@ func TestNetPoolEquivalence(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			solo, err := RunWall(4, 3, cfg)
+			solo, err := Reference(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestNetPoolConcurrentJobs(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("job %d: %v", i, errs[i])
 		}
-		solo, err := RunWall(4, 2, cfg)
+		solo, err := Reference(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestNetPoolCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := RunWall(4, 3, Config{Level: 2, Root: sudoku.New(2), Seed: 7})
+	solo, err := Reference(Config{Level: 2, Root: sudoku.New(2), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -337,7 +337,8 @@ type Result struct {
 	// Elapsed is the transport time of the run: virtual makespan on the
 	// virtual cluster, wall time otherwise.
 	Elapsed time.Duration
-	// Jobs is the number of client rollouts executed.
+	// Jobs is the number of client rollouts behind the played game (a
+	// per-run speculating root also counts its losing branches' rollouts).
 	Jobs int64
 	// WorkUnits is the total metered CPU work across clients.
 	WorkUnits int64
@@ -410,15 +411,31 @@ func (cfg *Config) trace(kind string, from, to mpi.Rank, at time.Duration) {
 	}
 }
 
+// check rejects a Config that no engine can search. Execute, Pool.StartJob
+// and Reference all validate through it.
+func (cfg *Config) check() error {
+	if cfg.Level < 2 {
+		return fmt.Errorf("parallel: level %d < 2 cannot be distributed (root, median, client need one level each)", cfg.Level)
+	}
+	if cfg.Root == nil {
+		return fmt.Errorf("parallel: no root position")
+	}
+	if cfg.Evaluator != "" && !game.HasEvaluator(cfg.Evaluator) {
+		// Validated at submission, in the coordinator: clients resolving
+		// an unknown name mid-job could only fall back to uniform
+		// playouts, silently answering a different question than asked.
+		return fmt.Errorf("parallel: unknown evaluator %q (registered: %v)",
+			cfg.Evaluator, game.EvaluatorNames())
+	}
+	return nil
+}
+
 // Execute wires the processes onto cl according to the layout and runs the
 // search to completion. The cluster must have been built with lay.Size()
 // ranks (and lay.Speeds for a virtual cluster).
 func Execute(cl mpi.Cluster, lay cluster.Layout, cfg Config) (Result, error) {
-	if cfg.Level < 2 {
-		return Result{}, fmt.Errorf("parallel: level %d < 2 cannot be distributed (root, median, client need one level each)", cfg.Level)
-	}
-	if cfg.Root == nil {
-		return Result{}, fmt.Errorf("parallel: no root position")
+	if err := cfg.check(); err != nil {
+		return Result{}, err
 	}
 	if cfg.Algo != RoundRobin && cfg.Algo != LastMinute {
 		return Result{}, fmt.Errorf("parallel: unknown algorithm %v", cfg.Algo)
@@ -428,10 +445,6 @@ func Execute(cl mpi.Cluster, lay cluster.Layout, cfg Config) (Result, error) {
 	}
 	if len(lay.Medians) == 0 || len(lay.Clients) == 0 {
 		return Result{}, fmt.Errorf("parallel: layout needs medians and clients")
-	}
-	if cfg.Evaluator != "" && !game.HasEvaluator(cfg.Evaluator) {
-		return Result{}, fmt.Errorf("parallel: unknown evaluator %q (registered: %v)",
-			cfg.Evaluator, game.EvaluatorNames())
 	}
 
 	res := &Result{

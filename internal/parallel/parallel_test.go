@@ -23,21 +23,27 @@ const testJobScale = 20000
 
 func TestParallelSolvesArmTreeExactly(t *testing.T) {
 	// A level-2 parallel search on a depth-2 arm tree must find the global
-	// optimum under both dispatchers: the client evaluations are exact on
-	// depth-1 subtrees and the median/root argmax lifts them (same
-	// induction as the sequential search).
+	// optimum under both dispatchers, and so must Reference: the client
+	// evaluations are exact on depth-1 subtrees and the median and root
+	// argmaxes lift them (same induction as the sequential search).
+	runs := map[string]func(Config) (Result, error){
+		"reference": Reference,
+	}
 	for _, algo := range []Algorithm{RoundRobin, LastMinute} {
-		t.Run(algo.String(), func(t *testing.T) {
+		runs[algo.String()] = func(cfg Config) (Result, error) {
+			cfg.Algo = algo
+			return RunVirtual(cluster.Homogeneous(4), cfg, fastVirtual(8))
+		}
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
 			tree := game.NewArmTree(3, 2, 77)
-			cfg := Config{
-				Algo: algo, Level: 2, Root: tree, Seed: 1, Memorize: true,
-			}
-			res, err := RunVirtual(cluster.Homogeneous(4), cfg, fastVirtual(8))
+			res, err := run(Config{Level: 2, Root: tree, Seed: 1, Memorize: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := tree.Optimum(); res.Score != want {
-				t.Fatalf("%v found %v, optimum %v", algo, res.Score, want)
+				t.Fatalf("%s found %v, optimum %v", name, res.Score, want)
 			}
 			if len(res.Sequence) != 2 {
 				t.Fatalf("sequence length %d, want 2", len(res.Sequence))
@@ -258,6 +264,15 @@ func TestExecuteValidation(t *testing.T) {
 		if _, err := RunVirtual(spec, bad, fastVirtual(2)); err == nil {
 			t.Errorf("static=%v: algorithm 7 accepted", static)
 		}
+	}
+	// The pools reject it too; they would otherwise serve arrival order.
+	if p, err := NewPool(PoolConfig{Algo: 7}); err == nil {
+		p.Shutdown()
+		t.Error("pool accepted algorithm 7")
+	}
+	if p, err := NewNetPool(PoolConfig{Algo: 7}, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 1}); err == nil {
+		p.Shutdown()
+		t.Error("net pool accepted algorithm 7")
 	}
 
 	lay := spec.Layout(2)

@@ -781,6 +781,9 @@ var ErrDegraded = fmt.Errorf("parallel: pool degraded below its worker floor")
 // The pool idles until jobs are submitted with RunJob.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Algo != RoundRobin && cfg.Algo != LastMinute {
+		return nil, fmt.Errorf("parallel: unknown algorithm %v", cfg.Algo)
+	}
 	world := newPoolWorld(cfg)
 	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg))
 }
@@ -853,6 +856,9 @@ type NetPoolConfig struct {
 // shed by key/epoch guards at every consumer.
 func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Algo != RoundRobin && cfg.Algo != LastMinute {
+		return nil, fmt.Errorf("parallel: unknown algorithm %v", cfg.Algo)
+	}
 	if net.Workers < 1 {
 		return nil, fmt.Errorf("parallel: net pool needs at least one worker process")
 	}
@@ -1248,18 +1254,8 @@ func (p *Pool) StartJob(slot int, cfg Config, progress func(Progress)) (*JobHand
 	if slot < 0 || slot >= p.cfg.Slots {
 		return nil, fmt.Errorf("parallel: slot %d outside pool of %d", slot, p.cfg.Slots)
 	}
-	if cfg.Level < 2 {
-		return nil, fmt.Errorf("parallel: level %d < 2 cannot be distributed (root, median, client need one level each)", cfg.Level)
-	}
-	if cfg.Root == nil {
-		return nil, fmt.Errorf("parallel: no root position")
-	}
-	if cfg.Evaluator != "" && !game.HasEvaluator(cfg.Evaluator) {
-		// Validated at submission, in the coordinator: clients resolving
-		// an unknown name mid-job could only fall back to uniform
-		// playouts, silently answering a different question than asked.
-		return nil, fmt.Errorf("parallel: unknown evaluator %q (registered: %v)",
-			cfg.Evaluator, game.EvaluatorNames())
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 
 	h := &JobHandle{p: p, slot: slot, ch: make(chan jobOutcome, 1)}

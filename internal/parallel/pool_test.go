@@ -12,8 +12,8 @@ import (
 )
 
 // TestPoolMatchesRunWall pins the pool's central property: a job run on
-// the shared pool returns bit-identical score and sequence to the same
-// Config run solo through RunWall, for every domain.
+// the shared pool returns bit-identical score and sequence to Reference's
+// answer for the same Config, for every domain.
 func TestPoolMatchesRunWall(t *testing.T) {
 	pool, err := NewPool(PoolConfig{Slots: 2, Medians: 3, Clients: 4, Algo: LastMinute})
 	if err != nil {
@@ -29,7 +29,7 @@ func TestPoolMatchesRunWall(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			solo, err := RunWall(4, 3, cfg)
+			solo, err := Reference(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestPoolMatchesRunWall(t *testing.T) {
 }
 
 // TestPoolConcurrentJobs runs jobs on every slot at once; each must match
-// its solo RunWall twin despite sharing medians and clients.
+// Reference's answer despite sharing medians and clients.
 func TestPoolConcurrentJobs(t *testing.T) {
 	pool, err := NewPool(PoolConfig{Slots: 3, Medians: 2, Clients: 4})
 	if err != nil {
@@ -85,7 +85,7 @@ func TestPoolConcurrentJobs(t *testing.T) {
 	}
 	wg.Wait()
 	for i, cfg := range cfgs {
-		solo, err := RunWall(4, 2, cfg)
+		solo, err := Reference(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestPoolCancelAndReuse(t *testing.T) {
 	}
 
 	short := Config{Level: 2, Root: game.NewArmTree(3, 2, 9), Seed: 4, Memorize: true}
-	solo, err := RunWall(2, 2, short)
+	solo, err := Reference(short)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,7 +300,7 @@ func TestPullWallTransport(t *testing.T) {
 	if want := tree.Optimum(); a.Score != want {
 		t.Fatalf("wall pull run found %v, optimum %v", a.Score, want)
 	}
-	b, err := RunWall(4, 6, cfg)
+	b, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

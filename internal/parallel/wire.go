@@ -392,6 +392,10 @@ func readChunkSeq(data []byte) (int, []byte, error) {
 	return int(seq), data, nil
 }
 
+// wireMaxWorld caps the ranks a decoded worker blob may lay out: the
+// worker builds every rank of the world before it serves its own range.
+const wireMaxWorld = 1 << 16
+
 // wireMaxEvalName caps the evaluator-name bytes a decoded job frame may
 // carry: names are short registry keys, and the cap bounds the
 // allocation a remote-controlled length prefix can demand.
@@ -570,10 +574,14 @@ func decodeWorkerBlob(data []byte) (PoolConfig, error) {
 	}
 	data = data[1:]
 	fields := []*int{&cfg.Slots, &cfg.Medians, &cfg.Clients}
+	world := uint64(2) // scheduler and dispatcher
 	for _, f := range fields {
 		v, rest, err := codec.ReadUvarint(data)
 		if err != nil {
 			return cfg, fmt.Errorf("parallel: worker blob: %w", err)
+		}
+		if world += min(v, wireMaxWorld); world > wireMaxWorld {
+			return cfg, fmt.Errorf("parallel: worker blob: world exceeds %d ranks", wireMaxWorld)
 		}
 		*f, data = int(v), rest
 	}

@@ -339,4 +339,46 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 	if _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{})); err == nil {
 		t.Fatal("degenerate pool config accepted")
 	}
+
+	// The world a blob lays out is built rank by rank before anything else
+	// is checked, so its size is capped at decode: 2^40 medians must not
+	// decode, and neither may three counts that only overflow together.
+	for _, huge := range []PoolConfig{
+		{Slots: 1, Medians: 1 << 40, Clients: 1},
+		{Slots: 1, Medians: wireMaxWorld - 3, Clients: 1},
+		{Slots: wireMaxWorld, Medians: wireMaxWorld, Clients: wireMaxWorld},
+	} {
+		if _, err := decodeWorkerBlob(appendWorkerBlob(nil, huge)); err == nil {
+			t.Fatalf("oversized world %d/%d/%d accepted", huge.Slots, huge.Medians, huge.Clients)
+		}
+	}
+	if _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: wireMaxWorld - 4, Clients: 1})); err != nil {
+		t.Fatalf("world of exactly %d ranks rejected: %v", wireMaxWorld, err)
+	}
+}
+
+// TestServeWorkerRejectsForeignWorld hands a worker a blob whose world
+// disagrees with the handshake's: ServeWorker must refuse it before it
+// builds a rank, instead of serving a layout the coordinator does not have.
+func TestServeWorkerRejectsForeignWorld(t *testing.T) {
+	nc, err := mpi.ListenNet(mpi.NetConfig{
+		Listen:      "127.0.0.1:0",
+		LocalRanks:  3,
+		WorkerRanks: []int{2},
+		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 3, Clients: 1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.DialWorker(nc.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ServeWorker(w); err == nil {
+		t.Fatal("blob of 7 ranks served in a world of 5")
+	}
+	for r := 0; r < 3; r++ {
+		nc.Start(mpi.Rank(r), func(mpi.Comm) {})
+	}
+	nc.Run()
 }

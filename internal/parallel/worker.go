@@ -43,6 +43,9 @@ func ServeWorker(w *mpi.NetWorker) (WorkerStats, error) {
 	// embedder that merely drops the NetWorker would occupy it forever
 	// (the coordinator frees the slot when the connection dies).
 	cfg, err := decodeWorkerBlob(w.Blob())
+	if n := cfg.Slots + 2 + cfg.Medians + cfg.Clients; err == nil && n != w.Size() {
+		err = fmt.Errorf("parallel: worker blob lays out %d ranks, handshake world has %d", n, w.Size())
+	}
 	if err != nil {
 		w.Close() //nolint:errcheck // already failing
 		return stats, err

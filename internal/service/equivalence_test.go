@@ -4,8 +4,8 @@ package service
 // scores depend only on logical job coordinates, never on which rank runs
 // them or when — extended to multiplexing: a job's result must not change
 // because other jobs share the pool's medians and clients. Every spec
-// below is run twice, concurrently on a shared service and solo through
-// parallel.RunWall, and the results must be bit-identical.
+// below is run concurrently on a shared service and must return exactly
+// what parallel.Reference computes for it.
 
 import (
 	"context"
@@ -28,15 +28,15 @@ func mixedSpecs() []JobSpec {
 	}
 }
 
-// soloRun executes a spec the pre-service way: a dedicated RunWall
-// cluster built and torn down for this one job.
+// soloRun computes a spec's expected result with parallel.Reference, the
+// closed form every engine must reproduce.
 func soloRun(t *testing.T, spec JobSpec) parallel.Result {
 	t.Helper()
 	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := parallel.RunWall(3, 2, cfg)
+	res, err := parallel.Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func requireIdentical(t *testing.T, label string, got JobStatus, want parallel.R
 // TestConcurrentJobsMatchSoloRuns is the multiplexing property test: N
 // concurrent jobs with mixed domains, levels and memorization, submitted
 // together to one shared pool, return bit-identical scores and sequences
-// to the same specs run sequentially through RunWall.
+// to parallel.Reference's answer for the same specs.
 func TestConcurrentJobsMatchSoloRuns(t *testing.T) {
 	specs := mixedSpecs()
 	// Fewer slots than jobs: the queue path is exercised too.

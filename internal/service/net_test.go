@@ -67,7 +67,7 @@ func TestDistributedServiceEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo, err := parallel.RunWall(4, 3, cfg)
+		solo, err := parallel.Reference(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestDistributedServiceWorkerChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := parallel.RunWall(4, 3, cfg)
+	solo, err := parallel.Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestDistributedServiceRetryToSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := parallel.RunWall(4, 3, cfg)
+	solo, err := parallel.Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func newTestRouter(t *testing.T, cfg Config) *Router {
 // TestRouterEquivalence is the acceptance pin of ISSUE 10: the same
 // (seed, spec) mix produces exact Score/Sequence/Steps/Jobs/WorkUnits
 // whether it runs on a 1-pool or a 3-pool service plane, and both match
-// the solo RunWall twin — routing is placement, never semantics.
+// parallel.Reference — routing is placement, never semantics.
 func TestRouterEquivalence(t *testing.T) {
 	specs := mixedSpecs()
 	runAll := func(r *Router) []JobStatus {

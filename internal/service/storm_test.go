@@ -4,8 +4,7 @@ package service
 // concurrent jobs across all three domains on one shared pool, with
 // mid-flight cancellations, under the race detector (CI's race job runs
 // go test -race ./...). Every job that completes normally must be
-// bit-identical to the same JobSpec run solo through RunWall with the
-// same seed.
+// bit-identical to parallel.Reference's answer for the same JobSpec.
 
 import (
 	"context"
@@ -37,7 +36,7 @@ func stormSpecs(n int) []JobSpec {
 // across all three domains, cancels a third of them mid-flight, then
 // verifies (a) every job reached a terminal state, (b) no slot, median or
 // client leaked (a fresh job still runs), and (c) every normally
-// completed job is bit-identical to its solo RunWall twin.
+// completed job is bit-identical to its parallel.Reference answer.
 func TestJobManagerStorm(t *testing.T) {
 	const n = 9
 	specs := stormSpecs(n)

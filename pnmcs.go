@@ -165,7 +165,7 @@ func RunWall(nClients, medians int, cfg ParallelConfig) (ParallelResult, error) 
 type (
 	// Service is a persistent search service: a shared worker pool onto
 	// which concurrently submitted jobs are multiplexed. Build with
-	// NewService, submit with Submit, tear down with Shutdown.
+	// New, submit with Submit, tear down with Shutdown.
 	Service = service.Manager
 	// ServiceConfig sizes a Service: slots, medians, clients, queue bound.
 	ServiceConfig = service.Config
@@ -338,12 +338,6 @@ func WithPendingLimit(n int) Option { return func(c *ServiceConfig) { c.PendingL
 func WithRetry(max int, backoff time.Duration) Option {
 	return func(c *ServiceConfig) { c.Retry = service.RetryPolicy{Max: max, Backoff: backoff} }
 }
-
-// NewService builds a service from an explicit ServiceConfig.
-//
-// Deprecated: use New with options; both construct the identical service
-// (this function is New with a pre-filled config).
-func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 
 // WorkerStats summarizes one worker process's service: hosted ranks,
 // cumulative idle time, transport counters.

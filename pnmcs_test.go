@@ -10,6 +10,7 @@ import (
 	"time"
 
 	pnmcs "repro"
+	"repro/internal/parallel"
 )
 
 func TestFacadeSequentialSearch(t *testing.T) {
@@ -54,15 +55,24 @@ func TestFacadeParallelVirtual(t *testing.T) {
 }
 
 func TestFacadeParallelWall(t *testing.T) {
-	res, err := pnmcs.RunWall(2, 8, pnmcs.ParallelConfig{
+	cfg := pnmcs.ParallelConfig{
 		Algo: pnmcs.RoundRobin, Level: 2, Root: pnmcs.NewMorpion(pnmcs.Var4D),
 		Seed: 5, Memorize: true, FirstMoveOnly: true,
-	})
+	}
+	res, err := pnmcs.RunWall(2, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Score <= 0 {
 		t.Fatalf("bad wall result: %+v", res)
+	}
+	want, err := parallel.Reference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Score != want.Score || res.FirstMove != want.FirstMove || res.Jobs != want.Jobs {
+		t.Fatalf("wall %v/%v/%d != reference %v/%v/%d",
+			res.Score, res.FirstMove, res.Jobs, want.Score, want.FirstMove, want.Jobs)
 	}
 }
 
@@ -111,7 +121,7 @@ func TestFacadeRandStreams(t *testing.T) {
 }
 
 func TestFacadeService(t *testing.T) {
-	svc, err := pnmcs.NewService(pnmcs.ServiceConfig{Slots: 2, Medians: 2, Clients: 2, QueueLimit: 2})
+	svc, err := pnmcs.New(pnmcs.WithSlots(2), pnmcs.WithPool(2, 2), pnmcs.WithQueueLimit(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +144,8 @@ func TestFacadeService(t *testing.T) {
 		t.Fatalf("service job: state %s score %v", st.State, st.Score)
 	}
 
-	// The service result matches the one-shot RunWall API bit for bit.
-	solo, err := pnmcs.RunWall(2, 2, pnmcs.ParallelConfig{
+	// The service result matches parallel.Reference bit for bit.
+	solo, err := parallel.Reference(pnmcs.ParallelConfig{
 		Level: 2, Root: pnmcs.NewSudoku(2), Seed: 3, Memorize: true,
 	})
 	if err != nil {
@@ -195,7 +205,7 @@ func TestFacadeRouter(t *testing.T) {
 		t.Fatalf("over-quota submit: %v, want ErrTenantQuota", err)
 	}
 
-	solo, err := pnmcs.RunWall(2, 1, pnmcs.ParallelConfig{
+	solo, err := parallel.Reference(pnmcs.ParallelConfig{
 		Level: 2, Root: pnmcs.NewSudoku(2), Seed: 3, Memorize: true,
 	})
 	if err != nil {
@@ -254,7 +264,7 @@ func TestFacadeOptions(t *testing.T) {
 	// must match a solo guided run, not a solo uniform run.
 	spec := pnmcs.JobSpec{Domain: "samegame", Width: 5, Height: 5, Colors: 3, BoardSeed: 3, Level: 2, Seed: 3, Memorize: true}
 	inherited := runServiceJob(t, svc, spec)
-	guided, err := pnmcs.RunWall(2, 2, pnmcs.ParallelConfig{
+	guided, err := parallel.Reference(pnmcs.ParallelConfig{
 		Level: 2, Root: pnmcs.NewSameGameSized(5, 5, 3, 3), Seed: 3, Memorize: true,
 		Evaluator: pnmcs.HeuristicEvaluatorName,
 	})
@@ -270,7 +280,7 @@ func TestFacadeOptions(t *testing.T) {
 	uspec := spec
 	uspec.Evaluator = pnmcs.EvaluatorUniform
 	uniform := runServiceJob(t, svc, uspec)
-	solo, err := pnmcs.RunWall(2, 2, pnmcs.ParallelConfig{
+	solo, err := parallel.Reference(pnmcs.ParallelConfig{
 		Level: 2, Root: pnmcs.NewSameGameSized(5, 5, 3, 3), Seed: 3, Memorize: true,
 	})
 	if err != nil {
@@ -288,8 +298,8 @@ func TestFacadeOptions(t *testing.T) {
 }
 
 // TestFacadeCustomEvaluator registers an evaluator through the facade and
-// runs it on both API surfaces (service job, one-shot RunWall): same name,
-// same seed, same answer.
+// runs it as a service job, which must match parallel.Reference: same
+// name, same seed, same answer.
 func TestFacadeCustomEvaluator(t *testing.T) {
 	pnmcs.RegisterEvaluator("facade-test", func() pnmcs.Evaluator { return shortestFirst{} })
 	found := false
@@ -311,7 +321,7 @@ func TestFacadeCustomEvaluator(t *testing.T) {
 	st := runServiceJob(t, svc, pnmcs.JobSpec{
 		Domain: "sudoku", Box: 2, Level: 2, Seed: 3, Memorize: true, Evaluator: "facade-test",
 	})
-	solo, err := pnmcs.RunWall(2, 2, pnmcs.ParallelConfig{
+	solo, err := parallel.Reference(pnmcs.ParallelConfig{
 		Level: 2, Root: pnmcs.NewSudoku(2), Seed: 3, Memorize: true, Evaluator: "facade-test",
 	})
 	if err != nil {
