@@ -280,12 +280,22 @@ func readiness(m service.Metrics, draining bool) (int, map[string]any) {
 	return code, body
 }
 
+// maxSpecBytes bounds a submitted job spec: a real one is a few hundred
+// bytes, and the decoder must not buffer an arbitrarily large body before
+// rejecting it.
+const maxSpecBytes = 1 << 20
+
 func handleSubmit(rt *service.Router, w http.ResponseWriter, r *http.Request) {
 	var spec service.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job spec: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": "bad job spec: " + err.Error()})
 		return
 	}
 	// Fire-and-forget: the job's lifetime is owned by the service, not by

@@ -116,6 +116,17 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBody posts a spec far past the body bound: it
+// must be cut off at the bound and answered 413, not buffered whole and
+// then rejected as an unknown domain.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	mux := newTestServer(t, service.Config{Slots: 1, Medians: 1, Clients: 1})
+	body := `{"domain":"` + strings.Repeat("x", 2*maxSpecBytes) + `"}`
+	if rec := do(mux, "POST", "/v1/jobs", body); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: code %d, want 413\n%s", rec.Code, rec.Body.String())
+	}
+}
+
 func TestBackpressure503(t *testing.T) {
 	mux := newTestServer(t, service.Config{Slots: 1, Medians: 1, Clients: 1, QueueLimit: 1})
 	// One long-running job fills the slot, one fills the queue.

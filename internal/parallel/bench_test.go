@@ -132,37 +132,45 @@ func BenchmarkWallPull(b *testing.B) {
 }
 
 // BenchmarkPoolFineJob measures the serving pool at its finest grain: one
-// slot, one median, one client, jobs whose client rollouts are single
-// level-0 playouts, so the median↔client exchange is most of the cost.
-// allocs/op is the figure the gate watches (the pool's own garbage per job
-// on top of the domain's); rollouts/chunk is the mean svcChunk size.
+// slot and one median, jobs whose client rollouts are single level-0
+// playouts. With one client the slot plays the job itself (no messages);
+// the chunked/ cases give it two clients, so the median↔client exchange is
+// most of the cost. allocs/op is the figure the gate watches (the pool's
+// own garbage per job on top of the domain's); rollouts/chunk is the mean
+// svcChunk size, reported where chunks are sent.
 func BenchmarkPoolFineJob(b *testing.B) {
 	cfgs := map[string]Config{
 		"sudoku3":   {Level: 2, Root: sudoku.New(3), Seed: 3},
 		"morpion4D": {Level: 2, Root: morpion.New(morpion.Var4D), Seed: 3, Memorize: true, FirstMoveOnly: true},
 	}
-	for name, cfg := range cfgs {
-		b.Run(name, func(b *testing.B) {
-			pool, err := NewPool(PoolConfig{Slots: 1, Medians: 1, Clients: 1})
-			if err != nil {
-				b.Fatal(err)
+	for _, clients := range []int{1, 2} {
+		for name, cfg := range cfgs {
+			if clients > 1 {
+				name = "chunked/" + name
 			}
-			defer pool.Shutdown()
-			if _, err := pool.RunJob(0, cfg, nil); err != nil { // warm the workers' buffers
-				b.Fatal(err)
-			}
-			warm := pool.Metrics()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pool.RunJob(0, cfg, nil); err != nil {
+			b.Run(name, func(b *testing.B) {
+				pool, err := NewPool(PoolConfig{Slots: 1, Medians: 1, Clients: clients})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			m := pool.Metrics()
-			b.ReportMetric(float64(m.Jobs-warm.Jobs)/float64(m.Chunks-warm.Chunks), "rollouts/chunk")
-		})
+				defer pool.Shutdown()
+				if _, err := pool.RunJob(0, cfg, nil); err != nil { // warm the workers' buffers
+					b.Fatal(err)
+				}
+				warm := pool.Metrics()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := pool.RunJob(0, cfg, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if m := pool.Metrics(); m.Chunks > warm.Chunks {
+					b.ReportMetric(float64(m.Jobs-warm.Jobs)/float64(m.Chunks-warm.Chunks), "rollouts/chunk")
+				}
+			})
+		}
 	}
 }
 

@@ -61,11 +61,19 @@ var goldenNil = []struct {
 // no evaluator must reproduce the recorded pre-evaluator results exactly —
 // score, step count and the full rollout accounting. Reference is held to
 // the same constants as RunWall, which anchors the oracle independently of
-// every engine it judges.
+// every engine it judges. A 1×1 wall pool plays its jobs with Reference's
+// own loop, so it is held to the constants too, never to Reference.
 func TestNilEvaluatorGolden(t *testing.T) {
+	noGoroutineLeak(t)
+	inline, err := NewPool(PoolConfig{Slots: 1, Medians: 1, Clients: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inline.Shutdown()
 	runs := map[string]func(Config) (Result, error){
-		"wall":      func(cfg Config) (Result, error) { return RunWall(4, 3, cfg) },
-		"reference": Reference,
+		"wall":          func(cfg Config) (Result, error) { return RunWall(4, 3, cfg) },
+		"reference":     Reference,
+		"1x1 wall pool": func(cfg Config) (Result, error) { return inline.RunJob(0, cfg, nil) },
 	}
 	for _, g := range goldenNil {
 		t.Run(g.name, func(t *testing.T) {

@@ -289,9 +289,10 @@ type PoolConfig struct {
 	// Slots is the number of jobs the pool can run concurrently (job-slot
 	// root ranks). Default 4.
 	Slots int
-	// Medians is the number of shared median workers. Default 4.
+	// Medians is the number of shared median workers. Default 4. With one
+	// median and one client, NewPool's slots play their jobs themselves.
 	Medians int
-	// Clients is the number of shared rollout workers. Default 8.
+	// Clients is the number of shared rollout workers. Default 8. See Medians.
 	Clients int
 	// Algo orders the dispatcher's pending-job queue (LastMinute serves
 	// the longest-expected job first). A pool-level policy: jobs share one
@@ -367,7 +368,8 @@ type PoolMetrics struct {
 	// WorkUnits is the total metered CPU work across client rollouts.
 	WorkUnits int64
 	// Chunks is the number of median→client messages that carried those
-	// rollouts; Jobs / Chunks is the mean chunk size.
+	// rollouts; Jobs / Chunks is the mean chunk size. Zero on a NewPool of
+	// one median and one client: its slots play their jobs without messages.
 	Chunks int64
 	// MedianIdle / ClientIdle map each worker to its cumulative
 	// Recv-blocked time — waiting for a grant, an assignment or a result.
@@ -728,6 +730,7 @@ type Pool struct {
 	coll    *poolCollector
 	batch   *evalBatcher // coordinator-resident workers' evaluation batcher
 	cache   *cache.Cache // coordinator-resident clients' transposition cache
+	inline  bool         // in process, 1 median × 1 client: slots play their jobs (playInline)
 
 	runDone chan struct{}
 
@@ -736,6 +739,7 @@ type Pool struct {
 	closed    bool
 	slotBusy  []bool
 	slotEpoch []uint64
+	slotStop  []atomic.Uint64 // epoch of the slot's last stop order, polled by inline jobs
 
 	// deg tracks permanent worker loss (distributed pools only): which
 	// worker indexes have been abandoned and whether the surviving world
@@ -1088,6 +1092,8 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		runDone:   make(chan struct{}),
 		slotBusy:  make([]bool, cfg.Slots),
 		slotEpoch: make([]uint64, cfg.Slots),
+		slotStop:  make([]atomic.Uint64, cfg.Slots),
+		inline:    nc == nil && cfg.Medians == 1 && cfg.Clients == 1,
 		// The in-process pool hosts all cfg.Clients client ranks, so that
 		// is the most submitters the batcher can ever have in at once; a
 		// net coordinator hosts none and its batcher sits unused (each
@@ -1338,6 +1344,7 @@ func (p *Pool) CancelJob(slot int) {
 	}
 	p.mu.Lock()
 	if p.slotBusy[slot] {
+		p.slotStop[slot].Store(p.slotEpoch[slot])
 		p.cluster.Inject(mpi.Rank(slot), tagJobCancel, p.slotEpoch[slot])
 	}
 	p.mu.Unlock()
@@ -1359,6 +1366,7 @@ func (p *Pool) Shutdown() {
 	p.closed = true
 	for slot := 0; slot < p.cfg.Slots; slot++ {
 		if p.slotBusy[slot] {
+			p.slotStop[slot].Store(p.slotEpoch[slot])
 			p.cluster.Inject(mpi.Rank(slot), tagJobCancel, p.slotEpoch[slot])
 		}
 	}
@@ -1394,6 +1402,7 @@ func (p *Pool) Shutdown() {
 func (p *Pool) runSlot(c mpi.Comm, slot int) {
 	var pool core.StatePool
 	var moves []game.Move
+	env := refEnv{pool: &pool, cache: p.cache, verify: p.cfg.CacheVerify}
 	for {
 		msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
 		switch msg.Tag {
@@ -1412,12 +1421,42 @@ func (p *Pool) runSlot(c mpi.Comm, slot int) {
 			if !ok {
 				break
 			}
-			js.done(p.playJob(c, slot, js, &pool, &moves))
+			if p.inline {
+				js.done(p.playInline(c, slot, js, env), nil)
+			} else {
+				js.done(p.playJob(c, slot, js, &pool, &moves))
+			}
 		default:
 			// A stale cancellation for a job that already completed (the
 			// deadline timer racing the job's last score): drop it.
 		}
 	}
+}
+
+// playInline plays a width-one pool's job on its slot with the reference
+// loop: no messages and no speculation, as nothing would run beside it. It
+// stops within one median step of a stop order or its deadline, and reports
+// step latency, rollouts and progress after every root step.
+func (p *Pool) playInline(c mpi.Comm, slot int, js jobStart, env refEnv) Result {
+	start, last := c.Now(), c.Now()
+	var jobs, units int64 // rollouts already in the pool's counters
+	env.stopped = func() bool { return p.slotStop[slot].Load() == js.epoch || deadlineDue(c, start, js.cfg.StopAfter) }
+	env.stepped = func(res *Result, score float64) {
+		now := c.Now()
+		res.StepLatency = append(res.StepLatency, now-last)
+		p.coll.addStepLatency(now - last)
+		last = now
+		p.coll.addRollouts(res.Jobs-jobs, res.WorkUnits-units, 0)
+		jobs, units = res.Jobs, res.WorkUnits
+		if js.progress != nil && !js.cfg.FirstMoveOnly {
+			js.progress(Progress{Steps: res.Steps, BestScore: score,
+				Sequence: append([]game.Move(nil), res.Sequence...), Elapsed: now - start})
+		}
+	}
+	res := reference(js.cfg, env)
+	p.coll.addRollouts(res.Jobs-jobs, res.WorkUnits-units, 0)
+	res.Elapsed = c.Now() - start
+	return res
 }
 
 // playJob plays one job's top-level game. It drives the same stepGather as

@@ -33,14 +33,30 @@ func Reference(cfg Config) (Result, error) {
 	if cfg.StopAfter > 0 {
 		return Result{}, fmt.Errorf("parallel: a StopAfter run has no reference answer")
 	}
+	return reference(cfg, refEnv{pool: new(core.StatePool), cache: cache.New(0), verify: cfg.CacheVerify,
+		stopped: func() bool { return false }, stepped: func(*Result, float64) {}}), nil
+}
+
+// refEnv is what the reference loop runs on: Reference's pure defaults, or
+// a width-one pool slot's StatePool, shared cache, stop poll and metering.
+type refEnv struct {
+	pool    *core.StatePool
+	cache   *cache.Cache                     // consulted by cfg.Cache jobs
+	verify  bool                             // recompute every cache hit
+	stopped func() bool                      // polled once per median step; true stops the job
+	stepped func(res *Result, score float64) // after every root step, res counted up to it
+}
+
+// reference is Reference's loop on env. A stop leaves Stopped set and the
+// root's position scored, as a cancelled pool job does.
+func reference(cfg Config, env refEnv) Result {
 	eval, _ := game.NewEvaluator(cfg.Evaluator) // "" is never registered: nil keeps uniform playouts
 	meter := &unitMeter{}
 	client := core.NewSearcher(rng.New(0), core.Options{Meter: meter, Memorize: cfg.Memorize, Evaluator: eval})
 	if cfg.Cache {
-		client.SetCache(cache.New(0), cache.Scope(cfg.Evaluator, cfg.Memorize, 0), cfg.CacheVerify)
+		client.SetCache(env.cache, cache.Scope(cfg.Evaluator, cfg.Memorize, 0), env.verify)
 	}
 	var res Result
-	var pool core.StatePool
 	var moves, medMoves []game.Move
 	var scores, medScores []float64
 
@@ -48,17 +64,20 @@ func Reference(cfg Config) (Result, error) {
 	// step and returns its final score.
 	median := func(step, cand int, st game.State) float64 {
 		for t := 0; ; t++ {
+			if res.Stopped = env.stopped(); res.Stopped {
+				return 0
+			}
 			medMoves = st.LegalMoves(medMoves[:0])
 			if len(medMoves) == 0 {
 				return st.Score()
 			}
 			medScores = medScores[:0]
 			for j, mv := range medMoves {
-				child := pool.Get(st)
+				child := env.pool.Get(st)
 				child.Play(mv)
 				client.Reseed(cfg.Seed, rng.Fold(uint64(step), uint64(cand), uint64(t), uint64(j)))
 				medScores = append(medScores, client.Score(child, cfg.Level-2, cfg.Cache))
-				pool.Put(child)
+				env.pool.Put(child)
 				res.Jobs++
 			}
 			st.Play(medMoves[argmax(medScores)])
@@ -66,6 +85,7 @@ func Reference(cfg Config) (Result, error) {
 	}
 
 	st := cfg.Root.Clone()
+root:
 	for {
 		moves = st.LegalMoves(moves[:0])
 		if len(moves) == 0 {
@@ -73,15 +93,20 @@ func Reference(cfg Config) (Result, error) {
 		}
 		scores = scores[:0]
 		for c, mv := range moves {
-			child := pool.Get(st)
+			child := env.pool.Get(st)
 			child.Play(mv)
 			scores = append(scores, median(res.Steps, c, child))
-			pool.Put(child)
+			env.pool.Put(child)
+			if res.Stopped {
+				break root
+			}
 		}
 		best := argmax(scores)
 		st.Play(moves[best])
 		res.Steps++
 		res.Sequence = append(res.Sequence, moves[best])
+		res.WorkUnits = meter.units
+		env.stepped(&res, scores[best])
 		if res.Steps == 1 {
 			res.FirstMove = moves[best]
 			if cfg.FirstMoveOnly {
@@ -94,5 +119,5 @@ func Reference(cfg Config) (Result, error) {
 		res.Score = st.Score()
 	}
 	res.WorkUnits = meter.units
-	return res, nil
+	return res
 }
