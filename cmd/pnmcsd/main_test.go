@@ -116,6 +116,17 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsWrappingDeadline posts a deadline_ms that overflows
+// time.Duration to exactly one second: it must be a 400, not a job that
+// silently stops after 1 s.
+func TestSubmitRejectsWrappingDeadline(t *testing.T) {
+	mux := newTestServer(t, service.Config{Slots: 1, Medians: 1, Clients: 1})
+	body := `{"domain":"sudoku","level":2,"seed":1,"deadline_ms":288230376151712744}`
+	if rec := do(mux, "POST", "/v1/jobs", body); rec.Code != http.StatusBadRequest {
+		t.Fatalf("code %d, want 400\n%s", rec.Code, rec.Body.String())
+	}
+}
+
 // TestSubmitRejectsOversizedBody posts a spec far past the body bound: it
 // must be cut off at the bound and answered 413, not buffered whole and
 // then rejected as an unknown domain.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/vtime"
@@ -58,6 +59,19 @@ type VirtualCluster struct {
 	sim   *vtime.Sim
 	cfg   VirtualConfig
 	ranks []*virtualComm
+
+	// Messages in flight: Send parks each in a slot and schedules the
+	// stored arrive call on the slot's index, so a delivery allocates
+	// neither an event nor a closure. Vacated slots are reused.
+	inflight []delivery
+	free     []int
+	arrive   func(int)
+}
+
+// delivery is one message in flight to dst.
+type delivery struct {
+	dst *virtualComm
+	msg Msg
 }
 
 // NewVirtualCluster builds a world with one rank per entry of cfg.Speeds.
@@ -76,6 +90,7 @@ func NewVirtualCluster(cfg VirtualConfig) *VirtualCluster {
 	sim := vtime.NewSim()
 	sim.MaxSteps = cfg.MaxSteps
 	c := &VirtualCluster{sim: sim, cfg: cfg}
+	c.arrive = c.deliver
 	c.ranks = make([]*virtualComm, len(cfg.Speeds))
 	for r := range cfg.Speeds {
 		c.ranks[r] = &virtualComm{cluster: c, rank: Rank(r)}
@@ -130,20 +145,35 @@ func (v *virtualComm) Rank() Rank { return v.rank }
 func (v *virtualComm) Size() int  { return v.cluster.Size() }
 
 // Send implements Comm: the message arrives after the network delay for
-// its estimated size. Delivery is a scheduler-context event, so ordering
-// between concurrent senders is deterministic (event sequence order).
+// its estimated size. Delivery is an event-loop call, so ordering between
+// concurrent senders is deterministic (event sequence order).
 func (v *virtualComm) Send(to Rank, tag Tag, payload any) {
-	dst := v.cluster.ranks[to]
-	msg := Msg{From: v.rank, Tag: tag, Payload: payload}
-	delay := v.cluster.cfg.Network.delay(PayloadSize(payload))
-	v.cluster.sim.At(delay, func() {
-		dst.mailbox = append(dst.mailbox, msg)
-		// Wake the receiver unconditionally; a spurious wake of a rank not
-		// blocked in Recv is dropped by the scheduler.
-		if dst.proc != nil {
-			v.cluster.sim.Wake(dst.proc)
-		}
-	})
+	c := v.cluster
+	d := delivery{dst: c.ranks[to], msg: Msg{From: v.rank, Tag: tag, Payload: payload}}
+	var slot int
+	if n := len(c.free); n > 0 {
+		slot = c.free[n-1]
+		c.free = c.free[:n-1]
+		c.inflight[slot] = d
+	} else {
+		slot = len(c.inflight)
+		c.inflight = append(c.inflight, d)
+	}
+	c.sim.AtCall(c.cfg.Network.delay(PayloadSize(payload)), c.arrive, slot)
+}
+
+// deliver appends the message in slot to its receiver's mailbox and frees
+// the slot.
+func (c *VirtualCluster) deliver(slot int) {
+	d := c.inflight[slot]
+	c.inflight[slot] = delivery{}
+	c.free = append(c.free, slot)
+	d.dst.mailbox = append(d.dst.mailbox, d.msg)
+	// Wake the receiver unconditionally; a spurious wake of a rank not
+	// blocked in Recv is dropped by the event loop.
+	if d.dst.proc != nil {
+		c.sim.Wake(d.dst.proc)
+	}
 }
 
 // Recv implements Comm: it parks until a matching message is in the
@@ -152,7 +182,8 @@ func (v *virtualComm) Recv(from Rank, tag Tag) Msg {
 	for {
 		for i, m := range v.mailbox {
 			if m.matches(from, tag) {
-				v.mailbox = append(v.mailbox[:i], v.mailbox[i+1:]...)
+				// Delete zeroes the vacated tail, so it pins no payload.
+				v.mailbox = slices.Delete(v.mailbox, i, i+1)
 				return m
 			}
 		}

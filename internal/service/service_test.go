@@ -80,6 +80,31 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestDeadlineBounds checks that a deadline the spec cannot represent is
+// rejected instead of wrapping: 9.3e12 ms overflows to a negative Duration
+// (the job would run with no deadline) and 2^58 + 1000 ms to exactly 1 s.
+func TestDeadlineBounds(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{DeadlineMillis: 9_300_000_000_000},
+		{DeadlineMillis: 1<<58 + 1000},
+		{DeadlineMillis: -1},
+		{Deadline: -time.Second},
+	} {
+		spec.Domain = "sudoku"
+		if _, err := spec.Config(); err == nil {
+			t.Errorf("deadline %v / %d ms accepted", spec.Deadline, spec.DeadlineMillis)
+		}
+	}
+	ok := JobSpec{Domain: "sudoku", DeadlineMillis: 1500}
+	cfg, err := ok.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.StopAfter != 1500*time.Millisecond {
+		t.Fatalf("deadline_ms 1500 gave StopAfter %v", cfg.StopAfter)
+	}
+}
+
 // TestBackpressure fills the slots and the queue, then checks the next
 // submission is rejected with ErrSaturated — the 503 path.
 func TestBackpressure(t *testing.T) {

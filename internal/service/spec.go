@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -139,6 +140,12 @@ func (s JobSpec) normalized() JobSpec {
 // invalid spec. The returned state is fresh on every call, so a spec can
 // be run any number of times (service job, solo verification run).
 func (s JobSpec) Root() (game.State, error) {
+	// Bound the deadline before normalized converts it: a DeadlineMillis
+	// past the largest Duration would wrap, to a negative value (no
+	// deadline at all) or to an arbitrary short one.
+	if s.Deadline < 0 || s.DeadlineMillis < 0 || s.DeadlineMillis > math.MaxInt64/int64(time.Millisecond) {
+		return nil, fmt.Errorf("service: deadline %v / deadline_ms %d out of range", s.Deadline, s.DeadlineMillis)
+	}
 	n := s.normalized()
 	if n.Level < 2 {
 		return nil, fmt.Errorf("service: level %d < 2 cannot be distributed", n.Level)

@@ -3,12 +3,23 @@
 //
 // It is the substitution substrate for the paper's physical cluster: the
 // parallel search processes (root, medians, dispatcher, clients) run as
-// goroutines against a virtual clock. Exactly one process executes at a
-// time — the scheduler hands control to the process owning the earliest
-// pending event and waits for it to park again — so simulations are fully
+// goroutines against a virtual clock. Events are ordered by (time, seq),
+// seq being a counter assigned when the event is scheduled, so ties in
+// time are broken by schedule order and simulations are fully
 // deterministic: same seed, same event order, same virtual makespan,
-// regardless of the host's core count or load. Ties in event time are
-// broken by schedule order (a monotonically increasing sequence number).
+// regardless of the host's core count or load.
+//
+// Execution model. Every process has its own goroutine, and exactly one
+// goroutine holds control at a time. There is no scheduler goroutine: the
+// event loop runs on the goroutine of the process that parks (or
+// finishes). It runs due function events inline, and at the first process
+// event hands control to that process with one channel send, then blocks
+// until something resumes it. When the next process event is the parking
+// process's own — a process whose Advance has nothing due before its
+// deadline — the loop simply returns and the process continues with no
+// handoff at all. Run only starts the chain on its caller's goroutine and
+// waits until the queue drains. Events are values in a binary heap, so
+// Wake, Sleep and AtCall allocate nothing.
 //
 // Processes spend virtual CPU time with Proc.Advance (the cluster layer
 // scales real work units by per-node speed, modelling the paper's
@@ -17,7 +28,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -29,9 +39,10 @@ type Sim struct {
 	seq    uint64
 	events eventHeap
 
-	ctl    chan struct{} // control handoff: process -> scheduler
-	procs  []*Proc
-	nSteps uint64 // events executed, for introspection and loop guards
+	ctl     chan struct{} // event loop -> Run: queue drained or overrun
+	procs   []*Proc
+	nSteps  uint64 // events executed, for introspection and loop guards
+	overrun bool   // the loop stopped at MaxSteps; Run panics
 
 	// MaxSteps aborts Run with a panic after this many events when >0;
 	// a backstop against accidental infinite simulations in tests.
@@ -49,53 +60,94 @@ func (s *Sim) Now() time.Duration { return s.now }
 // Steps returns the number of events executed so far.
 func (s *Sim) Steps() uint64 { return s.nSteps }
 
+// event is one scheduled action. Exactly one of call / p is set: call(arg)
+// runs inline in the event loop, p events resume a parked process.
 type event struct {
-	t   time.Duration
-	seq uint64
-	// Exactly one of fn / p is set: fn events run inline in the scheduler,
-	// p events resume a parked process.
-	fn func()
-	p  *Proc
+	t    time.Duration
+	seq  uint64
+	call func(int)
+	arg  int
+	p    *Proc
 }
 
-type eventHeap []*event
+func (e *event) before(o *event) bool {
+	return e.t < o.t || e.t == o.t && e.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// eventHeap is a binary min-heap on (t, seq). The order is total, so the
+// pop sequence depends only on the pushes, not on the heap's layout.
+type eventHeap []event
+
+func (s *Sim) push(e event) {
+	e.seq = s.seq
+	s.seq++
+	h := append(s.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !e.before(&h[up]) {
+			break
+		}
+		h[i] = h[up]
+		i = up
 	}
-	return h[i].seq < h[j].seq
+	h[i] = e
+	s.events = h
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-func (s *Sim) push(e *event) { e.seq = s.seq; s.seq++; heap.Push(&s.events, e) }
 
-// At schedules fn to run after delay of virtual time. fn executes in
-// scheduler context: it must not block, Park or Sleep; it may schedule
+func (s *Sim) pop() event {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop references held by the vacated slot
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	s.events = h
+	return top
+}
+
+// At schedules fn to run after delay of virtual time. fn runs in the
+// event loop, on whichever goroutine holds control — some process's, or
+// Run's caller's: it must not block, Park or Sleep; it may schedule
 // further events and Wake processes. Negative delays are treated as zero.
 func (s *Sim) At(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	s.push(&event{t: s.now + delay, fn: fn})
+	s.AtCall(delay, func(int) { fn() }, 0)
+}
+
+// AtCall is At for a function of one int argument: fn(arg) runs after
+// delay under At's contract. Passing a long-lived fn (a method value
+// stored once) with the per-event state in arg schedules without
+// allocating a closure per event.
+func (s *Sim) AtCall(delay time.Duration, fn func(int), arg int) {
+	s.push(event{t: s.now + max(delay, 0), call: fn, arg: arg})
 }
 
 // Proc is a simulated process. Its body runs on a dedicated goroutine but
-// only while the scheduler has handed it control.
+// only while it holds control.
 type Proc struct {
 	Name string
 
 	sim      *Sim
 	resume   chan struct{}
+	wakeAt   time.Duration // Sleep deadline; earlier wakes are dropped
 	done     bool
 	parked   bool
 	shutdown bool
@@ -112,58 +164,84 @@ func (s *Sim) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{Name: name, sim: s, resume: make(chan struct{})}
 	s.procs = append(s.procs, p)
 	p.parked = true // waiting for its start event
-	s.push(&event{t: s.now, p: p})
+	s.push(event{t: s.now, p: p})
 	go func() {
 		<-p.resume
-		p.parked = false
 		defer func() {
 			p.done = true
 			if r := recover(); r != nil {
 				if _, ok := r.(errShutdown); ok {
-					s.ctl <- struct{}{}
+					s.ctl <- struct{}{} // Close is waiting
 					return
 				}
-				// Real panic from the body: mark done and re-raise on the
-				// process goroutine after releasing the scheduler would
-				// deadlock tests; instead surface it via the control
-				// channel by panicking the whole program with context.
+				// A real panic from the body takes the program down with
+				// context: re-raising it anywhere else would leave the
+				// simulation without a goroutine holding control.
 				panic(fmt.Sprintf("vtime: process %q panicked: %v", name, r))
 			}
-			s.ctl <- struct{}{}
+			s.handoff(s.next())
 		}()
+		if p.shutdown {
+			// Closed before its start event ran: the body must not run,
+			// since its first park would run the event loop inside Close.
+			panic(errShutdown{})
+		}
 		body(p)
 	}()
 	return p
 }
 
-// Run executes events until none remain, then returns the final virtual
-// time. Processes still parked when the queue drains (e.g. servers waiting
-// for requests) simply stay parked; use Close to terminate them.
-func (s *Sim) Run() time.Duration {
+// next runs the event loop on the calling goroutine until a process event
+// is due and returns that process, already marked running; it returns nil
+// when the queue is empty or MaxSteps tripped (recorded for Run).
+func (s *Sim) next() *Proc {
 	for len(s.events) > 0 {
 		s.nSteps++
 		if s.MaxSteps > 0 && s.nSteps > s.MaxSteps {
-			panic("vtime: MaxSteps exceeded, runaway simulation")
+			s.overrun = true
+			return nil
 		}
-		e := heap.Pop(&s.events).(*event)
+		e := s.pop()
 		if e.t > s.now {
 			s.now = e.t
 		}
 		switch {
-		case e.fn != nil:
-			e.fn()
-		case e.p.done:
-			// Stale wakeup for a finished process.
-		case !e.p.parked:
-			// Stale wakeup: the process was already resumed by an earlier
-			// event at this timestamp and is parked... or not parked at
-			// all. Since only the scheduler runs here, !parked means the
-			// wakeup is redundant; drop it.
+		case e.call != nil:
+			e.call(e.arg)
+		case e.p.done, !e.p.parked:
+			// Stale wakeup for a finished or already running process.
+		case s.now < e.p.wakeAt:
+			// A wake that lands mid-Sleep does not shorten it: resuming
+			// the process would only see its deadline ahead and re-park.
 		default:
 			e.p.parked = false
-			e.p.resume <- struct{}{}
-			<-s.ctl
+			return e.p
 		}
+	}
+	return nil
+}
+
+// handoff passes control to q, or back to Run when q is nil.
+func (s *Sim) handoff(q *Proc) {
+	if q == nil {
+		s.ctl <- struct{}{}
+		return
+	}
+	q.resume <- struct{}{}
+}
+
+// Run executes events until none remain, then returns the final virtual
+// time. Processes still parked when the queue drains (e.g. servers waiting
+// for requests) simply stay parked; a later Run can resume them, or Close
+// terminates them.
+func (s *Sim) Run() time.Duration {
+	s.overrun = false
+	if q := s.next(); q != nil {
+		s.handoff(q)
+		<-s.ctl
+	}
+	if s.overrun {
+		panic("vtime: MaxSteps exceeded, runaway simulation")
 	}
 	return s.now
 }
@@ -195,11 +273,14 @@ func (s *Sim) Parked() []string {
 	return names
 }
 
-// park hands control back to the scheduler and blocks until resumed.
+// park gives up control: it runs the event loop and, unless the next
+// process event is its own, hands control on and blocks until resumed.
 func (p *Proc) park() {
 	p.parked = true
-	p.sim.ctl <- struct{}{}
-	<-p.resume
+	if q := p.sim.next(); q != p {
+		p.sim.handoff(q)
+		<-p.resume
+	}
 	if p.shutdown {
 		panic(errShutdown{})
 	}
@@ -211,27 +292,21 @@ func (p *Proc) park() {
 func (p *Proc) Park() { p.park() }
 
 // Wake schedules q to resume at the current virtual time. Safe to call
-// from scheduler context (At closures) or from another process. Waking a
-// non-parked or finished process is a harmless no-op at dispatch time.
+// from the event loop (At functions) or from another process. Waking a
+// non-parked, sleeping or finished process is a harmless no-op at
+// dispatch time.
 func (s *Sim) Wake(q *Proc) {
-	s.push(&event{t: s.now, p: q})
+	s.push(event{t: s.now, p: q})
 }
 
 // Sleep blocks the process for d of virtual time. Other events targeting
 // the process during the sleep (e.g. message deliveries) do not shorten
-// it: the process re-parks until its deadline has passed.
+// it: they are dropped at dispatch until the deadline is reached.
 func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	deadline := p.sim.now + d
-	p.sim.push(&event{t: deadline, p: p})
-	for {
-		p.park()
-		if p.sim.now >= deadline {
-			return
-		}
-	}
+	p.wakeAt = p.sim.now + max(d, 0)
+	p.sim.push(event{t: p.wakeAt, p: p})
+	p.park()
+	p.wakeAt = 0
 }
 
 // Advance spends d of virtual CPU time. Semantically identical to Sleep —

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -262,4 +264,159 @@ func TestManyProcessesScale(t *testing.T) {
 		t.Fatalf("chain finished at %v, want %v", last, n*time.Millisecond)
 	}
 	s.Close()
+}
+
+// waitGoroutines polls until the live goroutine count is back to want: a
+// released process goroutine exits just after handing control back, so
+// the count settles a moment after Run or Close returns.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestRunAndCloseReleaseGoroutines(t *testing.T) {
+	// The event loop runs on process goroutines; the one that finds the
+	// queue empty — here a finishing worker — hands control back to Run
+	// and must still exit, as must the parked server once Close runs.
+	before := runtime.NumGoroutine()
+	s := NewSim()
+	s.Spawn("server", func(p *Proc) {
+		for {
+			p.Park()
+		}
+	})
+	for i := 1; i <= 3; i++ {
+		d := time.Duration(i) * time.Second
+		s.Spawn("worker", func(p *Proc) { p.Advance(d) })
+	}
+	if end := s.Run(); end != 3*time.Second {
+		t.Fatalf("end = %v, want 3s", end)
+	}
+	s.Close()
+	waitGoroutines(t, before)
+}
+
+func TestMaxStepsOnProcessGoroutine(t *testing.T) {
+	// MaxSteps trips inside the loop while a process goroutine holds
+	// control; Run must still panic on its caller's goroutine (a panic
+	// anywhere else would crash the test binary), and Close must release
+	// both spinners, including the one that ran the last dispatch.
+	before := runtime.NumGoroutine()
+	s := NewSim()
+	s.MaxSteps = 50
+	for i := 0; i < 2; i++ {
+		s.Spawn("spinner", func(p *Proc) {
+			for {
+				p.Sleep(time.Millisecond)
+			}
+		})
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("runaway simulation did not panic")
+			}
+		}()
+		s.Run()
+	}()
+	if s.Steps() != 51 {
+		t.Fatalf("Steps = %d, want 51 (the tripping event is counted)", s.Steps())
+	}
+	if parked := s.Parked(); len(parked) != 2 {
+		t.Fatalf("Parked() = %v, want both spinners", parked)
+	}
+	s.Close()
+	waitGoroutines(t, before)
+}
+
+func TestRunAgainResumesParkedProcess(t *testing.T) {
+	s := NewSim()
+	ready := false
+	var done time.Duration
+	p := s.Spawn("waiter", func(p *Proc) {
+		for !ready {
+			p.Park()
+		}
+		done = p.Now()
+	})
+	s.At(time.Second, func() {})
+	if end := s.Run(); end != time.Second {
+		t.Fatalf("first Run ended at %v, want 1s", end)
+	}
+	if parked := s.Parked(); len(parked) != 1 {
+		t.Fatalf("Parked() after first Run = %v", parked)
+	}
+	s.At(2*time.Second, func() {
+		ready = true
+		s.Wake(p)
+	})
+	if end := s.Run(); end != 3*time.Second {
+		t.Fatalf("second Run ended at %v, want 3s", end)
+	}
+	if done != 3*time.Second {
+		t.Fatalf("waiter resumed at %v, want 3s", done)
+	}
+	if parked := s.Parked(); len(parked) != 0 {
+		t.Fatalf("Parked() after second Run = %v", parked)
+	}
+	s.Close()
+}
+
+func TestWakeMidSleepKeepsOrder(t *testing.T) {
+	// Wakes delivered to a sleeping process neither end its Sleep early
+	// nor move any later event: an At due at the deadline but scheduled
+	// before the sleep still runs first, one scheduled during it after.
+	s := NewSim()
+	var trace []string
+	mark := func(what string, at time.Duration) {
+		trace = append(trace, fmt.Sprintf("%s@%v", what, at))
+	}
+	s.At(10*time.Second, func() { mark("early-at", s.Now()) })
+	sleeper := s.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * time.Second)
+		mark("sleeper", p.Now())
+	})
+	s.Spawn("noise", func(p *Proc) {
+		p.Sleep(3 * time.Second)
+		s.Wake(sleeper)
+		p.Sleep(2 * time.Second)
+		s.Wake(sleeper)
+		s.At(5*time.Second, func() { mark("late-at", s.Now()) })
+		mark("noise", p.Now())
+	})
+	if end := s.Run(); end != 10*time.Second {
+		t.Fatalf("end = %v, want 10s", end)
+	}
+	want := []string{"noise@5s", "early-at@10s", "sleeper@10s", "late-at@10s"}
+	if fmt.Sprint(trace) != fmt.Sprint(want) {
+		t.Fatalf("trace = %v, want %v", trace, want)
+	}
+	// Two starts, two noise sleeps, two wakes, one deadline, two Ats: the
+	// dropped wakes are still events.
+	if s.Steps() != 9 {
+		t.Fatalf("Steps = %d, want 9", s.Steps())
+	}
+}
+
+func TestCloseBeforeStart(t *testing.T) {
+	// A process whose start event never ran is released by Close without
+	// running its body.
+	before := runtime.NumGoroutine()
+	s := NewSim()
+	ran := false
+	s.Spawn("unstarted", func(p *Proc) {
+		ran = true
+		p.Park()
+	})
+	s.Close()
+	if ran {
+		t.Fatal("Close ran the body of an unstarted process")
+	}
+	waitGoroutines(t, before)
 }
