@@ -91,7 +91,8 @@ type JobSpec struct {
 	Deadline time.Duration `json:"-"`
 
 	// DeadlineMillis is the wire form of Deadline, in milliseconds.
-	// When both are set, Deadline wins.
+	// When both are set, Deadline wins. Root rejects a negative value of
+	// either and a DeadlineMillis past the largest time.Duration.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 }
 
