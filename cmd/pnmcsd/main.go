@@ -79,8 +79,6 @@ func main() {
 	replaceGrace := flag.Duration("replace-grace", 10*time.Second, "give a lost worker's slot up after waiting this long for a replacement (0 = wait forever)")
 	jobRetries := flag.Int("job-retries", 2, "re-queue a failed job up to this many times under its original seed")
 	evaluator := flag.String("evaluator", "", "default rollout evaluator for jobs that don't name one (e.g. \"heuristic\"; empty = uniform playouts)")
-	evalBatch := flag.Int("eval-batch", 0, "per-worker evaluation batch size (0 = default 8)")
-	evalFlush := flag.Duration("eval-flush", 0, "flush a partial evaluation batch after this long (0 = default 2ms)")
 	cacheMB := flag.Int("cache-mb", 0, "shared transposition cache size in MB, serving jobs submitted with \"cache\":true (0 = default 64)")
 	cacheVerify := flag.Bool("cache-verify", false, "recompute every transposition-cache hit and crash on mismatch (debug)")
 	speculate := flag.Int("speculate", 0, "async pipelined root: speculate the next step's candidates for this many partial-score leaders (0 = synchronous; results identical either way)")
@@ -96,8 +94,6 @@ func main() {
 		TenantBurst:  *tenantBurst,
 		Algo:         parallel.LastMinute,
 		Evaluator:    *evaluator,
-		EvalBatch:    *evalBatch,
-		EvalFlush:    *evalFlush,
 		Workers:      *workers,
 		WorkerListen: *workerListen,
 		WorkerToken:  *workerToken,
@@ -406,14 +402,6 @@ func metricsText(m service.Metrics) string {
 	emit("pnmcs_pool_chunks_total", "counter", "median-to-client messages that carried the rollouts (rollouts/chunks = mean chunk size)", m.Pool.Chunks)
 	emit("pnmcs_pool_queue_depth_max", "gauge", "peak scheduler ready-queue depth", m.Pool.QueueDepthMax)
 	emit("pnmcs_pool_queue_depth_mean", "gauge", "mean scheduler ready-queue depth", m.Pool.QueueDepthMean)
-	// Evaluation batching (coordinator-resident batcher; a remote worker's
-	// batcher accounts in its own process, like the idle counters).
-	emit("pnmcs_eval_batches_total", "counter", "evaluation batches flushed", m.Pool.EvalBatches)
-	emit("pnmcs_eval_requests_total", "counter", "rollout positions evaluated through the batcher", m.Pool.EvalRequests)
-	emit("pnmcs_eval_flush_size_total", "counter", "batches flushed by reaching the batch size", m.Pool.EvalFlushSize)
-	emit("pnmcs_eval_flush_deadline_total", "counter", "partial batches flushed by the deadline timer", m.Pool.EvalFlushDeadline)
-	emit("pnmcs_eval_batch_max", "gauge", "largest evaluation batch flushed", m.Pool.EvalBatchMax)
-	emit("pnmcs_eval_flush_seconds_total", "counter", "cumulative wait of each flushed batch's oldest request", m.Pool.EvalFlushWait.Seconds())
 	// Async pipelined root: speculation economics and per-step latency.
 	emit("pnmcs_spec_speculated_total", "counter", "next-step candidates dispatched speculatively", m.Pool.Speculated)
 	emit("pnmcs_spec_wasted_total", "counter", "speculative rollouts charged to losing branches", m.Pool.SpecWasted)

@@ -107,7 +107,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`not json`,
 		`{"domain":"chess"}`,
 		`{"domain":"morpion","level":1}`,
-		`{"domain":"morpion","nope":1}`, // unknown field
+		`{"domain":"sudoku","box":2,"level":65}`, // past parallel.MaxLevel
+		`{"domain":"sudoku","box":2,"speculate":70000}`, // past parallel.MaxSpeculate
+		`{"domain":"morpion","nope":1}`,                 // unknown field
 	} {
 		rec := do(mux, "POST", "/v1/jobs", body)
 		if rec.Code != http.StatusBadRequest {

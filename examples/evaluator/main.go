@@ -4,9 +4,9 @@
 //
 // The paper's playouts are uniform random; an Evaluator (DESIGN.md §10)
 // re-weights each playout step's move draw. Evaluators are pure — weights
-// depend only on (position, legal moves) — which is why batched, pooled
+// depend only on (position, legal moves) — which is why one-shot, pooled
 // and distributed runs all return bit-identical results for the same name
-// and seed.
+// and seed: every client calls the evaluator directly, in its own rollout.
 package main
 
 import (
@@ -57,13 +57,11 @@ func main() {
 	}
 
 	// A service applies a default evaluator to every job that does not
-	// name one; WithEvalBatch/WithEvalFlush shape how each worker process
-	// coalesces concurrent rollout positions into one evaluation call.
+	// name one.
 	svc, err := pnmcs.New(
 		pnmcs.WithSlots(2),
 		pnmcs.WithPool(2, 4),
 		pnmcs.WithEvaluator(pnmcs.HeuristicEvaluatorName),
-		pnmcs.WithEvalBatch(4),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -90,9 +88,6 @@ func main() {
 	uniform.Evaluator = pnmcs.EvaluatorUniform // opt this one job back out
 	paper := run(uniform)
 
-	fmt.Printf("service: guided (default) score %.0f, uniform (opt-out) score %.0f\n",
-		guided.Score, paper.Score)
-	m := svc.Metrics()
-	fmt.Printf("batcher: %d positions in %d batches (max %d)\n",
-		m.Pool.EvalRequests, m.Pool.EvalBatches, m.Pool.EvalBatchMax)
+	fmt.Printf("service: guided (default) score %.0f in %d rollouts, uniform (opt-out) score %.0f in %d rollouts\n",
+		guided.Score, guided.Rollouts, paper.Score, paper.Rollouts)
 }

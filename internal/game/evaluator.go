@@ -4,19 +4,19 @@ package game
 // random playouts into guided ones. A level-0 playout asks its Evaluator
 // for one non-negative weight per legal move and samples the next move
 // proportionally to the weights, instead of uniformly — the on-line
-// policy-improvement shape (Tesauro & Galperin) every modern descendant
-// of nested search batches into vectorized policy calls.
+// policy-improvement shape (Tesauro & Galperin): a base policy, a
+// rollout, an argmax.
 //
 // Determinism contract: an Evaluator must be a pure function of the
 // request — its weights may depend on the position and its legal moves,
 // and on nothing else (no internal state that changes across calls, no
-// randomness, no wall clock). Purity is what makes the batched execution
-// path equivalent to the direct one: a per-worker batcher may collect
-// requests from many concurrent rollouts and submit them as one batch,
-// in any grouping and order, and because each reply depends only on its
-// own request, every rollout still sees the exact weights a solo run
-// would have computed. The nil-Evaluator path (uniform sampling) is the
-// bit-identical reproduction of the paper and never changes.
+// randomness, no wall clock). Purity is what makes every execution path
+// agree: one-shot runs, pool clients and remote workers each resolve the
+// name into their own instance and call it from many concurrent
+// rollouts, and because each reply depends only on its own request,
+// every rollout sees the exact weights a solo run would have computed.
+// The nil-Evaluator path (uniform sampling) is the bit-identical
+// reproduction of the paper and never changes.
 
 import (
 	"fmt"
@@ -47,17 +47,6 @@ type Evaluator interface {
 	Evaluate(req EvalRequest, w []float64) []float64
 }
 
-// BatchEvaluator is optionally implemented by evaluators that amortize
-// fixed per-call cost over many positions — the shape a vectorized NN
-// policy wants. EvaluateBatch fills out[i] with the weights of reqs[i],
-// appending to the (possibly nil) slice already there and storing the
-// result back; it is equivalent to calling Evaluate once per request.
-// The per-worker batcher prefers this path when present.
-type BatchEvaluator interface {
-	Evaluator
-	EvaluateBatch(reqs []EvalRequest, out [][]float64)
-}
-
 // MoveRater is optionally implemented by domain states that can rate
 // their own legal moves with a cheap heuristic. RateMoves appends one
 // non-negative weight per move to w and returns the extended slice; like
@@ -70,8 +59,7 @@ type MoveRater interface {
 // HeuristicEvaluator evaluates with the domain's own MoveRater: central
 // moves for Morpion, large groups for SameGame, common digits for
 // Sudoku. Positions of domains without a MoveRater get uniform weights
-// (the playout stays uniform there). It implements BatchEvaluator so the
-// batched and direct paths share one code path.
+// (the playout stays uniform there).
 type HeuristicEvaluator struct{}
 
 // Evaluate implements Evaluator.
@@ -83,13 +71,6 @@ func (HeuristicEvaluator) Evaluate(req EvalRequest, w []float64) []float64 {
 		w = append(w, 1)
 	}
 	return w
-}
-
-// EvaluateBatch implements BatchEvaluator.
-func (e HeuristicEvaluator) EvaluateBatch(reqs []EvalRequest, out [][]float64) {
-	for i, req := range reqs {
-		out[i] = e.Evaluate(req, out[i])
-	}
 }
 
 // Evaluator registry. Evaluators cross process boundaries by name: a job

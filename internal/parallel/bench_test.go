@@ -14,18 +14,14 @@ package parallel
 // ns/op regressions against the committed baseline.
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/game"
 	"repro/internal/morpion"
-	"repro/internal/samegame"
 	"repro/internal/stats"
 	"repro/internal/sudoku"
-	"repro/internal/vtime"
 )
 
 // benchRun executes one first-move run and reports the custom metrics.
@@ -174,39 +170,29 @@ func BenchmarkPoolFineJob(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedRollout measures the evaluation batcher on its intended
-// load: `size` concurrent rollouts each submitting one position per
-// iteration, so flush-on-size dominates and ns/op is the cost of one full
-// batch (submission sync + heuristic evaluation of size positions). The
-// batch_avg metric confirms the batches actually filled.
-func BenchmarkBatchedRollout(b *testing.B) {
-	for _, size := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
-			batcher := newEvalBatcher(size, time.Millisecond, vtime.Wall())
-			ev := batcher.evaluatorFor(game.HeuristicEvaluatorName)
-			reqs := make([]game.EvalRequest, size)
-			for i := range reqs {
-				st := samegame.NewRandom(8, 8, 4, uint64(i+1)).Clone()
-				reqs[i] = game.EvalRequest{State: st, Moves: st.LegalMoves(nil)}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for g := 0; g < size; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					var w []float64
-					for i := 0; i < b.N; i++ {
-						w = ev.Evaluate(reqs[g], w[:0])
-					}
-				}(g)
-			}
-			wg.Wait()
-			b.StopTimer()
-			if s := batcher.snapshot(); s.Batches > 0 {
-				b.ReportMetric(float64(s.Requests)/float64(s.Batches), "batch_avg")
-			}
-		})
+// BenchmarkPoolGuidedJob measures a guided job on the default pool shape
+// (4 slots × 4 medians × 8 clients): the first move of a level-2 sudoku
+// box 3 with the heuristic evaluator, so every client rollout calls the
+// evaluator once per playout step. allocs/op is the figure the gate
+// watches.
+func BenchmarkPoolGuidedJob(b *testing.B) {
+	cfg := Config{
+		Level: 2, Root: sudoku.New(3), Seed: 3, FirstMoveOnly: true,
+		Evaluator: game.HeuristicEvaluatorName,
+	}
+	pool, err := NewPool(PoolConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Shutdown()
+	if _, err := pool.RunJob(0, cfg, nil); err != nil { // warm the workers' buffers
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pool.RunJob(0, cfg, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -83,15 +83,8 @@ func startReplacementWorker(t *testing.T, addr string) *chaosWorker {
 // worker, and returns the result plus the pool metrics.
 func chaosRun(t *testing.T, cfg Config, killWorker int) (Result, PoolMetrics) {
 	t.Helper()
-	// The tight evaluation batch shape only matters to evaluator configs
-	// (uniform jobs never touch the batcher): batch 2 so size flushes happen
-	// under few concurrent rollouts, and a short deadline so a worker
-	// hosting a single client is not serialized on the flush timer.
 	pool, err := NewNetPool(
-		PoolConfig{
-			Slots: 2, Medians: 2, Clients: 3,
-			EvalBatch: 2, EvalFlush: 100 * time.Microsecond,
-		},
+		PoolConfig{Slots: 2, Medians: 2, Clients: 3},
 		NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2},
 	)
 	if err != nil {

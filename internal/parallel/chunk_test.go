@@ -460,7 +460,7 @@ func TestMedianAbortDropsChunkBuffers(t *testing.T) {
 // sequential search gives under the item's key.
 func TestClientAnswersChunks(t *testing.T) {
 	sp := newScriptedPool(t, PoolConfig{Slots: 1, Medians: 1, Clients: 2}, map[mpi.Rank]func(mpi.Comm, *poolWorld){
-		scriptedMedian + 1: func(c mpi.Comm, w *poolWorld) { runPoolClient(c, w, nil, nil, false, func(time.Duration) {}) },
+		scriptedMedian + 1: func(c mpi.Comm, w *poolWorld) { runPoolClient(c, w, nil, false, func(time.Duration) {}) },
 	})
 	w := sp.w
 	median, client, other := w.medians[0], w.clients[0], w.clients[1]

@@ -76,11 +76,9 @@ func (u *unitMeter) Add(n int64) { u.units += n }
 func runClient(c mpi.Comm, lay cluster.Layout, cfg *Config, index int, coll *collector, tc *cache.Cache) {
 	meter := &unitMeter{}
 	r := rng.New(cfg.Seed) // reseeded per job via SeedStream
-	// The per-run evaluator is constructed directly, without batching: a
-	// run's clients live in this process and evaluate inline, and the
-	// virtual transport's single-stepped scheduling leaves nothing to
-	// batch. Execute validated the name; an unknown one (impossible
-	// there) would fall back to uniform playouts.
+	// The per-run evaluator is called directly, as on pool clients.
+	// Execute validated the name; an unknown one (impossible there) would
+	// fall back to uniform playouts.
 	var eval game.Evaluator
 	if cfg.Evaluator != "" {
 		eval, _ = game.NewEvaluator(cfg.Evaluator)

@@ -5,10 +5,10 @@ package parallel
 //
 //   - nil evaluator is bit-identical to the pre-evaluator code (golden
 //     results pinned below, captured before the Evaluator field existed);
-//   - a guided job returns the same result solo (direct, unbatched
-//     evaluation), on a wall pool and on a net pool (both batched): batching
-//     and transport never change results;
-//   - a worker killed with evaluation batches in flight does not change the
+//   - a guided job returns the same result solo, on wall pools of two
+//     shapes and on a net pool: pool shape and transport never change
+//     results;
+//   - a worker killed with evaluations in flight does not change the
 //     result either (re-issued rollouts replay the same rng keys and the
 //     pure evaluator re-scores identically);
 //   - unregistered names are rejected at submission, on every entry point.
@@ -16,7 +16,6 @@ package parallel
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/morpion"
 	"repro/internal/samegame"
@@ -93,16 +92,11 @@ func TestNilEvaluatorGolden(t *testing.T) {
 }
 
 // TestEvaluatorEquivalence runs every domain with the heuristic evaluator
-// solo (direct evaluation in the client), on an in-process pool and on a
-// distributed pool (both batched): all three must agree bit-for-bit. The
-// pool batch shape is deliberately smaller than the rollout concurrency so
-// size flushes actually happen; the short deadline keeps straggler batches
-// from serializing the test.
+// through Reference, on two in-process pools — a small 2×2×3 shape and the
+// PoolConfig{} default (4 slots × 4 medians × 8 clients) — and on a
+// distributed pool: all four must agree bit-for-bit.
 func TestEvaluatorEquivalence(t *testing.T) {
-	poolShape := PoolConfig{
-		Slots: 2, Medians: 2, Clients: 3,
-		EvalBatch: 2, EvalFlush: 100 * time.Microsecond,
-	}
+	poolShape := PoolConfig{Slots: 2, Medians: 2, Clients: 3}
 	pool, err := NewNetPool(poolShape, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +104,10 @@ func TestEvaluatorEquivalence(t *testing.T) {
 	wait := startNetWorkers(t, pool.WorkerAddr(), 2)
 
 	wallPool, err := NewPool(poolShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaultPool, err := NewPool(PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,45 +120,30 @@ func TestEvaluatorEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			walled, err := wallPool.RunJob(0, cfg, nil)
-			if err != nil {
-				t.Fatal(err)
+			for _, p := range []struct {
+				name string
+				pool *Pool
+			}{{"wall pool 2x2x3", wallPool}, {"wall pool default", defaultPool}, {"net pool", pool}} {
+				res, err := p.pool.RunJob(0, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResult(t, p.name+" vs reference", res, solo)
 			}
-			netted, err := pool.RunJob(0, cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, "wall pool (batched) vs solo (direct)", walled, solo)
-			assertSameResult(t, "net pool (batched) vs solo (direct)", netted, solo)
 		})
 	}
 
-	// The wall pool hosts every client in this process, so its batcher must
-	// have seen the evaluations — and with batch size 2 under 3 concurrent
-	// rollouts, at least one flush must have filled.
-	m := wallPool.Metrics()
-	if m.EvalRequests == 0 || m.EvalBatches == 0 {
-		t.Fatalf("wall pool batcher saw no evaluations: %+v", m)
-	}
-	if m.EvalFlushSize == 0 {
-		t.Fatalf("no size-triggered flush despite batch 2 under 3 clients: %+v", m)
-	}
-	if m.EvalBatchMax < 2 {
-		t.Fatalf("batch never filled: %+v", m)
-	}
-	if m.EvalFlushSize+m.EvalFlushDeadline != m.EvalBatches {
-		t.Fatalf("flush triggers do not add up: %+v", m)
-	}
-
+	defaultPool.Shutdown()
 	wallPool.Shutdown()
 	pool.Shutdown()
 	wait()
 }
 
-// TestChaosKillEvaluatorBatch kills a worker while evaluation batches are
-// in flight on its client ranks. The re-issued rollouts replay the same
-// coordinate-keyed rng streams through a fresh batcher on the replacement
-// worker, so the result must still match the undisturbed solo run.
+// TestChaosKillEvaluatorBatch kills a worker while guided rollouts — and
+// so evaluations — are in flight on its client ranks. The re-issued
+// rollouts replay the same coordinate-keyed rng streams and the pure
+// evaluator re-scores identically on the replacement worker, so the
+// result must still match the undisturbed solo run.
 func TestChaosKillEvaluatorBatch(t *testing.T) {
 	cfg := Config{
 		Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5,
@@ -171,53 +154,11 @@ func TestChaosKillEvaluatorBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worker 0 hosts medians and a client: the kill loses granted
-	// candidates and in-flight evaluation batches at once.
+	// candidates and in-flight evaluations at once.
 	res, m := chaosRun(t, cfg, 0)
-	assertSameResult(t, "chaos kill mid-batch vs solo", res, solo)
+	assertSameResult(t, "chaos kill mid-evaluation vs solo", res, solo)
 	if m.WorkersLost < 1 || m.WorkersRejoined < 1 {
 		t.Fatalf("churn not recorded: %+v", m)
-	}
-}
-
-// TestEvalBatchClampedToClients pins the concurrency cap: a batch size
-// beyond the client ranks a process hosts could never fill (each client
-// submits one position at a time), so every evaluation would serialize on
-// the flush deadline. The pool must clamp, and after a guided job the
-// batcher must show size-triggered flushes — impossible at the requested
-// size of 64 under 2 clients.
-func TestEvalBatchClampedToClients(t *testing.T) {
-	pool, err := NewPool(PoolConfig{
-		Slots: 1, Medians: 1, Clients: 2,
-		EvalBatch: 64, EvalFlush: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Shutdown()
-	if got := pool.batch.size; got != 2 {
-		t.Fatalf("batch size not clamped to hosted clients: got %d, want 2", got)
-	}
-
-	cfg := Config{
-		Level: 2, Root: samegame.NewRandom(5, 5, 3, 3), Seed: 5,
-		Memorize: true, Evaluator: "heuristic",
-	}
-	solo, err := Reference(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pool.RunJob(0, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "clamped pool vs solo", res, solo)
-
-	m := pool.Metrics()
-	if m.EvalFlushSize == 0 {
-		t.Fatalf("no size-triggered flush: clamp not effective, batcher ran deadline-only: %+v", m)
-	}
-	if m.EvalBatchMax > 2 {
-		t.Fatalf("batch exceeded hosted client count: %+v", m)
 	}
 }
 

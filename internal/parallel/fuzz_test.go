@@ -7,15 +7,12 @@ package parallel
 // corpus under testdata/fuzz holds one valid blob per pool shape, a
 // truncated one, one with trailing bytes and one claiming 2^40 medians.
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func FuzzDecodeWorkerBlob(f *testing.F) {
 	for _, cfg := range []PoolConfig{
 		{Slots: 1, Medians: 1, Clients: 1},
-		{Slots: 3, Medians: 5, Clients: 9, Algo: LastMinute, EvalBatch: 16, EvalFlush: 3 * time.Millisecond, Speculate: 2},
+		{Slots: 3, Medians: 5, Clients: 9, Algo: LastMinute, Speculate: 2},
 		{Slots: 1, Medians: 2, Clients: 3, CacheMB: 128, CacheVerify: true},
 	} {
 		f.Add(appendWorkerBlob(nil, cfg))

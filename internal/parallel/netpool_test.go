@@ -230,3 +230,66 @@ func TestNetPoolCancellation(t *testing.T) {
 	pool.Shutdown()
 	wait()
 }
+
+// TestNetPoolRejectsUnservableJobs holds submission to the wire's bounds.
+// A worker's decoder drops a job frame whose level or speculation width
+// is past MaxLevel / MaxSpeculate, so such a job must fail at RunJob
+// rather than wait forever for rollouts that never come; a pool default
+// past MaxSpeculate must fail at construction, since every worker would
+// refuse its handshake blob.
+func TestNetPoolRejectsUnservableJobs(t *testing.T) {
+	for _, mk := range []func(PoolConfig) (*Pool, error){
+		NewPool,
+		func(cfg PoolConfig) (*Pool, error) {
+			return NewNetPool(cfg, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 1})
+		},
+	} {
+		if p, err := mk(PoolConfig{Speculate: MaxSpeculate + 1}); err == nil {
+			p.Shutdown()
+			t.Fatal("pool speculation default past the wire bound accepted")
+		}
+	}
+
+	pool, err := NewNetPool(
+		PoolConfig{Slots: 1, Medians: 2, Clients: 2},
+		NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := startNetWorkers(t, pool.WorkerAddr(), 2)
+	defer func() {
+		pool.Shutdown()
+		wait()
+	}()
+	for _, cfg := range []Config{
+		{Level: 2, Root: sudoku.New(2), Seed: 7, Speculate: MaxSpeculate + 1},
+		{Level: MaxLevel + 1, Root: sudoku.New(2), Seed: 7},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := pool.RunJob(0, cfg, nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("level %d, speculate %d: job past the wire bounds accepted", cfg.Level, cfg.Speculate)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("level %d, speculate %d: job still running after 10s", cfg.Level, cfg.Speculate)
+		}
+	}
+
+	// The same job inside the bounds runs to the reference answer.
+	cfg := Config{Level: 2, Root: sudoku.New(2), Seed: 7, Speculate: 2}
+	res, err := pool.RunJob(0, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := Reference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "speculating job inside the bounds", res, solo)
+}

@@ -161,7 +161,8 @@ type Config struct {
 	Algo Algorithm
 	// Level is the overall nesting level ℓ ≥ 2: the root plays at ℓ, the
 	// medians at ℓ−1 and the clients run nested rollouts at ℓ−2 (level 0
-	// being a plain random sample). The paper evaluates ℓ = 3 and 4.
+	// being a plain random sample). The paper evaluates ℓ = 3 and 4; at
+	// most MaxLevel.
 	Level int
 	// Root is the initial position; the run never mutates it.
 	Root game.State
@@ -223,7 +224,7 @@ type Config struct {
 	// Because rollout rng is keyed by logical job coordinates — never by
 	// rank or timing — results stay bit-identical to the pull and static
 	// schedulers per seed. 0 (the default) disables speculation; ignored
-	// in static mode.
+	// in static mode. At most MaxSpeculate.
 	Speculate int
 	// StopAfter, when positive, cancels the root game once the transport
 	// clock reaches it. The pull scheduler stops mid-step: remaining
@@ -240,9 +241,8 @@ type Config struct {
 	// cross process boundaries on distributed pools, and the executing
 	// worker resolves the same name against its own registry into
 	// core.Options.Evaluator, whose doc is the source of truth for how
-	// weights steer a playout. Per-run clients construct the evaluator
-	// directly; pool clients go through the per-worker batcher (see
-	// evalbatch.go).
+	// weights steer a playout. Per-run and pool clients alike resolve the
+	// name with game.NewEvaluator and call the evaluator directly.
 	Evaluator string
 	// Cache enables the transposition cache on the clients' nested
 	// rollouts: one cache, shared by every client of the run (or, on a
@@ -310,11 +310,11 @@ func (cfg *Config) stopDue(c mpi.Comm) bool {
 
 // deadlineDue reports whether budget has elapsed on clock since the start
 // reading. It is the one deadline predicate of the package: the per-run
-// StopAfter poll, the pool's per-job deadline and the batcher's wait
-// metering all read the same vtime.Clock axis, so a virtual-time harness
-// charges every wait consistently (mpi.Comm is a vtime.Clock — virtual
-// makespan on the simulated cluster, monotonic wall time otherwise). A
-// non-positive budget never expires.
+// StopAfter poll and the pool's per-job deadline both read the same
+// vtime.Clock axis, so a virtual-time harness charges every wait
+// consistently (mpi.Comm is a vtime.Clock — virtual makespan on the
+// simulated cluster, monotonic wall time otherwise). A non-positive
+// budget never expires.
 func deadlineDue(clock vtime.Clock, start, budget time.Duration) bool {
 	return budget > 0 && clock.Now()-start >= budget
 }
@@ -411,11 +411,29 @@ func (cfg *Config) trace(kind string, from, to mpi.Rank, at time.Duration) {
 	}
 }
 
+// MaxLevel and MaxSpeculate bound Config.Level and Config.Speculate (and
+// PoolConfig.Speculate). Jobs cross process boundaries on net pools, and
+// a worker's decoder drops a frame carrying a value past either bound: an
+// unbounded level would drive unbounded recursion in the client's nested
+// search, an unbounded width huge branch tables at the root. Submission
+// refuses such a job on every transport, so it cannot wait forever for
+// answers its workers never send.
+const (
+	MaxLevel     = 64
+	MaxSpeculate = 1 << 16
+)
+
 // check rejects a Config that no engine can search. Execute, Pool.StartJob
 // and Reference all validate through it.
 func (cfg *Config) check() error {
 	if cfg.Level < 2 {
 		return fmt.Errorf("parallel: level %d < 2 cannot be distributed (root, median, client need one level each)", cfg.Level)
+	}
+	if cfg.Level > MaxLevel {
+		return fmt.Errorf("parallel: level %d exceeds limit %d", cfg.Level, MaxLevel)
+	}
+	if cfg.Speculate > MaxSpeculate {
+		return fmt.Errorf("parallel: speculate %d exceeds limit %d", cfg.Speculate, MaxSpeculate)
 	}
 	if cfg.Root == nil {
 		return fmt.Errorf("parallel: no root position")

@@ -57,7 +57,6 @@ import (
 	"repro/internal/game"
 	"repro/internal/mpi"
 	"repro/internal/rng"
-	"repro/internal/vtime"
 )
 
 // Service protocol tags, kept clear of the per-run protocol's flat tags.
@@ -298,19 +297,6 @@ type PoolConfig struct {
 	// the longest-expected job first). A pool-level policy: jobs share one
 	// dispatcher, and scheduling never changes scores (see package doc).
 	Algo Algorithm
-	// EvalBatch is the per-worker evaluation batch size: rollout positions
-	// submitted by a process's client ranks are flushed to the evaluator
-	// once this many have accumulated. Default 8, capped at the client
-	// ranks the process hosts — each client submits at most one position
-	// at a time, so a larger batch could never fill and every evaluation
-	// would stall on the EvalFlush deadline instead. Only exercised by
-	// jobs whose Config.Evaluator is set; see evalbatch.go.
-	EvalBatch int
-	// EvalFlush bounds how long a partial evaluation batch waits before it
-	// is flushed anyway (a straggler batch must never stall its blocked
-	// submitters — with one in-flight rollout the deadline is the only
-	// trigger). Default 2ms.
-	EvalFlush time.Duration
 	// CacheMB bounds the process's shared transposition cache in
 	// megabytes. One cache serves every slot, job and client the process
 	// hosts (a remote pnmcs-worker builds its own from the same figure,
@@ -331,11 +317,6 @@ type PoolConfig struct {
 	Speculate int
 }
 
-// defaultEvalFlush is the default partial-batch flush deadline: long
-// enough for concurrent rollouts to coalesce, short next to any real
-// rollout's runtime.
-const defaultEvalFlush = 2 * time.Millisecond
-
 func (c *PoolConfig) withDefaults() PoolConfig {
 	out := *c
 	if out.Slots <= 0 {
@@ -347,16 +328,23 @@ func (c *PoolConfig) withDefaults() PoolConfig {
 	if out.Clients <= 0 {
 		out.Clients = 8
 	}
-	if out.EvalBatch <= 0 {
-		out.EvalBatch = 8
-	}
-	if out.EvalFlush <= 0 {
-		out.EvalFlush = defaultEvalFlush
-	}
 	if out.CacheMB <= 0 {
 		out.CacheMB = 64
 	}
 	return out
+}
+
+// check rejects a PoolConfig NewPool and NewNetPool cannot serve. A
+// Speculate past MaxSpeculate would make every remote worker refuse the
+// handshake blob, so no worker could ever join.
+func (c *PoolConfig) check() error {
+	if c.Algo != RoundRobin && c.Algo != LastMinute {
+		return fmt.Errorf("parallel: unknown algorithm %v", c.Algo)
+	}
+	if c.Speculate > MaxSpeculate {
+		return fmt.Errorf("parallel: pool speculate %d exceeds limit %d", c.Speculate, MaxSpeculate)
+	}
+	return nil
 }
 
 // PoolMetrics aggregates the pool's lifetime counters: the idle and
@@ -422,21 +410,8 @@ type PoolMetrics struct {
 	// (frames/bytes sent and received, codec nanoseconds); nil when the
 	// pool runs in-process on a WallCluster.
 	Net *mpi.NetStats
-	// Evaluation batching counters of the coordinator-resident batcher
-	// (see evalbatch.go). Like the idle counters, a remote pnmcs-worker's
-	// batcher accumulates in its own process and does not report here.
-	// EvalBatches / EvalRequests count flushes and the positions they
-	// carried; EvalFlushSize vs EvalFlushDeadline splits the flushes by
-	// trigger; EvalBatchMax is the largest batch flushed; EvalFlushWait is
-	// the cumulative wait of each flushed batch's oldest request.
-	EvalBatches       int64
-	EvalRequests      int64
-	EvalFlushSize     int64
-	EvalFlushDeadline int64
-	EvalBatchMax      int
-	EvalFlushWait     time.Duration
 	// Transposition-cache counters of the coordinator-resident cache
-	// (internal/cache.Stats). Like the batcher counters, a remote
+	// (internal/cache.Stats). Like the idle counters, a remote
 	// pnmcs-worker's cache accumulates in its own process and does not
 	// report here.
 	CacheHits      int64
@@ -728,7 +703,6 @@ type Pool struct {
 	net     *mpi.NetCluster // nil for in-process pools
 	netCfg  NetPoolConfig   // normalized; zero value for in-process pools
 	coll    *poolCollector
-	batch   *evalBatcher // coordinator-resident workers' evaluation batcher
 	cache   *cache.Cache // coordinator-resident clients' transposition cache
 	inline  bool         // in process, 1 median × 1 client: slots play their jobs (playInline)
 
@@ -785,8 +759,8 @@ var ErrDegraded = fmt.Errorf("parallel: pool degraded below its worker floor")
 // The pool idles until jobs are submitted with RunJob.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Algo != RoundRobin && cfg.Algo != LastMinute {
-		return nil, fmt.Errorf("parallel: unknown algorithm %v", cfg.Algo)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	world := newPoolWorld(cfg)
 	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg))
@@ -860,8 +834,8 @@ type NetPoolConfig struct {
 // shed by key/epoch guards at every consumer.
 func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Algo != RoundRobin && cfg.Algo != LastMinute {
-		return nil, fmt.Errorf("parallel: unknown algorithm %v", cfg.Algo)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	if net.Workers < 1 {
 		return nil, fmt.Errorf("parallel: net pool needs at least one worker process")
@@ -1094,14 +1068,9 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		slotEpoch: make([]uint64, cfg.Slots),
 		slotStop:  make([]atomic.Uint64, cfg.Slots),
 		inline:    nc == nil && cfg.Medians == 1 && cfg.Clients == 1,
-		// The in-process pool hosts all cfg.Clients client ranks, so that
-		// is the most submitters the batcher can ever have in at once; a
-		// net coordinator hosts none and its batcher sits unused (each
-		// pnmcs-worker builds its own, clamped to its hosted share).
-		batch: newEvalBatcher(min(cfg.EvalBatch, cfg.Clients), cfg.EvalFlush, vtime.Wall()),
-		// Same hosting logic as the batcher: one cache shared by every
-		// client rank this process hosts; a net coordinator's sits empty
-		// and each pnmcs-worker builds its own from the handshake blob.
+		// One cache shared by every client rank this process hosts; a net
+		// coordinator hosts none, so its cache sits empty and each
+		// pnmcs-worker builds its own from the handshake blob.
 		cache: cache.New(int64(cfg.CacheMB) << 20),
 	}
 	p.idle = sync.NewCond(&p.mu)
@@ -1121,7 +1090,7 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 	}
 	pol := dispatchPolicy{longestFirst: cfg.Algo == LastMinute, faultAware: true}
 	p.cluster.Start(world.disp, func(c mpi.Comm) { runDispatcher(c, dispLay, pol, nil) })
-	startPoolWorkers(p.cluster, world, p.batch, p.cache, cfg.CacheVerify, p.coll.addMedianIdle, p.coll.addClientIdle)
+	startPoolWorkers(p.cluster, world, p.cache, cfg.CacheVerify, p.coll.addMedianIdle, p.coll.addClientIdle)
 
 	go func() {
 		p.cluster.Run()
@@ -1135,11 +1104,10 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 // pool itself (collector-backed sinks) and by ServeWorker in a remote
 // worker process (worker-local sinks) — the bodies are identical on both
 // sides of the wire, and a cluster hosting only some of the ranks ignores
-// the Start calls for the others. batch is the process-local evaluation
-// batcher the hosted client ranks share; tc is their shared transposition
-// cache (consulted only on jobs whose params ask for it) and cacheVerify
-// turns every hit into a recompute-and-compare assertion.
-func startPoolWorkers(cl mpi.Cluster, world *poolWorld, batch *evalBatcher, tc *cache.Cache, cacheVerify bool, medianIdle, clientIdle func(i int, d time.Duration)) {
+// the Start calls for the others. tc is the hosted client ranks' shared
+// transposition cache (consulted only on jobs whose params ask for it)
+// and cacheVerify turns every hit into a recompute-and-compare assertion.
+func startPoolWorkers(cl mpi.Cluster, world *poolWorld, tc *cache.Cache, cacheVerify bool, medianIdle, clientIdle func(i int, d time.Duration)) {
 	for i := 0; i < world.cfg.Medians; i++ {
 		i := i
 		cl.Start(world.medians[i], func(c mpi.Comm) {
@@ -1149,7 +1117,7 @@ func startPoolWorkers(cl mpi.Cluster, world *poolWorld, batch *evalBatcher, tc *
 	for i := 0; i < world.cfg.Clients; i++ {
 		i := i
 		cl.Start(world.clients[i], func(c mpi.Comm) {
-			runPoolClient(c, world, batch, tc, cacheVerify, func(d time.Duration) { clientIdle(i, d) })
+			runPoolClient(c, world, tc, cacheVerify, func(d time.Duration) { clientIdle(i, d) })
 		})
 	}
 }
@@ -1213,13 +1181,6 @@ func (p *Pool) Metrics() PoolMetrics {
 		m.QueueDepthMean = float64(co.depthSum) / float64(co.depthSamples)
 	}
 	co.mu.Unlock()
-	eb := p.batch.snapshot()
-	m.EvalBatches = eb.Batches
-	m.EvalRequests = eb.Requests
-	m.EvalFlushSize = eb.FlushSize
-	m.EvalFlushDeadline = eb.FlushDeadline
-	m.EvalBatchMax = eb.BatchMax
-	m.EvalFlushWait = eb.FlushWait
 	cs := p.cache.Stats()
 	m.CacheHits = cs.Hits
 	m.CacheMisses = cs.Misses
@@ -2170,7 +2131,7 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 // draw from position-derived rng streams the cache is shared across jobs
 // and clients without coupling their results to each other's hit
 // patterns.
-func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache, cacheVerify bool, idle func(time.Duration)) {
+func runPoolClient(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, idle func(time.Duration)) {
 	meter := &unitMeter{}
 	var pool core.StatePool
 	searchers := map[bool]*core.Searcher{}
@@ -2209,13 +2170,13 @@ func runPoolClient(c mpi.Comm, w *poolWorld, batch *evalBatcher, tc *cache.Cache
 			// Per-job evaluator wiring: jobs of differing evaluator
 			// configurations interleave on one persistent searcher, so the
 			// evaluator is swapped per chunk like the rng stream is reseeded
-			// per item. The batched facade blocks a rollout while its batch
-			// coalesces with the other client ranks' submissions.
+			// per item. A name this process has not registered (a
+			// version-skewed worker) resolves to nil: uniform playouts.
+			var eval game.Evaluator
 			if ck.P.Eval != "" {
-				s.SetEvaluator(batch.evaluatorFor(ck.P.Eval))
-			} else {
-				s.SetEvaluator(nil)
+				eval, _ = game.NewEvaluator(ck.P.Eval)
 			}
+			s.SetEvaluator(eval)
 			if ck.P.Cache {
 				s.SetCache(tc, cache.Scope(ck.P.Eval, ck.P.Memorize, 0), cacheVerify)
 			}

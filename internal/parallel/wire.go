@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/game"
 	"repro/internal/mpi"
@@ -346,17 +345,6 @@ func init() {
 		})
 }
 
-// wireMaxLevel caps the nesting level a decoded job may carry. The paper
-// evaluates levels 3 and 4; anything near the cap is already infeasible,
-// and an unbounded value would drive unbounded recursion in the client's
-// nested search (jobParams decode from remote-controlled frames).
-const wireMaxLevel = 64
-
-// wireMaxSpeculate caps the speculation width a decoded job may carry: a
-// slot can never usefully speculate wider than its median fleet, and a
-// corrupt frame must not make the root allocate huge branch tables.
-const wireMaxSpeculate = 1 << 16
-
 // wireMaxChunk caps the items a decoded chunk or chunk result may carry,
 // and the candidate index of each. A chunk never holds more items than its
 // position has legal moves; the widest step of the bundled domains is
@@ -481,8 +469,8 @@ func readJobParams(data []byte) (jobParams, []byte, error) {
 	if err != nil {
 		return p, nil, err
 	}
-	if level > wireMaxLevel {
-		return p, nil, fmt.Errorf("%w: job level %d exceeds limit %d", codec.ErrMalformed, level, wireMaxLevel)
+	if level > MaxLevel {
+		return p, nil, fmt.Errorf("%w: job level %d exceeds limit %d", codec.ErrMalformed, level, MaxLevel)
 	}
 	if len(data) < 9 {
 		return p, nil, fmt.Errorf("%w: job params seed", codec.ErrTruncated)
@@ -515,8 +503,8 @@ func readJobParams(data []byte) (jobParams, []byte, error) {
 	if err != nil {
 		return p, nil, err
 	}
-	if spec > wireMaxSpeculate {
-		return p, nil, fmt.Errorf("%w: job speculate %d exceeds limit %d", codec.ErrMalformed, spec, wireMaxSpeculate)
+	if spec > MaxSpeculate {
+		return p, nil, fmt.Errorf("%w: job speculate %d exceeds limit %d", codec.ErrMalformed, spec, MaxSpeculate)
 	}
 	return jobParams{
 		Slot:      int(slot),
@@ -535,23 +523,22 @@ func readJobParams(data []byte) (jobParams, []byte, error) {
 // workerBlobVersion guards the handshake blob layout independently of the
 // frame version: the blob is interpreted by parallel, not by the codec.
 // Version history: 1 carried the pool shape (slots/medians/clients/algo);
-// 2 added the evaluation batch shape (EvalBatch, EvalFlush nanoseconds);
+// 2 added the evaluation batch shape, two uvarints that are reserved
+// since the batcher was removed (written as 0, read and discarded);
 // 3 added the transposition-cache shape (CacheMB, CacheVerify flag);
 // 4 added the async-root speculation default (Speculate).
 const workerBlobVersion = 4
 
 // appendWorkerBlob encodes the PoolConfig a pnmcs-worker needs to derive
-// the identical poolWorld the coordinator built — and, since v2/v3, to
-// batch evaluations and size its transposition cache the way the
-// coordinator was configured.
+// the identical poolWorld the coordinator built — and, since v3, to size
+// its transposition cache the way the coordinator was configured.
 func appendWorkerBlob(buf []byte, cfg PoolConfig) []byte {
 	buf = append(buf, workerBlobVersion)
 	buf = binary.AppendUvarint(buf, uint64(cfg.Slots))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Medians))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Clients))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Algo))
-	buf = binary.AppendUvarint(buf, uint64(cfg.EvalBatch))
-	buf = binary.AppendUvarint(buf, uint64(cfg.EvalFlush))
+	buf = append(buf, 0, 0) // reserved v2 fields
 	buf = binary.AppendUvarint(buf, uint64(cfg.CacheMB))
 	verify := uint64(0)
 	if cfg.CacheVerify {
@@ -590,16 +577,11 @@ func decodeWorkerBlob(data []byte) (PoolConfig, error) {
 		return cfg, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	cfg.Algo = Algorithm(algo)
-	batch, data, err := codec.ReadUvarint(data)
-	if err != nil {
-		return cfg, fmt.Errorf("parallel: worker blob: %w", err)
+	for range 2 { // reserved v2 fields
+		if _, data, err = codec.ReadUvarint(data); err != nil {
+			return cfg, fmt.Errorf("parallel: worker blob: %w", err)
+		}
 	}
-	cfg.EvalBatch = int(batch)
-	flush, data, err := codec.ReadUvarint(data)
-	if err != nil {
-		return cfg, fmt.Errorf("parallel: worker blob: %w", err)
-	}
-	cfg.EvalFlush = time.Duration(flush)
 	cacheMB, data, err := codec.ReadUvarint(data)
 	if err != nil {
 		return cfg, fmt.Errorf("parallel: worker blob: %w", err)
@@ -617,8 +599,8 @@ func decodeWorkerBlob(data []byte) (PoolConfig, error) {
 	if err != nil {
 		return cfg, fmt.Errorf("parallel: worker blob: %w", err)
 	}
-	if spec > wireMaxSpeculate {
-		return cfg, fmt.Errorf("parallel: worker blob: speculate %d exceeds limit %d", spec, wireMaxSpeculate)
+	if spec > MaxSpeculate {
+		return cfg, fmt.Errorf("parallel: worker blob: speculate %d exceeds limit %d", spec, MaxSpeculate)
 	}
 	cfg.Speculate = int(spec)
 	if len(rest) != 0 {

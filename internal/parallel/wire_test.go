@@ -11,7 +11,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/game"
 	"repro/internal/mpi"
@@ -55,12 +54,12 @@ func quickParams(slot int, epoch uint64, level int, seed uint64, memorize bool, 
 	return jobParams{
 		Slot:      nonneg(slot),
 		Epoch:     epoch,
-		Level:     nonneg(level) % (wireMaxLevel + 1), // decoders reject levels beyond the cap
+		Level:     nonneg(level) % (MaxLevel + 1), // decoders reject levels beyond the cap
 		Seed:      seed,
 		Memorize:  memorize,
 		JobScale:  scale,
 		Root:      mpi.Rank(nonneg(root)),
-		Speculate: nonneg(slot) % (wireMaxSpeculate + 1), // decoders reject widths beyond the cap
+		Speculate: nonneg(slot) % (MaxSpeculate + 1), // decoders reject widths beyond the cap
 	}
 }
 
@@ -299,7 +298,7 @@ func TestJobParamsEvalRoundTrip(t *testing.T) {
 	}
 	// A speculation width beyond the remote-controlled-size cap is
 	// malformed, not allocated for.
-	p.Speculate = wireMaxSpeculate + 1
+	p.Speculate = MaxSpeculate + 1
 	if _, _, err := readJobParams(appendJobParams(nil, p)); err == nil {
 		t.Fatal("oversized speculation width accepted")
 	}
@@ -307,8 +306,7 @@ func TestJobParamsEvalRoundTrip(t *testing.T) {
 
 func TestWorkerBlobRoundTrip(t *testing.T) {
 	cfg := PoolConfig{
-		Slots: 3, Medians: 5, Clients: 9, Algo: LastMinute,
-		EvalBatch: 16, EvalFlush: 3 * time.Millisecond, Speculate: 2,
+		Slots: 3, Medians: 5, Clients: 9, Algo: LastMinute, Speculate: 2,
 	}
 	got, err := decodeWorkerBlob(appendWorkerBlob(nil, cfg))
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mpi"
-	"repro/internal/vtime"
 )
 
 // WorkerStats summarizes one worker process's service, for logging.
@@ -83,23 +82,13 @@ func ServeWorker(w *mpi.NetWorker) (WorkerStats, error) {
 		}
 		return out
 	})
-	// The worker's evaluation batcher: hosted client ranks coalesce their
-	// rollout positions per process, with the batch shape (EvalBatch,
-	// EvalFlush) carried by the handshake blob so every process batches
-	// the way the coordinator was configured — except the size, which is
-	// capped at the client ranks THIS process hosts (one outstanding
-	// position per client means a larger batch could never fill, leaving
-	// every evaluation to stall on the flush deadline). Its counters stay
-	// in this process, like the per-rank idle counters.
-	batch := newEvalBatcher(min(world.cfg.EvalBatch, max(stats.Clients, 1)),
-		world.cfg.EvalFlush, vtime.Wall())
-	// The worker's transposition cache, sized by the handshake blob like
-	// the batcher: hosted client ranks share it across every job the
-	// coordinator routes here. Each process caches independently — results
-	// are pure functions of position content, so worker caches need no
-	// coherence protocol, they just overlap.
+	// The worker's transposition cache, sized by the handshake blob: hosted
+	// client ranks share it across every job the coordinator routes here.
+	// Each process caches independently — results are pure functions of
+	// position content, so worker caches need no coherence protocol, they
+	// just overlap.
 	tc := cache.New(int64(world.cfg.CacheMB) << 20)
-	startPoolWorkers(w, world, batch, tc, world.cfg.CacheVerify, medianIdle, clientIdle)
+	startPoolWorkers(w, world, tc, world.cfg.CacheVerify, medianIdle, clientIdle)
 
 	w.Run()
 	var total int64

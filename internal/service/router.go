@@ -404,14 +404,6 @@ func foldMetrics(acc, pm Metrics, first bool) Metrics {
 	p.WorkersAbandoned += q.WorkersAbandoned
 	p.Degraded = p.Degraded || q.Degraded
 	p.Failed = p.Failed || q.Failed
-	p.EvalBatches += q.EvalBatches
-	p.EvalRequests += q.EvalRequests
-	p.EvalFlushSize += q.EvalFlushSize
-	p.EvalFlushDeadline += q.EvalFlushDeadline
-	if q.EvalBatchMax > p.EvalBatchMax {
-		p.EvalBatchMax = q.EvalBatchMax
-	}
-	p.EvalFlushWait += q.EvalFlushWait
 	p.CacheHits += q.CacheHits
 	p.CacheMisses += q.CacheMisses
 	p.CacheEvictions += q.CacheEvictions

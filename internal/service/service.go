@@ -78,11 +78,6 @@ type Config struct {
 	// default with the spec sentinel "uniform" (EvaluatorUniform).
 	// Validated by New.
 	Evaluator string
-	// EvalBatch / EvalFlush shape the per-worker evaluation batching
-	// (parallel.PoolConfig.EvalBatch / EvalFlush; the batch size is
-	// capped at the client ranks a process hosts). Defaults 8 / 2ms.
-	EvalBatch int
-	EvalFlush time.Duration
 
 	// Workers, when positive, serves the pool's median and client ranks
 	// from that many external pnmcs-worker processes instead of
@@ -427,8 +422,6 @@ func newManager(cfg Config, idStart, idStride int64) (*Manager, error) {
 		Medians:     cfg.Medians,
 		Clients:     cfg.Clients,
 		Algo:        cfg.Algo,
-		EvalBatch:   cfg.EvalBatch,
-		EvalFlush:   cfg.EvalFlush,
 		CacheMB:     cfg.CacheMB,
 		CacheVerify: cfg.CacheVerify,
 		Speculate:   cfg.Speculate,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -77,6 +78,38 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if got := m.Metrics().Submitted; got != 0 {
 		t.Fatalf("invalid specs counted as submissions: %d", got)
+	}
+}
+
+// TestSpecBounds holds JobSpec.Config to the parallel package's bounds on
+// level and speculation width: at the bound a spec translates, one past it
+// is refused, by Config and by Submit alike. A pool-wide speculation
+// default past the bound is refused when the manager is built.
+func TestSpecBounds(t *testing.T) {
+	m := newTestManager(t, Config{Slots: 1, Medians: 1, Clients: 1})
+	for _, c := range []struct {
+		spec JobSpec
+		ok   bool
+	}{
+		{JobSpec{Domain: "sudoku", Level: parallel.MaxLevel}, true},
+		{JobSpec{Domain: "sudoku", Level: parallel.MaxLevel + 1}, false},
+		{JobSpec{Domain: "sudoku", Speculate: parallel.MaxSpeculate}, true},
+		{JobSpec{Domain: "sudoku", Speculate: parallel.MaxSpeculate + 1}, false},
+	} {
+		// Fatal, not Error: Submit runs what Config accepts, and a
+		// level-65 search never ends.
+		if _, err := c.spec.Config(); (err == nil) != c.ok {
+			t.Fatalf("level %d, speculate %d: Config error %v, want ok=%v", c.spec.Level, c.spec.Speculate, err, c.ok)
+		}
+		if !c.ok {
+			if _, err := m.Submit(context.Background(), c.spec); err == nil {
+				t.Errorf("level %d, speculate %d: Submit accepted", c.spec.Level, c.spec.Speculate)
+			}
+		}
+	}
+	if bad, err := New(Config{Slots: 1, Medians: 1, Clients: 1, Speculate: parallel.MaxSpeculate + 1}); err == nil {
+		bad.Shutdown(context.Background()) //nolint:errcheck // already failing
+		t.Fatal("pool speculation default past the bound accepted")
 	}
 }
 

@@ -45,7 +45,7 @@ type JobSpec struct {
 	Box int `json:"box,omitempty"`
 
 	// Level is the overall nesting level ℓ ≥ 2 (root ℓ, medians ℓ−1,
-	// client rollouts ℓ−2). Default 2.
+	// client rollouts ℓ−2). Default 2, at most parallel.MaxLevel.
 	Level int `json:"level,omitempty"`
 
 	// Seed derives every random stream of the job. Two jobs with equal
@@ -74,7 +74,7 @@ type JobSpec struct {
 	// pipelining step boundaries; negative forces the synchronous pull
 	// root even when the service sets a pool-wide default
 	// (Config.Speculate); zero inherits that default. Results are
-	// bit-identical at every setting.
+	// bit-identical at every setting. At most parallel.MaxSpeculate.
 	Speculate int `json:"speculate,omitempty"`
 
 	// Cache consults the pool's shared transposition cache for this job's
@@ -151,6 +151,9 @@ func (s JobSpec) Root() (game.State, error) {
 	if n.Level < 2 {
 		return nil, fmt.Errorf("service: level %d < 2 cannot be distributed", n.Level)
 	}
+	if n.Level > parallel.MaxLevel {
+		return nil, fmt.Errorf("service: level %d exceeds limit %d", n.Level, parallel.MaxLevel)
+	}
 	switch n.Domain {
 	case "morpion":
 		v, err := morpion.VariantByName(n.Variant)
@@ -188,6 +191,9 @@ func (s JobSpec) Config() (parallel.Config, error) {
 		return parallel.Config{}, err
 	}
 	n := s.normalized()
+	if n.Speculate > parallel.MaxSpeculate {
+		return parallel.Config{}, fmt.Errorf("service: speculate %d exceeds limit %d", n.Speculate, parallel.MaxSpeculate)
+	}
 	eval := n.Evaluator
 	switch eval {
 	case "", EvaluatorUniform:

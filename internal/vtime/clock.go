@@ -5,7 +5,7 @@ import "time"
 // Clock is a monotonic time source: Now returns the elapsed duration since
 // an arbitrary fixed origin. It is the single clock abstraction shared by
 // everything in the repository that meters elapsed time — deadline polling
-// (core.Options.Stop), batch flush deadlines, idle accounting — so that a
+// (core.Options.Stop), job deadlines, idle accounting — so that a
 // virtual-time harness run charges all of them against the same simulated
 // clock instead of mixing simulated and wall time. Sim, Proc and the
 // cluster transports (mpi.Comm) all satisfy it; Wall adapts the host's

@@ -72,9 +72,6 @@ type (
 	// Evaluator scores the legal moves of rollout positions. Must be pure
 	// and safe for concurrent use; see game.Evaluator.
 	Evaluator = game.Evaluator
-	// BatchEvaluator is an Evaluator that also scores whole batches in one
-	// call — the shape a vectorized policy (an NN inference server) wants.
-	BatchEvaluator = game.BatchEvaluator
 	// EvalRequest is one position to score: a state and its legal moves.
 	EvalRequest = game.EvalRequest
 )
@@ -292,14 +289,6 @@ func WithAlgorithm(a Algorithm) Option { return func(c *ServiceConfig) { c.Algo 
 // playouts; a job opts back out of a service default with the spec
 // sentinel EvaluatorUniform.
 func WithEvaluator(name string) Option { return func(c *ServiceConfig) { c.Evaluator = name } }
-
-// WithEvalBatch sets how many rollout positions a worker process
-// accumulates before evaluating them as one batch (default 8).
-func WithEvalBatch(n int) Option { return func(c *ServiceConfig) { c.EvalBatch = n } }
-
-// WithEvalFlush bounds how long a partial evaluation batch may wait for
-// more positions before it is flushed anyway (default 2ms).
-func WithEvalFlush(d time.Duration) Option { return func(c *ServiceConfig) { c.EvalFlush = d } }
 
 // WithWorkers serves the pool's median and client ranks from n external
 // worker processes instead of goroutines. Job results are bit-identical

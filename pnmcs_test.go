@@ -7,7 +7,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	pnmcs "repro"
 	"repro/internal/parallel"
@@ -248,8 +247,6 @@ func TestFacadeOptions(t *testing.T) {
 		pnmcs.WithPool(2, 3),
 		pnmcs.WithQueueLimit(2),
 		pnmcs.WithEvaluator(pnmcs.HeuristicEvaluatorName),
-		pnmcs.WithEvalBatch(2),
-		pnmcs.WithEvalFlush(100*time.Microsecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -260,41 +257,44 @@ func TestFacadeOptions(t *testing.T) {
 		}
 	}()
 
+	// On this spec guided and uniform playouts agree on score and game
+	// length but not on rollout work, so the checks below compare the
+	// counters too; the references must differ or they prove nothing.
+	spec := pnmcs.JobSpec{Domain: "samegame", Width: 5, Height: 5, Colors: 3, BoardSeed: 3, Level: 2, Seed: 3, Memorize: true}
+	reference := func(evaluator string) parallel.Result {
+		t.Helper()
+		res, err := parallel.Reference(pnmcs.ParallelConfig{
+			Level: 2, Root: pnmcs.NewSameGameSized(5, 5, 3, 3), Seed: 3, Memorize: true,
+			Evaluator: evaluator,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	guided, solo := reference(pnmcs.HeuristicEvaluatorName), reference("")
+	if guided.Jobs == solo.Jobs && guided.WorkUnits == solo.WorkUnits {
+		t.Fatalf("guided and uniform references agree (%d rollouts, %d units): the spec cannot tell them apart",
+			guided.Jobs, guided.WorkUnits)
+	}
+	check := func(what string, got pnmcs.JobStatus, want parallel.Result) {
+		t.Helper()
+		if got.Score != want.Score || len(got.Sequence) != len(want.Sequence) ||
+			got.Rollouts != want.Jobs || got.WorkUnits != want.WorkUnits {
+			t.Fatalf("%s: score %v, %d moves, %d rollouts, %d units; reference %v, %d moves, %d rollouts, %d units",
+				what, got.Score, len(got.Sequence), got.Rollouts, got.WorkUnits,
+				want.Score, len(want.Sequence), want.Jobs, want.WorkUnits)
+		}
+	}
+
 	// A spec naming no evaluator inherits the service default: the result
 	// must match a solo guided run, not a solo uniform run.
-	spec := pnmcs.JobSpec{Domain: "samegame", Width: 5, Height: 5, Colors: 3, BoardSeed: 3, Level: 2, Seed: 3, Memorize: true}
-	inherited := runServiceJob(t, svc, spec)
-	guided, err := parallel.Reference(pnmcs.ParallelConfig{
-		Level: 2, Root: pnmcs.NewSameGameSized(5, 5, 3, 3), Seed: 3, Memorize: true,
-		Evaluator: pnmcs.HeuristicEvaluatorName,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inherited.Score != guided.Score || len(inherited.Sequence) != len(guided.Sequence) {
-		t.Fatalf("inherited default %v/%d != solo guided %v/%d",
-			inherited.Score, len(inherited.Sequence), guided.Score, len(guided.Sequence))
-	}
+	check("inherited default", runServiceJob(t, svc, spec), guided)
 
 	// The sentinel forces uniform playouts despite the service default.
 	uspec := spec
 	uspec.Evaluator = pnmcs.EvaluatorUniform
-	uniform := runServiceJob(t, svc, uspec)
-	solo, err := parallel.Reference(pnmcs.ParallelConfig{
-		Level: 2, Root: pnmcs.NewSameGameSized(5, 5, 3, 3), Seed: 3, Memorize: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uniform.Score != solo.Score || len(uniform.Sequence) != len(solo.Sequence) {
-		t.Fatalf("uniform sentinel %v/%d != solo uniform %v/%d",
-			uniform.Score, len(uniform.Sequence), solo.Score, len(solo.Sequence))
-	}
-
-	// The batcher must have seen the guided job's evaluations.
-	if m := svc.Metrics(); m.Pool.EvalRequests == 0 {
-		t.Fatalf("no evaluations batched: %+v", m.Pool)
-	}
+	check("uniform sentinel", runServiceJob(t, svc, uspec), solo)
 }
 
 // TestFacadeCustomEvaluator registers an evaluator through the facade and
@@ -312,7 +312,7 @@ func TestFacadeCustomEvaluator(t *testing.T) {
 		t.Fatalf("registered evaluator not listed: %v", pnmcs.EvaluatorNames())
 	}
 
-	svc, err := pnmcs.New(pnmcs.WithSlots(1), pnmcs.WithPool(2, 2), pnmcs.WithEvalBatch(1))
+	svc, err := pnmcs.New(pnmcs.WithSlots(1), pnmcs.WithPool(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
