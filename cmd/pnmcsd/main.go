@@ -436,6 +436,7 @@ func metricsText(m service.Metrics) string {
 		emit("pnmcs_net_bytes_recv_total", "counter", "frame bytes received from workers", n.BytesRecv)
 		emit("pnmcs_net_encode_seconds_total", "counter", "codec time spent encoding frames", float64(n.EncodeNs)/1e9)
 		emit("pnmcs_net_decode_seconds_total", "counter", "codec time spent decoding frames", float64(n.DecodeNs)/1e9)
+		emit("pnmcs_net_relayed_frames_total", "counter", "worker-to-worker frames forwarded by the coordinator hub", n.Relayed)
 	}
 	return b.String()
 }

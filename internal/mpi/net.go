@@ -51,6 +51,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -129,6 +130,11 @@ type NetStats struct {
 	BytesRecv  uint64 `json:"bytes_recv"`
 	EncodeNs   uint64 `json:"encode_ns"`
 	DecodeNs   uint64 `json:"decode_ns"`
+	// Relayed counts frames the coordinator hub received from one worker
+	// for a rank another worker hosts (coordinator side; zero on
+	// workers): the worker-to-worker traffic rank placement failed to
+	// keep inside one process.
+	Relayed uint64 `json:"relayed"`
 	// Workers is the number of worker connections currently established
 	// (coordinator side; zero on workers).
 	Workers int `json:"workers,omitempty"`
@@ -139,6 +145,7 @@ type netCounters struct {
 	framesSent, framesRecv atomic.Uint64
 	bytesSent, bytesRecv   atomic.Uint64
 	encodeNs, decodeNs     atomic.Uint64
+	relayed                atomic.Uint64
 }
 
 func (nc *netCounters) snapshot() NetStats {
@@ -149,6 +156,7 @@ func (nc *netCounters) snapshot() NetStats {
 		BytesRecv:  nc.bytesRecv.Load(),
 		EncodeNs:   nc.encodeNs.Load(),
 		DecodeNs:   nc.decodeNs.Load(),
+		Relayed:    nc.relayed.Load(),
 	}
 }
 
@@ -528,6 +536,7 @@ func (c *NetCluster) route(from, to Rank, tag Tag, payload any) {
 // re-encoding: the length prefix is written separately so the body slice
 // goes out as-is. Only the (rare) pending path concatenates.
 func (c *NetCluster) relayWorker(w int, body []byte) {
+	c.counters.relayed.Add(1)
 	c.mu.Lock()
 	conn := c.conns[w]
 	if conn == nil {
@@ -925,6 +934,15 @@ func (c *NetCluster) workerTelemetry(slot int, body []byte) {
 	idle, ok := f.Payload.([]float64)
 	if !ok || len(idle) == 0 {
 		return
+	}
+	// Each entry is a cumulative idle duration in seconds. One that is not
+	// finite, negative, or past what a time.Duration holds would land in
+	// the pool's counters as garbage (NaN converts to math.MinInt64 on
+	// amd64), so the whole snapshot is dropped: the next one replaces it.
+	for _, sec := range idle {
+		if !(sec >= 0 && sec*float64(time.Second) < float64(math.MaxInt64)) {
+			return
+		}
 	}
 	lo, hi := c.bounds[slot], c.bounds[slot+1]
 	if len(idle) > int(hi-lo) {

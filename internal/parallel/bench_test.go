@@ -14,12 +14,14 @@ package parallel
 // ns/op regressions against the committed baseline.
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/game"
 	"repro/internal/morpion"
+	"repro/internal/mpi"
 	"repro/internal/stats"
 	"repro/internal/sudoku"
 )
@@ -168,6 +170,56 @@ func BenchmarkPoolFineJob(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkNetPoolFineJob measures a fine job on net_loopback's pool shape
+// — 2 slots, 2 medians, 2 clients — hosted by two ServeWorker goroutines
+// dialed in over TCP loopback: the first move of a level-2 sudoku box 3.
+// frames/rollout counts the coordinator's frames sent and received per
+// rollout, relayed/rollout the share of them the hub forwarded from one
+// worker to another; both fall as placement keeps chunks inside their
+// median's process. allocs/op is not gated: it varies with loopback
+// timing.
+func BenchmarkNetPoolFineJob(b *testing.B) {
+	cfg := Config{Level: 2, Root: sudoku.New(3), Seed: 3, FirstMoveOnly: true}
+	pool, err := NewNetPool(PoolConfig{Slots: 2, Medians: 2, Clients: 2}, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var workers sync.WaitGroup
+	for range 2 {
+		w, err := mpi.DialWorker(pool.WorkerAddr(), "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			if _, err := ServeWorker(w); err != nil {
+				b.Error(err)
+			}
+		}()
+	}
+	defer func() {
+		pool.Shutdown()
+		workers.Wait()
+	}()
+	if _, err := pool.RunJob(0, cfg, nil); err != nil { // warm the workers' buffers
+		b.Fatal(err)
+	}
+	warm, warmNet := pool.Metrics(), pool.net.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pool.RunJob(0, cfg, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	n := pool.net.Stats()
+	rollouts := float64(pool.Metrics().Jobs - warm.Jobs)
+	b.ReportMetric(float64(n.FramesSent+n.FramesRecv-warmNet.FramesSent-warmNet.FramesRecv)/rollouts, "frames/rollout")
+	b.ReportMetric(float64(n.Relayed-warmNet.Relayed)/rollouts, "relayed/rollout")
 }
 
 // BenchmarkPoolGuidedJob measures a guided job on the default pool shape

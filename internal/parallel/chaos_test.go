@@ -393,8 +393,11 @@ func TestChaosDegradeFailFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The severed worker hosts the pool's only median (ranks c c | c m),
+	// so the job cannot finish on the survivor before the grace expires:
+	// it is still running when the abandonment lands.
 	pool, err := NewNetPool(
-		PoolConfig{Slots: 1, Medians: 2, Clients: 3},
+		PoolConfig{Slots: 1, Medians: 1, Clients: 3},
 		NetPoolConfig{
 			Listen: "127.0.0.1:0", Workers: 2,
 			ReplaceGrace: 100 * time.Millisecond, // Degrade off: any abandonment fails the pool

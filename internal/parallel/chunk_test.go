@@ -203,10 +203,14 @@ func TestPoolAsyncCancelsChunksInFlight(t *testing.T) {
 }
 
 // Ranks of the 1 slot × 1 median × 2 clients world the scripts run in:
-// slot 0, scheduler 1, dispatcher 2, median 3, clients 4 and 5.
-const (
-	slot0          mpi.Rank = 0
-	scriptedMedian mpi.Rank = 3
+// slot 0, scheduler 1, dispatcher 2, then the median and the two clients
+// in newPoolWorld's interleaved order.
+const slot0 mpi.Rank = 0
+
+var (
+	scriptedWorld  = newPoolWorld(PoolConfig{Slots: 1, Medians: 1, Clients: 2})
+	scriptedMedian = scriptedWorld.medians[0]
+	scriptedClient = scriptedWorld.clients[0]
 )
 
 // scriptedPool is a wall cluster with a pool's rank layout in which the
@@ -460,7 +464,7 @@ func TestMedianAbortDropsChunkBuffers(t *testing.T) {
 // sequential search gives under the item's key.
 func TestClientAnswersChunks(t *testing.T) {
 	sp := newScriptedPool(t, PoolConfig{Slots: 1, Medians: 1, Clients: 2}, map[mpi.Rank]func(mpi.Comm, *poolWorld){
-		scriptedMedian + 1: func(c mpi.Comm, w *poolWorld) { runPoolClient(c, w, nil, false, func(time.Duration) {}) },
+		scriptedClient: func(c mpi.Comm, w *poolWorld) { runPoolClient(c, w, nil, false, func(time.Duration) {}) },
 	})
 	w := sp.w
 	median, client, other := w.medians[0], w.clients[0], w.clients[1]

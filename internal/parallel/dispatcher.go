@@ -25,6 +25,11 @@ type dispatchPolicy struct {
 	// notices can repair the free list. The per-run protocol never sees
 	// losses and skips the bookkeeping, so its hot path is untouched.
 	faultAware bool
+	// near, when set, reports whether client b shares median a's process:
+	// a median is granted the first free client near it, else the first
+	// free client. Placement only — which client runs a rollout never
+	// changes its score. Blind Round-Robin ignores it.
+	near func(a, b mpi.Rank) bool
 }
 
 // lmJob is a pending request in the dispatcher's queue.
@@ -52,10 +57,11 @@ type lmJob struct {
 //	15    else: assign the first free client
 //
 // The first-in free client is used, so recently freed (likely fast) nodes
-// keep cycling on a heterogeneous cluster. Round-Robin (§IV-A) is the same
-// loop with lines 5–11 struck out and every client free again the moment it
-// is assigned (dispatchPolicy.blind), so line 14 never applies. trace, when
-// non-nil, records each assignment.
+// keep cycling on a heterogeneous cluster — the first one in the
+// requesting median's process, when dispatchPolicy.near says which.
+// Round-Robin (§IV-A) is the same loop with lines 5–11 struck out and every
+// client free again the moment it is assigned (dispatchPolicy.blind), so
+// line 14 never applies. trace, when non-nil, records each assignment.
 func runDispatcher(c mpi.Comm, lay cluster.Layout, pol dispatchPolicy, trace func(kind string, from, to mpi.Rank, at time.Duration)) {
 	free := append([]mpi.Rank(nil), lay.Clients...) // line 1
 	var jobs []lmJob                                // line 2
@@ -64,10 +70,17 @@ func runDispatcher(c mpi.Comm, lay cluster.Layout, pol dispatchPolicy, trace fun
 	if pol.faultAware {
 		assigned = make(map[mpi.Rank]mpi.Rank, len(lay.Clients))
 	}
-	// assign hands the first free client to a median, recording the pair.
+	// assign hands the first free client (near the median, if any is) to
+	// a median, recording the pair.
 	assign := func(to mpi.Rank) {
-		client := free[0]
-		free = free[1:]
+		i := 0
+		if pol.near != nil && !pol.blind {
+			if j := slices.IndexFunc(free, func(cl mpi.Rank) bool { return pol.near(to, cl) }); j > 0 {
+				i = j
+			}
+		}
+		client := free[i]
+		free = slices.Delete(free, i, i+1)
 		if pol.blind {
 			free = append(free, client) // straight back in line: the list is the cyclic order
 		}

@@ -9,16 +9,20 @@ import (
 
 // TestDispatcherScripts drives the one dispatcher loop under each policy
 // with scripted medians and clients: 1 slot × 2 medians × 3 clients, so
-// scheduler 1, dispatcher 2, medians 3–4, clients 5–7. Every script line
+// scheduler 1, dispatcher 2, then medians m0, m1 and clients c0–c2 in
+// newPoolWorld's interleaved order (c0 c1 m0 c2 m1). Every script line
 // sends one message to the dispatcher and names the assignment it must
 // cause, if any; an assignment nobody named surfaces as a wrong client on
 // a later line or in the final quiet check.
 func TestDispatcherScripts(t *testing.T) {
-	const (
-		m0, m1     mpi.Rank = 3, 4
-		c0, c1, c2 mpi.Rank = 5, 6, 7
-		none       mpi.Rank = -3
-	)
+	w := newPoolWorld(PoolConfig{Slots: 1, Medians: 2, Clients: 3})
+	m0, m1 := w.medians[0], w.medians[1]
+	c0, c1, c2 := w.clients[0], w.clients[1], w.clients[2]
+	const none mpi.Rank = -3
+	// near splits the worker ranks the way a two-process net pool does:
+	// c0, c1 and m0 share one process, c2 and m1 the other.
+	second := map[mpi.Rank]bool{c2: true, m1: true}
+	near := func(a, b mpi.Rank) bool { return second[a] == second[b] }
 	span := func(r mpi.Rank) svcRanksLost { return svcRanksLost{Lo: r, Hi: r + 1} }
 	type line struct {
 		from    mpi.Rank // mpi.External: injected, as the pool does
@@ -77,6 +81,31 @@ func TestDispatcherScripts(t *testing.T) {
 			req(m0, 5, m0, c2),
 			req(m1, 5, none, none),
 			free(c1, m1, c1),
+		}},
+		{"near: a median gets its own process's client first", dispatchPolicy{near: near}, []line{
+			req(m1, 5, m1, c2), // c0 heads the free list, c2 is m1's own
+			req(m0, 5, m0, c0),
+			req(m0, 5, m0, c1),
+			free(c2, none, none),
+			free(c0, none, none), // free list c2, c0: m0 skips c2 for c0
+			req(m0, 5, m0, c0),
+		}},
+		{"near: falls back to the first free client", dispatchPolicy{near: near}, []line{
+			req(m1, 5, m1, c2),
+			req(m1, 5, m1, c0), // none of m1's own is free
+			req(m0, 5, m0, c1),
+		}},
+		{"near: longest expected job first still picks the request", dispatchPolicy{longestFirst: true, near: near}, []line{
+			req(m0, 5, m0, c0), req(m0, 5, m0, c1), req(m1, 5, m1, c2),
+			req(m1, 9, none, none), req(m0, 2, none, none),
+			free(c2, m0, c2), // m1's own client, but m0's game is longer
+			free(c0, m1, c0),
+		}},
+		{"near: blind round-robin ignores it", dispatchPolicy{blind: true, near: near}, []line{
+			req(m1, 5, m1, c0),
+			req(m1, 5, m1, c1),
+			req(m0, 5, m0, c2),
+			req(m1, 5, m1, c0),
 		}},
 		{"worker loss, abandonment and revival", dispatchPolicy{faultAware: true}, []line{
 			req(m0, 5, m0, c0), req(m1, 5, m1, c1), req(m0, 5, m0, c2),

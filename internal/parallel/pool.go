@@ -537,13 +537,9 @@ func (co *poolCollector) addStepLatency(d time.Duration) {
 func (co *poolCollector) setRemoteIdle(w *poolWorld, lo mpi.Rank, idleSeconds []float64) {
 	co.mu.Lock()
 	for i, sec := range idleSeconds {
-		r := lo + mpi.Rank(i)
-		d := time.Duration(sec * float64(time.Second))
-		switch {
-		case isMedianRank(w, r):
-			co.remoteMedianCur[r-w.firstWorker()] = d
-		case isClientRank(w, r):
-			co.remoteClientCur[int(r-w.firstWorker())-w.cfg.Medians] = d
+		if ro, ok := w.role(lo + mpi.Rank(i)); ok {
+			_, cur := co.remoteIdle(ro)
+			*cur = time.Duration(sec * float64(time.Second))
 		}
 	}
 	co.mu.Unlock()
@@ -555,32 +551,38 @@ func (co *poolCollector) setRemoteIdle(w *poolWorld, lo mpi.Rank, idleSeconds []
 func (co *poolCollector) foldRemoteIdle(w *poolWorld, lo, hi mpi.Rank) {
 	co.mu.Lock()
 	for r := lo; r < hi; r++ {
-		switch {
-		case isMedianRank(w, r):
-			i := r - w.firstWorker()
-			co.remoteMedianBase[i] += co.remoteMedianCur[i]
-			co.remoteMedianCur[i] = 0
-		case isClientRank(w, r):
-			i := int(r-w.firstWorker()) - w.cfg.Medians
-			co.remoteClientBase[i] += co.remoteClientCur[i]
-			co.remoteClientCur[i] = 0
+		if ro, ok := w.role(r); ok {
+			base, cur := co.remoteIdle(ro)
+			*base += *cur
+			*cur = 0
 		}
 	}
 	co.mu.Unlock()
 }
 
+// remoteIdle returns the base and current remote idle counters of a
+// worker rank's role. Caller holds co.mu.
+func (co *poolCollector) remoteIdle(ro rankRole) (base, cur *time.Duration) {
+	if ro.median {
+		return &co.remoteMedianBase[ro.index], &co.remoteMedianCur[ro.index]
+	}
+	return &co.remoteClientBase[ro.index], &co.remoteClientCur[ro.index]
+}
+
 // poolWorld is the pool's rank topology, a pure function of PoolConfig:
-// slots first, then scheduler, dispatcher, medians, clients. The
-// coordinator derives it when building the pool and a pnmcs-worker
-// process derives the identical layout from the PoolConfig in its
-// handshake blob, so both sides agree on every rank and tag without
-// exchanging anything beyond the config.
+// slots first, then scheduler, dispatcher, then the worker ranks with
+// medians and clients interleaved (newPoolWorld). The coordinator derives
+// it when building the pool and a pnmcs-worker process derives the
+// identical layout from the PoolConfig in its handshake blob, so both
+// sides agree on every rank and tag without exchanging anything beyond
+// the config.
 type poolWorld struct {
 	cfg     PoolConfig
 	sched   mpi.Rank
 	disp    mpi.Rank
 	medians []mpi.Rank
 	clients []mpi.Rank
+	roles   []rankRole // indexed rank - firstWorker()
 	space   mpi.TagSpace
 
 	// Degraded layout: which worker ranks have been abandoned (their
@@ -652,25 +654,51 @@ func (w *poolWorld) anyDead() bool {
 	return false
 }
 
+// rankRole is a worker rank's role and its index in poolWorld.medians
+// (median) or poolWorld.clients (otherwise).
+type rankRole struct {
+	median bool
+	index  int
+}
+
 // newPoolWorld lays out the world of a pool with the given (defaulted)
-// config.
+// config. With M medians among n = M + C worker ranks, worker rank k
+// (0-based after the control ranks) is a median iff ⌊(k+1)·M/n⌋ >
+// ⌊k·M/n⌋, a client otherwise. The first L worker ranks therefore hold
+// exactly ⌊L·M/n⌋ medians, so any contiguous range of L ranks holds
+// ⌊L·M/n⌋ or ⌈L·M/n⌉ of them: NewNetPool's even split of the worker
+// ranks gives every worker process its proportional share of both roles,
+// and a median's clients can live in its process.
 func newPoolWorld(cfg PoolConfig) *poolWorld {
+	n := cfg.Medians + cfg.Clients
 	w := &poolWorld{
 		cfg:   cfg,
 		sched: mpi.Rank(cfg.Slots),
 		disp:  mpi.Rank(cfg.Slots + 1),
+		roles: make([]rankRole, n),
 		space: mpi.TagSpace{Base: tagBandBase, Width: numOffsets, Bands: cfg.Slots},
 	}
-	next := mpi.Rank(cfg.Slots + 2)
-	for i := 0; i < cfg.Medians; i++ {
-		w.medians = append(w.medians, next)
-		next++
-	}
-	for i := 0; i < cfg.Clients; i++ {
-		w.clients = append(w.clients, next)
-		next++
+	for k := range w.roles {
+		r := w.firstWorker() + mpi.Rank(k)
+		if (k+1)*cfg.Medians/n > k*cfg.Medians/n {
+			w.roles[k] = rankRole{median: true, index: len(w.medians)}
+			w.medians = append(w.medians, r)
+		} else {
+			w.roles[k] = rankRole{index: len(w.clients)}
+			w.clients = append(w.clients, r)
+		}
 	}
 	return w
+}
+
+// role returns worker rank r's role; ok is false for control ranks and
+// ranks outside the world.
+func (w *poolWorld) role(r mpi.Rank) (ro rankRole, ok bool) {
+	i := int(r - w.firstWorker())
+	if i < 0 || i >= len(w.roles) {
+		return rankRole{}, false
+	}
+	return w.roles[i], true
 }
 
 // size returns the world size: slots + scheduler + dispatcher + workers.
@@ -678,8 +706,8 @@ func (w *poolWorld) size() int {
 	return w.cfg.Slots + 2 + w.cfg.Medians + w.cfg.Clients
 }
 
-// firstWorker is the first median rank — every rank at or beyond it may
-// be hosted by a remote worker process.
+// firstWorker is the first worker (median or client) rank — every rank
+// at or beyond it may be hosted by a remote worker process.
 func (w *poolWorld) firstWorker() mpi.Rank { return mpi.Rank(w.cfg.Slots + 2) }
 
 // poolCluster is what a Pool needs from its transport: the Cluster
@@ -763,7 +791,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		return nil, err
 	}
 	world := newPoolWorld(cfg)
-	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg))
+	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg), nil)
 }
 
 // NetPoolConfig describes the distributed deployment of a NewNetPool.
@@ -772,8 +800,11 @@ type NetPoolConfig struct {
 	// binds an ephemeral port (read it back with Pool.WorkerAddr).
 	Listen string
 	// Workers is the number of pnmcs-worker processes expected. The
-	// pool's medians and clients are split across them as contiguous rank
-	// ranges, as evenly as possible.
+	// pool's worker ranks are split across them as contiguous ranges, as
+	// evenly as possible; since medians and clients are interleaved
+	// (newPoolWorld), each range holds its proportional share of both
+	// roles, and the dispatcher grants a median a client of its own
+	// process first.
 	Workers int
 	// Token, when non-empty, is the shared secret every worker must
 	// present at handshake (constant-time compared by the coordinator).
@@ -845,13 +876,18 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 	if net.Workers > remote {
 		return nil, fmt.Errorf("parallel: %d workers for %d median+client ranks", net.Workers, remote)
 	}
-	ranks := make([]int, net.Workers)
-	for i := range ranks {
-		ranks[i] = remote / net.Workers
-		if i < remote%net.Workers {
-			ranks[i]++
+	ranks := splitRanks(remote, net.Workers)
+	host := make([]int, 0, remote) // worker index of each rank - firstWorker()
+	for i, n := range ranks {
+		for range n {
+			host = append(host, i)
 		}
 	}
+	// near tells the dispatcher which clients share a median's process:
+	// granting those first keeps a chunk and its result off the hub.
+	// Both ranks are worker ranks: the dispatcher only asks it about a
+	// validated median and a client from its free list.
+	near := func(a, b mpi.Rank) bool { return host[a-world.firstWorker()] == host[b-world.firstWorker()] }
 	coll := newPoolCollector(cfg)
 
 	if net.MinWorkers <= 0 {
@@ -931,13 +967,26 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 		return nil, err
 	}
 	ncp.Store(nc)
-	p, err := newPoolOn(world, nc, nc, coll)
+	p, err := newPoolOn(world, nc, nc, coll, near)
 	if err != nil {
 		return nil, err
 	}
 	p.netCfg = net
 	pp.Store(p)
 	return p, nil
+}
+
+// splitRanks splits n worker ranks into w contiguous ranges, as evenly as
+// possible: the first n%w ranges hold one rank more than the rest.
+func splitRanks(n, w int) []int {
+	ranks := make([]int, w)
+	for i := range ranks {
+		ranks[i] = n / w
+		if i < n%w {
+			ranks[i]++
+		}
+	}
+	return ranks
 }
 
 // handleAbandoned runs when the transport gives up on a lost worker for
@@ -1054,8 +1103,9 @@ func newPoolCollector(cfg PoolConfig) *poolCollector {
 // newPoolOn wires the pool's ranks onto a transport and starts it. The
 // same wiring runs for every transport: a cluster hosting only a subset
 // of the ranks (the net coordinator) ignores Start calls for the ranks
-// other processes host.
-func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolCollector) (*Pool, error) {
+// other processes host. near is the dispatcher's locality preference
+// (dispatchPolicy.near); nil when every rank shares one process.
+func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolCollector, near func(a, b mpi.Rank) bool) (*Pool, error) {
 	cfg := world.cfg
 	p := &Pool{
 		cfg:       cfg,
@@ -1088,7 +1138,7 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		Medians: append([]mpi.Rank(nil), world.medians...),
 		Clients: append([]mpi.Rank(nil), world.clients...),
 	}
-	pol := dispatchPolicy{longestFirst: cfg.Algo == LastMinute, faultAware: true}
+	pol := dispatchPolicy{longestFirst: cfg.Algo == LastMinute, faultAware: true, near: near}
 	p.cluster.Start(world.disp, func(c mpi.Comm) { runDispatcher(c, dispLay, pol, nil) })
 	startPoolWorkers(p.cluster, world, p.cache, cfg.CacheVerify, p.coll.addMedianIdle, p.coll.addClientIdle)
 
@@ -1122,17 +1172,16 @@ func startPoolWorkers(cl mpi.Cluster, world *poolWorld, tc *cache.Cache, cacheVe
 	}
 }
 
-// isMedianRank reports whether r is one of the world's median ranks
-// (medians occupy a contiguous range after the control ranks).
+// isMedianRank reports whether r is one of the world's median ranks.
 func isMedianRank(w *poolWorld, r mpi.Rank) bool {
-	return r >= w.firstWorker() && r < w.firstWorker()+mpi.Rank(w.cfg.Medians)
+	ro, ok := w.role(r)
+	return ok && ro.median
 }
 
-// isClientRank reports whether r is one of the world's client ranks
-// (clients occupy the contiguous range after the medians).
+// isClientRank reports whether r is one of the world's client ranks.
 func isClientRank(w *poolWorld, r mpi.Rank) bool {
-	first := w.firstWorker() + mpi.Rank(w.cfg.Medians)
-	return r >= first && r < first+mpi.Rank(w.cfg.Clients)
+	ro, ok := w.role(r)
+	return ok && !ro.median
 }
 
 // WorkerAddr returns the address worker processes dial, or "" for an

@@ -63,7 +63,7 @@ func ServeWorker(w *mpi.NetWorker) (WorkerStats, error) {
 	}
 
 	for r := lo; r < hi; r++ {
-		if int(r-world.firstWorker()) < cfg.Medians {
+		if isMedianRank(world, r) {
 			stats.Medians++
 		} else {
 			stats.Clients++
