@@ -14,14 +14,13 @@
 // submitted, one worker process is SIGKILLed mid-run, a replacement
 // worker dials in and reclaims the lost rank range, and the job must
 // still complete bit-identical to its reference — the coordinator
-// re-queues the dead worker's candidate grants and the surviving ranks
-// re-issue the lost rollouts, which /metrics must show
+// re-queues the dead worker's candidate grants, which /metrics must show
 // (pnmcs_worker_lost_total, pnmcs_worker_rejoined_total).
 //
 // Last comes graceful degradation (DESIGN.md §9): the replacement worker
-// is SIGKILLed mid-job and NO new worker is started. After -replace-grace
-// the coordinator abandons the slot, re-maps the dead rank range onto the
-// one surviving worker, and the job must finish on the shrunken world —
+// is SIGKILLed and NO new worker is started. After -replace-grace the
+// coordinator abandons the slot and re-maps the dead rank range onto the
+// one surviving worker, and the next job must run on the shrunken world —
 // still bit-identical, flagged "degraded" in its status, with the
 // abandonment visible in /metrics (pnmcs_worker_abandoned_total,
 // pnmcs_pool_degraded) and /readyz answering 200 "degraded".
@@ -118,13 +117,13 @@ func main() {
 
 	// Stagger the joins: the coordinator hands out the lowest free slot,
 	// so waiting for worker-1 before starting worker-2 pins worker-1 to
-	// the first remote range (the one holding the median ranks). The
-	// degradation phase below depends on that: it abandons worker-2's
-	// client-only range, leaving the medians alive on worker-1.
+	// the first remote range. Each range hosts a median and two clients
+	// (c c m | c c m), so each worker dispatches its own clients and
+	// either can finish a job alone once the other is gone.
 	w1 := start(*binDir, "pnmcs-worker", "-connect", workerAddr, "-worker-token", token)
-	waitWorkers(1)
+	waitMetric("pnmcs_net_workers 1")
 	w2 := start(*binDir, "pnmcs-worker", "-connect", workerAddr, "-worker-token", token)
-	waitWorkers(2)
+	waitMetric("pnmcs_net_workers 2")
 
 	// One job per domain: morpion plays a full level-2 game across the
 	// wire; the others are smaller boards. Seeds are arbitrary but fixed.
@@ -181,22 +180,24 @@ func main() {
 	}
 	w2.Wait() //nolint:errcheck // reap the SIGKILLed worker
 
-	// Degradation phase: SIGKILL the replacement mid-job and start NO new
-	// worker. Once -replace-grace expires the coordinator abandons the
-	// slot and re-maps its rank range onto worker-1; the job must finish
-	// on the shrunken world — bit-identical, because rollout randomness is
-	// keyed by logical job coordinates, never by which worker runs them.
+	// Degradation phase: SIGKILL the replacement and start NO new worker.
+	// Once -replace-grace expires the coordinator abandons the slot and
+	// re-maps its rank range onto worker-1; the next job runs on the
+	// shrunken world — bit-identical, because rollout randomness is keyed
+	// by logical job coordinates, never by which worker runs them. (A job
+	// in flight at the kill would not wait for the abandonment: worker-1
+	// finishes it with its own median and clients.)
+	if err := w3.Process.Kill(); err != nil {
+		die("kill worker-3: %v", err)
+	}
+	log.Printf("degrade: worker-3 SIGKILLed; no replacement — waiting out -replace-grace")
+	waitMetric("pnmcs_worker_abandoned_total 1")
 	degradeSpec := service.JobSpec{
 		Domain: "samegame", Width: 8, Height: 8, Colors: 3, BoardSeed: 17,
 		Level: 2, Seed: 29, Memorize: true,
 	}
 	degradeID := submit(degradeSpec)
 	log.Printf("degrade: submitted %s as %s", degradeSpec.Domain, degradeID)
-	awaitSteps(degradeID, 1)
-	if err := w3.Process.Kill(); err != nil {
-		die("kill worker-3: %v", err)
-	}
-	log.Printf("degrade: worker-3 SIGKILLed mid-job; no replacement — waiting out -replace-grace")
 	st = await(degradeID)
 	if st.State != service.StateDone {
 		die("degraded job state %s (error %q)", st.State, st.Error)
@@ -283,12 +284,12 @@ func waitFor(cmd *exec.Cmd, budget time.Duration) error {
 	}
 }
 
-// waitWorkers polls /metrics until n workers are connected, pinning the
-// slot order of staggered worker starts.
-func waitWorkers(n int) {
-	want := []byte(fmt.Sprintf("pnmcs_net_workers %d", n))
+// waitMetric polls /metrics until it carries the line want: a worker
+// count, pinning the slot order of staggered worker starts, or an
+// abandonment.
+func waitMetric(want string) {
 	deadline := time.Now().Add(30 * time.Second)
-	for !bytes.Contains(httpGet("/metrics"), want) {
+	for !bytes.Contains(httpGet("/metrics"), []byte(want)) {
 		if time.Now().After(deadline) {
 			die("never saw %s", want)
 		}

@@ -2,7 +2,7 @@
 // serving shape of on-line policy improvement. One shared worker pool is
 // built once; jobs across all three domains are submitted concurrently,
 // stream progress while they run, and return results bit-identical to
-// solo RunWall runs with the same seed. cmd/pnmcsd exposes this same
+// parallel.Reference's answer for the same seed. cmd/pnmcsd exposes this same
 // service over HTTP; this example drives it in-process through the Go
 // facade.
 package main

@@ -365,6 +365,9 @@ func TestNetDoubleGoodbye(t *testing.T) {
 		w2, err = DialWorker(nc.Addr(), "")
 		return err == nil
 	})
+	// OnWorkerJoined runs after the handshake and the flush of queued
+	// frames, so it may still be running when DialWorker returns.
+	waitUntil(t, "second join", func() bool { _, j, _ := rec.snapshot(); return j == 2 })
 	if l, j, r := rec.snapshot(); l != 1 || j != 2 || r != 1 {
 		t.Fatalf("lost %d joins %d rejoins %d, want 1/2/1", l, j, r)
 	}

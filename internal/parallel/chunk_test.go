@@ -49,6 +49,7 @@ func lateGame(root game.State, left int, seed uint64) game.State {
 // × three domains × level 2 and 3 × the lockstep and the speculating root,
 // on the wall pool and on the net pool, each against Reference.
 func TestChunkShapeEquivalence(t *testing.T) {
+	noGoroutineLeak(t)
 	type job struct {
 		name string
 		cfg  Config

@@ -22,12 +22,19 @@ import (
 // its proportional share of medians, and at the table's shapes with at
 // least as many medians and clients as workers, every worker hosts both
 // roles. (The rule guarantees that whenever each worker's range holds at
-// least n/min(M, C) ranks; with more workers a range may not.)
+// least n/min(M, C) ranks; with more workers a range may not.) The local
+// column is NewNetPool's dispatch choice: each worker dispatches its own
+// clients exactly when every range hosts both roles, and the coordinator's
+// dispatcher runs otherwise.
 func TestPoolWorldLayout(t *testing.T) {
-	for _, tc := range []struct{ slots, m, c, w int }{
-		{1, 1, 1, 1}, {2, 2, 2, 2}, {1, 2, 3, 1},
-		{4, 4, 8, 1}, {4, 4, 8, 2}, {4, 4, 8, 3}, {4, 4, 8, 4},
-		{2, 3, 5, 2}, {1, 1, 8, 2}, {3, 5, 9, 3},
+	for _, tc := range []struct {
+		slots, m, c, w int
+		local          bool
+	}{
+		{1, 1, 1, 1, true}, {2, 2, 2, 2, true}, {1, 2, 3, 1, true},
+		{4, 4, 8, 1, true}, {4, 4, 8, 2, true}, {4, 4, 8, 3, true}, {4, 4, 8, 4, true},
+		{2, 3, 5, 2, true}, {1, 1, 8, 2, false}, {3, 5, 9, 3, true},
+		{1, 1, 3, 2, false}, {1, 2, 2, 3, false}, {4, 4, 8, 6, false},
 	} {
 		w := newPoolWorld(PoolConfig{Slots: tc.slots, Medians: tc.m, Clients: tc.c})
 		n := tc.m + tc.c
@@ -59,6 +66,9 @@ func TestPoolWorldLayout(t *testing.T) {
 			}
 		}
 
+		if got := localDispatch(w, splitRanks(n, tc.w)); got != tc.local {
+			t.Fatalf("%+v: local dispatch %v", tc, got)
+		}
 		lo := first
 		for i, size := range splitRanks(n, tc.w) {
 			hi := lo + mpi.Rank(size)
@@ -198,5 +208,48 @@ func TestNetPoolDropsBadIdleTelemetry(t *testing.T) {
 		if got := idle(); !slices.Equal(got, want) {
 			t.Fatalf("snapshot with %v moved idle from %v to %v", bad, want, got)
 		}
+	}
+}
+
+// TestNetPoolChunksStayInProcess runs a sudoku box-3 level-2 game on
+// net_loopback's shape, where every worker hosts a median and a client:
+// each worker dispatches its own clients, so no chunk or chunk result
+// reaches the coordinator. The job must match the reference, the hub must
+// relay nothing, and what the coordinator sees — grants, work requests,
+// step scores — must stay under half a frame per rollout. (A coordinator
+// dispatcher costs three frames per chunk: the request, the assignment and
+// the free notice.)
+func TestNetPoolChunksStayInProcess(t *testing.T) {
+	noGoroutineLeak(t)
+	pool, err := NewNetPool(
+		PoolConfig{Slots: 2, Medians: 2, Clients: 2},
+		NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pool.local {
+		t.Fatal("net_loopback's shape runs the coordinator's dispatcher")
+	}
+	wait := startNetWorkers(t, pool.WorkerAddr(), 2)
+	cfg := Config{Level: 2, Root: sudoku.New(3), Seed: 3}
+	res, err := pool.RunJob(0, cfg, nil)
+	st := pool.net.Stats()
+	pool.Shutdown()
+	wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := Reference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "net pool with local dispatch", res, solo)
+	if st.Relayed != 0 {
+		t.Fatalf("the hub relayed %d frames", st.Relayed)
+	}
+	if perRollout := float64(st.FramesSent+st.FramesRecv) / float64(res.Jobs); perRollout > 0.5 {
+		t.Fatalf("%d frames sent and %d received for %d rollouts: %.2f per rollout",
+			st.FramesSent, st.FramesRecv, res.Jobs, perRollout)
 	}
 }

@@ -77,6 +77,7 @@ func assertSameResult(t *testing.T, name string, got, want Result) {
 // (coordinator + 2 loopback workers) and on an in-process pool, and checks
 // each against Reference for the same seed.
 func TestNetPoolEquivalence(t *testing.T) {
+	noGoroutineLeak(t)
 	pool, err := NewNetPool(
 		PoolConfig{Slots: 2, Medians: 2, Clients: 3},
 		NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2},
@@ -143,6 +144,7 @@ func TestNetPoolEquivalence(t *testing.T) {
 // wire; each must still match its solo twin despite sharing remote
 // medians and clients.
 func TestNetPoolConcurrentJobs(t *testing.T) {
+	noGoroutineLeak(t)
 	pool, err := NewNetPool(
 		PoolConfig{Slots: 3, Medians: 2, Clients: 4},
 		NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2},
@@ -188,6 +190,7 @@ func TestNetPoolConcurrentJobs(t *testing.T) {
 // the drain protocol must hold across the wire (no stuck ranks, partial
 // result returned).
 func TestNetPoolCancellation(t *testing.T) {
+	noGoroutineLeak(t)
 	pool, err := NewNetPool(
 		PoolConfig{Slots: 1, Medians: 1, Clients: 2},
 		NetPoolConfig{Listen: "127.0.0.1:0", Workers: 1},

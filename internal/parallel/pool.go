@@ -20,9 +20,12 @@ package parallel
 //     candidates on their slot's tag band (mpi.TagSpace), idle medians
 //     pull with work requests, and grants are served round-robin across
 //     jobs so one wide job cannot starve the others.
-//   - One dispatcher rank assigns clients to median requests, reusing the
-//     demand-driven dispatcher (availability-tracked clients, pending
-//     jobs served longest-expected-first under LastMinute).
+//   - Medians take clients from a free list shared in memory by the
+//     medians and clients of their process (clientList): the demand-driven
+//     dispatcher without its rank, pending requests served
+//     longest-expected-first under LastMinute. A net pool whose worker
+//     processes do not each host both roles keeps the dispatcher rank in
+//     the coordinator instead (localDispatch).
 //   - M median ranks and C client ranks are built once and reused across
 //     every job: their StatePools, searchers and move buffers stay warm,
 //     and per-job parameters (level, seed, memorization) travel with the
@@ -39,10 +42,10 @@ package parallel
 //
 // Determinism: client rollouts are keyed by their logical job coordinates
 // (rng.Fold over root step, root candidate, median step, median
-// candidate) and the job's own seed, exactly as in RunWall — so a job's
-// score and sequence are bit-identical to the same Config run solo
-// through RunWall, no matter how many other jobs share the pool or where
-// its rollouts execute. The service-level equivalence tests pin this.
+// candidate) and the job's own seed, exactly as in Reference — so a job's
+// score, sequence and rollout accounting are bit-identical to Reference's
+// answer for the same Config, no matter how many other jobs share the
+// pool or where its rollouts execute. The equivalence tests pin this.
 
 import (
 	"fmt"
@@ -69,9 +72,9 @@ const (
 	tagGrant                            // scheduler -> median: candidate to play
 	tagStepScore                        // median -> slot: finished game score
 	tagAbandonAck                       // scheduler -> slot: dropped-candidate count
-	tagRanksLost                        // External -> scheduler/dispatcher/median: worker ranks died
+	tagRanksLost                        // External -> scheduler (and dispatcher/median, see noticeDispatch): worker ranks died
 	tagRegrant                          // scheduler -> slot: lost candidates re-queued
-	tagRanksDead                        // External -> scheduler/dispatcher/median: ranks abandoned, no replacement coming
+	tagRanksDead                        // External -> scheduler (and dispatcher/median): ranks abandoned, no replacement coming
 	tagRanksRevived                     // External -> dispatcher/median: abandoned ranks rejoined after all
 	tagJobFail                          // External -> slot: pool degraded below its floor, fail the job
 	tagSpecCancel                       // scheduler -> median: speculative branch cancelled
@@ -202,13 +205,14 @@ func resultKey(p jobParams, par int, rngKey uint64) uint64 {
 	return rng.Fold(uint64(p.Slot), p.Epoch, rngKey, uint64(par+1))
 }
 
-// svcRanksLost is the worker-loss notice the pool injects at the
-// scheduler, the dispatcher and every median when a worker process dies:
-// the contiguous rank range [Lo, Hi) the worker hosted. Each recipient
-// repairs its own bookkeeping — the scheduler re-queues the medians'
-// outstanding candidate grants, the dispatcher re-frees dead or
-// dead-assigned clients, and each median re-issues rollout jobs it had in
-// flight on dead clients.
+// svcRanksLost is the worker-loss notice the pool injects when a worker
+// process dies: the contiguous rank range [Lo, Hi) the worker hosted. Each
+// recipient repairs its own bookkeeping — the scheduler re-queues the
+// medians' outstanding candidate grants; where the coordinator's
+// dispatcher runs, it re-frees dead or dead-assigned clients and each
+// surviving median re-issues rollout jobs it had in flight on dead
+// clients. Where medians take clients from their own process's list, only
+// the scheduler is told: the worker took its clients with it.
 type svcRanksLost struct {
 	Lo, Hi mpi.Rank
 }
@@ -293,9 +297,9 @@ type PoolConfig struct {
 	Medians int
 	// Clients is the number of shared rollout workers. Default 8. See Medians.
 	Clients int
-	// Algo orders the dispatcher's pending-job queue (LastMinute serves
-	// the longest-expected job first). A pool-level policy: jobs share one
-	// dispatcher, and scheduling never changes scores (see package doc).
+	// Algo orders the medians waiting for a client (LastMinute serves the
+	// longest-expected job first). A pool-level policy: jobs share the
+	// pool's clients, and scheduling never changes scores (see package doc).
 	Algo Algorithm
 	// CacheMB bounds the process's shared transposition cache in
 	// megabytes. One cache serves every slot, job and client the process
@@ -570,8 +574,9 @@ func (co *poolCollector) remoteIdle(ro rankRole) (base, cur *time.Duration) {
 }
 
 // poolWorld is the pool's rank topology, a pure function of PoolConfig:
-// slots first, then scheduler, dispatcher, then the worker ranks with
-// medians and clients interleaved (newPoolWorld). The coordinator derives
+// slots first, then scheduler, dispatcher (whose body returns at once
+// under local dispatch), then the worker ranks with medians and clients
+// interleaved (newPoolWorld). The coordinator derives
 // it when building the pool and a pnmcs-worker process derives the
 // identical layout from the PoolConfig in its handshake blob, so both
 // sides agree on every rank and tag without exchanging anything beyond
@@ -584,6 +589,12 @@ type poolWorld struct {
 	clients []mpi.Rank
 	roles   []rankRole // indexed rank - firstWorker()
 	space   mpi.TagSpace
+	// list is the free list the medians and clients of this process share
+	// (clientList): every worker rank of an in-process pool, or a worker
+	// process's own range. nil where the coordinator's dispatcher rank
+	// assigns clients, and in a net pool's coordinator, which hosts no
+	// median or client.
+	list *clientList
 
 	// Degraded layout: which worker ranks have been abandoned (their
 	// process lost for good, no replacement). Every participant that
@@ -733,6 +744,7 @@ type Pool struct {
 	coll    *poolCollector
 	cache   *cache.Cache // coordinator-resident clients' transposition cache
 	inline  bool         // in process, 1 median × 1 client: slots play their jobs (playInline)
+	local   bool         // medians take clients from their process's clientList; no dispatcher runs
 
 	runDone chan struct{}
 
@@ -782,16 +794,18 @@ var ErrPoolClosed = fmt.Errorf("parallel: pool is shut down")
 // the same answer once capacity returns.
 var ErrDegraded = fmt.Errorf("parallel: pool degraded below its worker floor")
 
-// NewPool builds the worker cluster — slots, scheduler, dispatcher,
-// medians, clients — as goroutines of this process and starts it running.
-// The pool idles until jobs are submitted with RunJob.
+// NewPool builds the worker cluster — slots, scheduler, medians, clients
+// — as goroutines of this process and starts it running. One clientList
+// holds every client, so no dispatcher rank runs. The pool idles until
+// jobs are submitted with RunJob.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	world := newPoolWorld(cfg)
-	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg), nil)
+	world.list = newClientList(world, world.firstWorker(), mpi.Rank(world.size()))
+	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg), true, nil)
 }
 
 // NetPoolConfig describes the distributed deployment of a NewNetPool.
@@ -803,8 +817,10 @@ type NetPoolConfig struct {
 	// pool's worker ranks are split across them as contiguous ranges, as
 	// evenly as possible; since medians and clients are interleaved
 	// (newPoolWorld), each range holds its proportional share of both
-	// roles, and the dispatcher grants a median a client of its own
-	// process first.
+	// roles. When every range holds both, each worker's medians take
+	// clients from the worker's own free list and the coordinator runs no
+	// dispatcher (localDispatch); otherwise the coordinator's dispatcher
+	// grants a median a client of its own process first.
 	Workers int
 	// Token, when non-empty, is the shared secret every worker must
 	// present at handshake (constant-time compared by the coordinator).
@@ -844,20 +860,23 @@ type NetPoolConfig struct {
 }
 
 // NewNetPool builds a distributed pool: the control ranks — job slots,
-// scheduler, dispatcher — run in this process (the coordinator), and the
-// median and client ranks are hosted by Workers external processes
-// running cmd/pnmcs-worker (or parallel.ServeWorker). The pool accepts
-// jobs immediately; until workers dial in, candidates simply wait in the
-// scheduler's queues. Scores are bit-identical to the same jobs on an
-// in-process pool or solo RunWall: rollout streams are keyed by logical
-// job coordinates, never by where a rollout runs.
+// scheduler and, when the layout needs one, the dispatcher — run in this
+// process (the coordinator), and the median and client ranks are hosted
+// by Workers external processes running cmd/pnmcs-worker (or
+// parallel.ServeWorker). The pool accepts jobs immediately; until workers
+// dial in, candidates simply wait in the scheduler's queues. Results are
+// bit-identical to Reference's answer for the same Config: rollout
+// streams are keyed by logical job coordinates, never by where a rollout
+// runs.
 //
 // The pool survives worker churn (DESIGN.md §8): when a worker's stream
 // dies — crash, reset, or missed heartbeat — the candidates granted to
 // its medians are re-queued at the head of their jobs' queues and
-// re-granted to surviving medians, medians re-issue rollout jobs they had
-// in flight on the dead worker's clients, and the dispatcher returns the
-// stranded clients to its free list. A replacement worker dialing in
+// re-granted to surviving medians. Where the coordinator's dispatcher
+// runs, medians also re-issue rollout jobs they had in flight on the dead
+// worker's clients, and the dispatcher returns the stranded clients to its
+// free list; where each worker dispatches its own clients, the worker took
+// them with it and there is nothing more to repair. A replacement worker dialing in
 // reclaims the lost slot's rank range mid-job and starts serving
 // immediately, receiving everything queued for the slot while it was
 // down. Results stay bit-identical through all of it: re-executed work
@@ -877,6 +896,7 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 		return nil, fmt.Errorf("parallel: %d workers for %d median+client ranks", net.Workers, remote)
 	}
 	ranks := splitRanks(remote, net.Workers)
+	local := localDispatch(world, ranks)
 	host := make([]int, 0, remote) // worker index of each rank - firstWorker()
 	for i, n := range ranks {
 		for range n {
@@ -927,7 +947,7 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 		Listen:           net.Listen,
 		LocalRanks:       cfg.Slots + 2,
 		WorkerRanks:      ranks,
-		Blob:             appendWorkerBlob(nil, cfg),
+		Blob:             appendWorkerBlob(nil, cfg, local),
 		Token:            net.Token,
 		Heartbeat:        net.Heartbeat,
 		HeartbeatTimeout: net.HeartbeatTimeout,
@@ -942,13 +962,7 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 			// anything a replacement worker says.
 			c := cluster()
 			c.Inject(world.sched, tagRanksLost, svcRanksLost{Lo: lo, Hi: hi})
-			c.Inject(world.disp, tagRanksLost, svcRanksLost{Lo: lo, Hi: hi})
-			for _, m := range world.medians {
-				if m >= lo && m < hi {
-					continue // the dead worker's own medians
-				}
-				c.Inject(m, tagRanksLost, svcRanksLost{Lo: lo, Hi: hi})
-			}
+			noticeDispatch(c, world, local, tagRanksLost, lo, hi)
 		},
 		OnWorkerJoined: func(worker int, lo, hi mpi.Rank, rejoin bool) {
 			if rejoin {
@@ -967,13 +981,54 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 		return nil, err
 	}
 	ncp.Store(nc)
-	p, err := newPoolOn(world, nc, nc, coll, near)
+	p, err := newPoolOn(world, nc, nc, coll, local, near)
 	if err != nil {
 		return nil, err
 	}
 	p.netCfg = net
 	pp.Store(p)
 	return p, nil
+}
+
+// localDispatch reports whether every worker range of the split (sizes in
+// rank order, from splitRanks) hosts at least one median and one client.
+// Then each worker process dispatches its own clients (clientList) and no
+// chunk ever leaves its median's process; otherwise a worker's clients
+// may only be able to serve a remote median, and the coordinator runs the
+// dispatcher for them.
+func localDispatch(w *poolWorld, ranks []int) bool {
+	lo := w.firstWorker()
+	for _, n := range ranks {
+		hi := lo + mpi.Rank(n)
+		medians := 0
+		for r := lo; r < hi; r++ {
+			if isMedianRank(w, r) {
+				medians++
+			}
+		}
+		if medians == 0 || medians == n {
+			return false
+		}
+		lo = hi
+	}
+	return true
+}
+
+// noticeDispatch injects a notice about the worker range [lo, hi) at the
+// ranks that route rollouts across processes: the coordinator's dispatcher
+// and every median outside the range (the range's own medians died with
+// it, or announce themselves when it rejoins). Under local dispatch there
+// are none — no surviving median ever sent the range a chunk.
+func noticeDispatch(cl poolCluster, w *poolWorld, local bool, tag mpi.Tag, lo, hi mpi.Rank) {
+	if local {
+		return
+	}
+	cl.Inject(w.disp, tag, svcRanksLost{Lo: lo, Hi: hi})
+	for _, m := range w.medians {
+		if m < lo || m >= hi {
+			cl.Inject(m, tag, svcRanksLost{Lo: lo, Hi: hi})
+		}
+	}
 }
 
 // splitRanks splits n worker ranks into w contiguous ranges, as evenly as
@@ -996,19 +1051,13 @@ func splitRanks(n, w int) []int {
 func (p *Pool) handleAbandoned(worker int, lo, hi mpi.Rank) {
 	p.coll.addWorkerAbandoned()
 	p.world.markDead(lo, hi)
-	// Dead notices first — scheduler, dispatcher, surviving medians — so
-	// that by the time a slot's fail-fast abandon reaches the scheduler,
-	// the scheduler has already repaired its grant bookkeeping. Inject is
-	// a synchronous mailbox push, so this ordering is a guarantee, not a
-	// hope.
+	// Dead notices first — scheduler, and the dispatcher and surviving
+	// medians where they route to other workers' clients — so that by the
+	// time a slot's fail-fast abandon reaches the scheduler, the scheduler
+	// has already repaired its grant bookkeeping. Inject is a synchronous
+	// mailbox push, so this ordering is a guarantee, not a hope.
 	p.cluster.Inject(p.world.sched, tagRanksDead, svcRanksLost{Lo: lo, Hi: hi})
-	p.cluster.Inject(p.world.disp, tagRanksDead, svcRanksLost{Lo: lo, Hi: hi})
-	for _, m := range p.world.medians {
-		if m >= lo && m < hi {
-			continue // the abandoned worker's own medians
-		}
-		p.cluster.Inject(m, tagRanksDead, svcRanksLost{Lo: lo, Hi: hi})
-	}
+	noticeDispatch(p.cluster, p.world, p.local, tagRanksDead, lo, hi)
 	p.deg.mu.Lock()
 	if p.deg.abandoned == nil {
 		p.deg.abandoned = make(map[int]svcRanksLost)
@@ -1037,13 +1086,7 @@ func (p *Pool) handleJoined(worker int, lo, hi mpi.Rank) {
 		return
 	}
 	p.world.revive(lo, hi)
-	p.cluster.Inject(p.world.disp, tagRanksRevived, svcRanksLost{Lo: lo, Hi: hi})
-	for _, m := range p.world.medians {
-		if m >= lo && m < hi {
-			continue // the revived worker's own medians announce themselves
-		}
-		p.cluster.Inject(m, tagRanksRevived, svcRanksLost{Lo: lo, Hi: hi})
-	}
+	noticeDispatch(p.cluster, p.world, p.local, tagRanksRevived, lo, hi)
 }
 
 // recomputeFailedLocked re-derives the fail-fast condition from the
@@ -1103,9 +1146,11 @@ func newPoolCollector(cfg PoolConfig) *poolCollector {
 // newPoolOn wires the pool's ranks onto a transport and starts it. The
 // same wiring runs for every transport: a cluster hosting only a subset
 // of the ranks (the net coordinator) ignores Start calls for the ranks
-// other processes host. near is the dispatcher's locality preference
-// (dispatchPolicy.near); nil when every rank shares one process.
-func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolCollector, near func(a, b mpi.Rank) bool) (*Pool, error) {
+// other processes host. local says medians take clients from their
+// process's clientList, so the dispatcher rank does nothing; otherwise it
+// runs the dispatcher, with near as its locality preference
+// (dispatchPolicy.near).
+func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolCollector, local bool, near func(a, b mpi.Rank) bool) (*Pool, error) {
 	cfg := world.cfg
 	p := &Pool{
 		cfg:       cfg,
@@ -1118,6 +1163,7 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		slotEpoch: make([]uint64, cfg.Slots),
 		slotStop:  make([]atomic.Uint64, cfg.Slots),
 		inline:    nc == nil && cfg.Medians == 1 && cfg.Clients == 1,
+		local:     local,
 		// One cache shared by every client rank this process hosts; a net
 		// coordinator hosts none, so its cache sits empty and each
 		// pnmcs-worker builds its own from the handshake blob.
@@ -1130,16 +1176,23 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		p.cluster.Start(mpi.Rank(slot), func(c mpi.Comm) { p.runSlot(c, slot) })
 	}
 	p.cluster.Start(world.sched, func(c mpi.Comm) { p.runScheduler(c) })
-	// The per-run dispatcher is reused verbatim: it only needs the worker
-	// rank lists (medians for request validation, clients for the free
-	// list) and the policy — fault-aware, so worker-loss notices can return
-	// stranded clients to the free list.
-	dispLay := cluster.Layout{
-		Medians: append([]mpi.Rank(nil), world.medians...),
-		Clients: append([]mpi.Rank(nil), world.clients...),
+	if local {
+		// The rank keeps its number, so the layout and tag bands match
+		// every other pool's, but its body returns at once: nothing is
+		// ever sent to it except the shutdown broadcast.
+		p.cluster.Start(world.disp, func(mpi.Comm) {})
+	} else {
+		// The per-run dispatcher is reused verbatim: it only needs the
+		// worker rank lists (medians for request validation, clients for
+		// the free list) and the policy — fault-aware, so worker-loss
+		// notices can return stranded clients to the free list.
+		dispLay := cluster.Layout{
+			Medians: append([]mpi.Rank(nil), world.medians...),
+			Clients: append([]mpi.Rank(nil), world.clients...),
+		}
+		pol := dispatchPolicy{longestFirst: cfg.Algo == LastMinute, faultAware: true, near: near}
+		p.cluster.Start(world.disp, func(c mpi.Comm) { runDispatcher(c, dispLay, pol, nil) })
 	}
-	pol := dispatchPolicy{longestFirst: cfg.Algo == LastMinute, faultAware: true, near: near}
-	p.cluster.Start(world.disp, func(c mpi.Comm) { runDispatcher(c, dispLay, pol, nil) })
 	startPoolWorkers(p.cluster, world, p.cache, cfg.CacheVerify, p.coll.addMedianIdle, p.coll.addClientIdle)
 
 	go func() {
@@ -1898,14 +1951,15 @@ type medianComm struct {
 	idle func(time.Duration)
 
 	grants []svcCandidate // prefetched/stale grants awaiting play
-	// clients holds dispatcher assigns received but not yet spent on a
-	// chunk, in arrival order. Normally at most one (one request in flight
-	// at a time); a stale assign flushed to a replacement median (whose
-	// dead predecessor requested it) adds a surplus, which is spent on
-	// the next outgoing chunks — or handed back when the median goes idle
-	// — so the reserved client is never stranded.
+	// clients holds the clients taken or assigned but not yet spent on a
+	// chunk, in arrival order. An assign answering a request an aborted
+	// game left behind, or a stale assign flushed to a replacement median
+	// (whose dead predecessor requested it), adds a surplus, which is
+	// spent on the next outgoing chunks — or handed back when the median
+	// goes idle — so the reserved client is never stranded.
 	clients []mpi.Rank
-	// reqs counts our own unanswered client requests.
+	// reqs counts our own unanswered client requests: at most one, waiting
+	// at the process's clientList or at the coordinator's dispatcher.
 	reqs int
 	shut bool // shutdown broadcast seen; unwind without new work
 	// cancels holds the latest speculation cancel per slot (nil until the
@@ -1940,7 +1994,15 @@ func (mc *medianComm) recv() mpi.Msg {
 			mc.grants = append(mc.grants, cand)
 		}
 	case tagAssign:
-		if client, ok := msg.Payload.(mpi.Rank); ok && msg.From == mc.w.disp {
+		// From the dispatcher, or under local dispatch from the rank of
+		// this process that freed the client — never across the wire.
+		client, ok := msg.Payload.(mpi.Rank)
+		if l := mc.w.list; l != nil {
+			ok = ok && l.hosts(msg.From) && l.hosts(client)
+		} else {
+			ok = ok && msg.From == mc.w.disp
+		}
+		if ok {
 			mc.clients = append(mc.clients, client)
 			if mc.reqs > 0 {
 				mc.reqs--
@@ -1972,6 +2034,40 @@ func (mc *medianComm) recv() mpi.Msg {
 	return msg
 }
 
+// ask requests a client for a position with moves played: from the
+// process's clientList, which hands one over at once when one is free, or
+// from the coordinator's dispatcher. It reports whether a client is now in
+// hand; otherwise an assign answers later.
+func (mc *medianComm) ask(moves int) bool {
+	if l := mc.w.list; l != nil {
+		if client, ok := l.take(mc.c.Rank(), moves); ok {
+			mc.clients = append(mc.clients, client)
+			return true
+		}
+	} else {
+		mc.c.Send(mc.w.disp, tagRequest, moves)
+	}
+	mc.reqs++
+	return false
+}
+
+// handBack frees the clients an idle median holds — the answer to a
+// request an aborted game left behind. A client held here is reserved
+// while other medians may be waiting for one, and with few clients the
+// grant this median waits for can depend on it. Under local dispatch the
+// clients go straight back to the list; the dispatcher learns it from an
+// empty job, which the client answers with its free notice.
+func (mc *medianComm) handBack() {
+	for _, client := range mc.clients {
+		if l := mc.w.list; l != nil {
+			l.release(mc.c, client)
+		} else {
+			mc.c.Send(client, tagJob, nil)
+		}
+	}
+	mc.clients = mc.clients[:0]
+}
+
 // runPoolMedian is the persistent form of the per-run median process:
 // pull a candidate from the shared scheduler, play its full level-(ℓ−1)
 // game with one client rollout per candidate move, report the score to
@@ -1980,11 +2076,14 @@ func (mc *medianComm) recv() mpi.Msg {
 // the next grant travels during computation. The median's move buffers
 // persist across jobs and domains.
 //
-// Rollouts travel in chunks (svcChunk): every client the dispatcher
-// assigns takes up to chunkLimit of the step's unsent moves together with
-// the step position, and plays the moves itself — the median no longer
-// clones a child per move, and a step costs one request/assign/chunk/
-// free/result exchange per client instead of one per rollout.
+// Rollouts travel in chunks (svcChunk): every client the median takes
+// from its process's clientList (or is assigned by the coordinator's
+// dispatcher) takes up to chunkLimit of the step's unsent moves together
+// with the step position, and plays the moves itself — the median no
+// longer clones a child per move, and a step costs one chunk/result
+// exchange per client instead of one per rollout (plus an assignment when
+// the median had to wait for a client, and a request and free notice per
+// chunk through a dispatcher rank).
 //
 // The body is written against mpi.Comm and the poolWorld layout only, so
 // the identical function runs as a coordinator goroutine (wall pool) or
@@ -2028,14 +2127,7 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 				mc.grants = mc.grants[:copy(mc.grants, mc.grants[1:])]
 				break
 			}
-			// Idle with clients in hand — the answer to a request an aborted
-			// game left behind: a client held here is reserved at the
-			// dispatcher while other medians may be waiting for one. An
-			// empty job makes it announce itself free again.
-			for _, client := range mc.clients {
-				c.Send(client, tagJob, nil)
-			}
-			mc.clients = mc.clients[:0]
+			mc.handBack()
 			mc.recv()
 		}
 		// Prefetch: ask for the next candidate before playing this one.
@@ -2071,16 +2163,17 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 			}
 
 			for got := 0; got < len(moves); {
-				// Spend assigned clients on queued rollouts, then keep one
-				// client request in flight while anything remains unsent.
-				for len(mc.clients) > 0 && head < len(sendq) {
+				// Spend clients in hand on unsent rollouts and ask for more
+				// while any remain; when none is free, one request stays in
+				// flight until an assign answers it.
+				for head < len(sendq) && (len(mc.clients) > 0 || mc.reqs == 0 && mc.ask(st.MovesPlayed()+1)) {
 					client := mc.clients[0]
 					mc.clients = mc.clients[:copy(mc.clients, mc.clients[1:])]
 					if mc.w.isDead(client) {
 						// An assign that was in flight when its client's
 						// worker was abandoned: a chunk sent there would
 						// vanish. Discard the assign; the request counter
-						// is already settled, so the re-request below
+						// is already settled, so the loop's next request
 						// fetches a live replacement.
 						continue
 					}
@@ -2095,10 +2188,6 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 					c.Send(client, tagJob, svcChunk{Par: cand.Par, P: cand.P, Base: st,
 						Moves: cmoves[off:], Keys: ckeys[off:], Seqs: seqs})
 					chunks++
-				}
-				if head < len(sendq) && mc.reqs == 0 {
-					c.Send(w.disp, tagRequest, st.MovesPlayed()+1)
-					mc.reqs++
 				}
 
 				msg := mc.recv()
@@ -2170,8 +2259,8 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 // stream is reseeded from (job seed, logical coordinates), so a given
 // candidate's score is identical no matter which client executes it, in
 // which chunk or order, or what ran on this client before — the property
-// the equivalence tests pin against solo RunWall runs on both the wall
-// and net transports. Searchers (one per memorization mode, sharing
+// the equivalence tests pin against Reference on both the wall and net
+// transports. Searchers (one per memorization mode, sharing
 // nothing), their scratch StatePools and the pool the chunk positions are
 // copied into persist across jobs. Like runPoolMedian, the body is
 // transport-blind and runs unchanged in the coordinator or in a
@@ -2206,12 +2295,17 @@ func runPoolClient(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, 
 		case tagJob:
 			ck, ok := msg.Payload.(svcChunk)
 			if !ok || !isMedianRank(w, msg.From) || ck.Base == nil || ck.P.Level < 2 ||
-				len(ck.Keys) != len(ck.Moves) || len(ck.Seqs) != len(ck.Moves) {
-				// An idle median handing this client back (nil payload), or a
-				// wrong-typed or degenerate wire frame. Announce availability
-				// either way: the dispatcher must not lose this client from
-				// its free list over a frame the client did not run.
-				c.Send(w.disp, tagFree, nil)
+				len(ck.Keys) != len(ck.Moves) || len(ck.Seqs) != len(ck.Moves) ||
+				w.list != nil && !w.list.hosts(msg.From) {
+				// An idle median handing this client back to the dispatcher
+				// (nil payload), or a wrong-typed, degenerate or foreign wire
+				// frame. The dispatcher must not lose this client from its
+				// free list over a frame the client did not run, so it hears
+				// of it; under local dispatch no such frame took the client
+				// off the list.
+				if w.list == nil {
+					c.Send(w.disp, tagFree, nil)
+				}
 				continue
 			}
 
@@ -2251,7 +2345,13 @@ func runPoolClient(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, 
 			s.SetCache(nil, 0, false)
 			c.Work(total * ck.P.JobScale)
 
-			c.Send(w.disp, tagFree, nil)
+			// Free before answering: a median whose result this is finds
+			// the client back on the list when it asks for its next chunk.
+			if w.list != nil {
+				w.list.release(c, c.Rank())
+			} else {
+				c.Send(w.disp, tagFree, nil)
+			}
 			c.Send(msg.From, tagResult, res)
 		}
 	}

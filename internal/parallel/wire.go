@@ -526,19 +526,28 @@ func readJobParams(data []byte) (jobParams, []byte, error) {
 // 2 added the evaluation batch shape, two uvarints that are reserved
 // since the batcher was removed (written as 0, read and discarded);
 // 3 added the transposition-cache shape (CacheMB, CacheVerify flag);
-// 4 added the async-root speculation default (Speculate).
-const workerBlobVersion = 4
+// 4 added the async-root speculation default (Speculate); 5 carries the
+// local-dispatch flag in the first reserved v2 field. A v4 worker must not
+// join a v5 coordinator: it would wait on a dispatcher that is not there.
+const workerBlobVersion = 5
 
 // appendWorkerBlob encodes the PoolConfig a pnmcs-worker needs to derive
 // the identical poolWorld the coordinator built — and, since v3, to size
-// its transposition cache the way the coordinator was configured.
-func appendWorkerBlob(buf []byte, cfg PoolConfig) []byte {
+// its transposition cache the way the coordinator was configured. local
+// says the worker dispatches its own clients (localDispatch): a worker
+// sees only its own rank range, so it cannot derive that from the config.
+func appendWorkerBlob(buf []byte, cfg PoolConfig, local bool) []byte {
 	buf = append(buf, workerBlobVersion)
 	buf = binary.AppendUvarint(buf, uint64(cfg.Slots))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Medians))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Clients))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Algo))
-	buf = append(buf, 0, 0) // reserved v2 fields
+	flag := uint64(0)
+	if local {
+		flag = 1
+	}
+	buf = binary.AppendUvarint(buf, flag) // v5: local dispatch, in the first reserved v2 field
+	buf = append(buf, 0)                  // the second reserved v2 field
 	buf = binary.AppendUvarint(buf, uint64(cfg.CacheMB))
 	verify := uint64(0)
 	if cfg.CacheVerify {
@@ -551,13 +560,12 @@ func appendWorkerBlob(buf []byte, cfg PoolConfig) []byte {
 }
 
 // decodeWorkerBlob reverses appendWorkerBlob.
-func decodeWorkerBlob(data []byte) (PoolConfig, error) {
-	var cfg PoolConfig
+func decodeWorkerBlob(data []byte) (cfg PoolConfig, local bool, err error) {
 	if len(data) < 1 {
-		return cfg, fmt.Errorf("parallel: empty worker blob")
+		return cfg, false, fmt.Errorf("parallel: empty worker blob")
 	}
 	if data[0] != workerBlobVersion {
-		return cfg, fmt.Errorf("parallel: worker blob version %d, want %d", data[0], workerBlobVersion)
+		return cfg, false, fmt.Errorf("parallel: worker blob version %d, want %d", data[0], workerBlobVersion)
 	}
 	data = data[1:]
 	fields := []*int{&cfg.Slots, &cfg.Medians, &cfg.Clients}
@@ -565,53 +573,58 @@ func decodeWorkerBlob(data []byte) (PoolConfig, error) {
 	for _, f := range fields {
 		v, rest, err := codec.ReadUvarint(data)
 		if err != nil {
-			return cfg, fmt.Errorf("parallel: worker blob: %w", err)
+			return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
 		}
 		if world += min(v, wireMaxWorld); world > wireMaxWorld {
-			return cfg, fmt.Errorf("parallel: worker blob: world exceeds %d ranks", wireMaxWorld)
+			return cfg, false, fmt.Errorf("parallel: worker blob: world exceeds %d ranks", wireMaxWorld)
 		}
 		*f, data = int(v), rest
 	}
 	algo, data, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, fmt.Errorf("parallel: worker blob: %w", err)
+		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	cfg.Algo = Algorithm(algo)
-	for range 2 { // reserved v2 fields
-		if _, data, err = codec.ReadUvarint(data); err != nil {
-			return cfg, fmt.Errorf("parallel: worker blob: %w", err)
-		}
+	flag, data, err := codec.ReadUvarint(data)
+	if err != nil {
+		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
+	}
+	if flag > 1 {
+		return cfg, false, fmt.Errorf("parallel: worker blob: local-dispatch flag %d", flag)
+	}
+	if _, data, err = codec.ReadUvarint(data); err != nil { // reserved v2 field
+		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	cacheMB, data, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, fmt.Errorf("parallel: worker blob: %w", err)
+		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	cfg.CacheMB = int(cacheMB)
 	verify, data, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, fmt.Errorf("parallel: worker blob: %w", err)
+		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	if verify > 1 {
-		return cfg, fmt.Errorf("parallel: worker blob: cache-verify flag %d", verify)
+		return cfg, false, fmt.Errorf("parallel: worker blob: cache-verify flag %d", verify)
 	}
 	cfg.CacheVerify = verify == 1
 	spec, rest, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, fmt.Errorf("parallel: worker blob: %w", err)
+		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	if spec > MaxSpeculate {
-		return cfg, fmt.Errorf("parallel: worker blob: speculate %d exceeds limit %d", spec, MaxSpeculate)
+		return cfg, false, fmt.Errorf("parallel: worker blob: speculate %d exceeds limit %d", spec, MaxSpeculate)
 	}
 	cfg.Speculate = int(spec)
 	if len(rest) != 0 {
 		// Trailing bytes mean version skew (a field added without bumping
 		// workerBlobVersion): fail loudly — a misparsed blob would
 		// desynchronize the whole rank/tag layout.
-		return cfg, fmt.Errorf("parallel: worker blob: %d trailing bytes", len(rest))
+		return cfg, false, fmt.Errorf("parallel: worker blob: %d trailing bytes", len(rest))
 	}
 	if cfg.Slots < 1 || cfg.Medians < 1 || cfg.Clients < 1 {
-		return cfg, fmt.Errorf("parallel: worker blob: degenerate pool %d/%d/%d",
+		return cfg, false, fmt.Errorf("parallel: worker blob: degenerate pool %d/%d/%d",
 			cfg.Slots, cfg.Medians, cfg.Clients)
 	}
-	return cfg, nil
+	return cfg, flag == 1, nil
 }

@@ -308,19 +308,40 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 	cfg := PoolConfig{
 		Slots: 3, Medians: 5, Clients: 9, Algo: LastMinute, Speculate: 2,
 	}
-	got, err := decodeWorkerBlob(appendWorkerBlob(nil, cfg))
-	if err != nil {
-		t.Fatal(err)
+	for _, local := range []bool{false, true} {
+		got, gotLocal, err := decodeWorkerBlob(appendWorkerBlob(nil, cfg, local))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != cfg || gotLocal != local {
+			t.Fatalf("blob round trip: %+v local %v != %+v local %v", got, gotLocal, cfg, local)
+		}
 	}
-	if got != cfg {
-		t.Fatalf("blob round trip: %+v != %+v", got, cfg)
+	// net_loopback's pool, byte for byte (the committed fuzz seed
+	// valid_local_dispatch): the flag is the first reserved v2 field.
+	loopback := PoolConfig{Slots: 2, Medians: 2, Clients: 2, Algo: LastMinute, CacheMB: 64}
+	if got := appendWorkerBlob(nil, loopback, true); string(got) != "\x05\x02\x02\x02\x01\x01\x00@\x00\x00" {
+		t.Fatalf("v5 blob of net_loopback's pool is %q", got)
+	}
+	// The local-dispatch flag is a bit: any other value is a corrupt blob.
+	flagged := appendWorkerBlob(nil, cfg, true)
+	flagged[5]++ // version, slots, medians, clients, algo, then the flag
+	if _, _, err := decodeWorkerBlob(flagged); err == nil {
+		t.Fatal("local-dispatch flag 2 accepted")
+	}
+	// A version-4 blob is refused: its coordinator runs a dispatcher that
+	// this worker's medians would never ask.
+	v4 := appendWorkerBlob(nil, cfg, false)
+	v4[0] = 4
+	if _, _, err := decodeWorkerBlob(v4); err == nil {
+		t.Fatal("version-4 blob accepted")
 	}
 
 	// A negative pool-wide speculation width means "off" everywhere it is
 	// consulted; the blob clamps it to 0 so the worker sees the same thing.
 	neg := cfg
 	neg.Speculate = -3
-	got, err = decodeWorkerBlob(appendWorkerBlob(nil, neg))
+	got, _, err := decodeWorkerBlob(appendWorkerBlob(nil, neg, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,13 +349,13 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 		t.Fatalf("negative speculation width round-tripped as %d, want clamp to 0", got.Speculate)
 	}
 
-	if _, err := decodeWorkerBlob(nil); err == nil {
+	if _, _, err := decodeWorkerBlob(nil); err == nil {
 		t.Fatal("empty blob accepted")
 	}
-	if _, err := decodeWorkerBlob([]byte{workerBlobVersion + 1, 1, 1, 1, 0}); err == nil {
+	if _, _, err := decodeWorkerBlob([]byte{workerBlobVersion + 1, 1, 1, 1, 0}); err == nil {
 		t.Fatal("foreign blob version accepted")
 	}
-	if _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{})); err == nil {
+	if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{}, false)); err == nil {
 		t.Fatal("degenerate pool config accepted")
 	}
 
@@ -346,11 +367,11 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 		{Slots: 1, Medians: wireMaxWorld - 3, Clients: 1},
 		{Slots: wireMaxWorld, Medians: wireMaxWorld, Clients: wireMaxWorld},
 	} {
-		if _, err := decodeWorkerBlob(appendWorkerBlob(nil, huge)); err == nil {
+		if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, huge, false)); err == nil {
 			t.Fatalf("oversized world %d/%d/%d accepted", huge.Slots, huge.Medians, huge.Clients)
 		}
 	}
-	if _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: wireMaxWorld - 4, Clients: 1})); err != nil {
+	if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: wireMaxWorld - 4, Clients: 1}, false)); err != nil {
 		t.Fatalf("world of exactly %d ranks rejected: %v", wireMaxWorld, err)
 	}
 }
@@ -363,7 +384,7 @@ func TestServeWorkerRejectsForeignWorld(t *testing.T) {
 		Listen:      "127.0.0.1:0",
 		LocalRanks:  3,
 		WorkerRanks: []int{2},
-		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 3, Clients: 1}),
+		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 3, Clients: 1}, false),
 	})
 	if err != nil {
 		t.Fatal(err)

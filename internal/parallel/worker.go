@@ -32,16 +32,19 @@ type WorkerStats struct {
 
 // ServeWorker runs the pool ranks assigned to a dialed worker connection
 // until the coordinator broadcasts shutdown, and returns the worker's
-// service statistics. It fails fast when the handshake blob does not
-// decode or the assigned range contains coordinator-only ranks (slots,
-// scheduler, dispatcher always live with the coordinator).
+// service statistics. When the blob says so (localDispatch), the hosted
+// medians take the hosted clients from one clientList and no chunk leaves
+// the process. It fails fast when the handshake blob does not decode, the
+// assigned range contains coordinator-only ranks (slots, scheduler,
+// dispatcher always live with the coordinator), or local dispatch is asked
+// of a range that lacks a median or a client.
 func ServeWorker(w *mpi.NetWorker) (WorkerStats, error) {
 	var stats WorkerStats
 	// Validation failures close the dialed connection: the handshake
 	// already claimed a coordinator worker slot, and a long-lived
 	// embedder that merely drops the NetWorker would occupy it forever
 	// (the coordinator frees the slot when the connection dies).
-	cfg, err := decodeWorkerBlob(w.Blob())
+	cfg, local, err := decodeWorkerBlob(w.Blob())
 	if n := cfg.Slots + 2 + cfg.Medians + cfg.Clients; err == nil && n != w.Size() {
 		err = fmt.Errorf("parallel: worker blob lays out %d ranks, handshake world has %d", n, w.Size())
 	}
@@ -68,6 +71,14 @@ func ServeWorker(w *mpi.NetWorker) (WorkerStats, error) {
 		} else {
 			stats.Clients++
 		}
+	}
+	if local {
+		if stats.Medians == 0 || stats.Clients == 0 {
+			w.Close() //nolint:errcheck // already failing
+			return stats, fmt.Errorf("parallel: local dispatch on range [%d, %d) of %d medians and %d clients",
+				lo, hi, stats.Medians, stats.Clients)
+		}
+		world.list = newClientList(world, lo, hi)
 	}
 	// Idle is metered per hosted rank so the coordinator's /metrics can
 	// expose the same per-rank series a co-resident pool has: the sampler

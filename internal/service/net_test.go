@@ -233,11 +233,14 @@ func TestDistributedServiceWorkerChurn(t *testing.T) {
 // running job fails fast with ErrDegraded; the Manager's retry policy
 // re-queues it under its original seed, a replacement worker revives the
 // pool, and the retried run completes bit-identical to the undisturbed
-// solo result.
+// solo result. The pool has one worker, killed before the job is
+// submitted, so nothing can run the job before the grace window ends: a
+// second worker would host a median and a client of its own and finish
+// the job alone, and a job killed mid-run may finish before the kill.
 func TestDistributedServiceRetryToSuccess(t *testing.T) {
 	m, err := New(Config{
 		Slots: 1, Medians: 2, Clients: 3,
-		Workers: 2, WorkerListen: "127.0.0.1:0",
+		Workers: 1, WorkerListen: "127.0.0.1:0",
 		// Degrade off: any abandonment fails the pool until capacity
 		// returns. Short grace + short backoff keep the test fast.
 		ReplaceGrace: 100 * time.Millisecond,
@@ -280,11 +283,16 @@ func TestDistributedServiceRetryToSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1done := serve(w1)
-	w2, err := mpi.DialWorker(m.WorkerAddr(), "")
-	if err != nil {
-		t.Fatal(err)
+
+	// Kill the proxied worker before the job starts and withhold the
+	// replacement until the fail-fast + retry machinery has visibly
+	// engaged. The job then runs on a pool whose only worker is lost: it
+	// cannot finish before the grace window ends, however fast it is.
+	proxy.Sever()
+	<-w1done
+	for m.Metrics().Pool.WorkersLost < 1 {
+		time.Sleep(2 * time.Millisecond)
 	}
-	w2done := serve(w2)
 
 	spec := JobSpec{Domain: "samegame", Width: 6, Height: 6, Colors: 3, BoardSeed: 3, Level: 2, Seed: 5, Memorize: true}
 	id, err := m.Submit(context.Background(), spec)
@@ -313,11 +321,6 @@ func TestDistributedServiceRetryToSuccess(t *testing.T) {
 		}
 	}
 
-	// Kill the proxied worker mid-job and withhold the replacement until
-	// the fail-fast + retry machinery has visibly engaged.
-	waitStatus("first progress", func(st JobStatus) bool { return st.Steps >= 1 })
-	proxy.Sever()
-	<-w1done
 	waitStatus("fail-fast retry", func(st JobStatus) bool { return st.Retries >= 1 })
 
 	// Capacity returns; the retried run must now succeed.
@@ -375,6 +378,5 @@ func TestDistributedServiceRetryToSuccess(t *testing.T) {
 	if err := m.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	<-w2done
 	<-w3done
 }

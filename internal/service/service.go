@@ -22,9 +22,9 @@
 // that returns ErrSaturated immediately (cmd/pnmcsd maps it to HTTP 503)
 // — the service sheds load instead of buffering unboundedly.
 //
-// Determinism survives multiplexing: a job's score and move sequence are
-// bit-identical to the same JobSpec run solo through parallel.RunWall
-// with the same seed, no matter what else shares the pool (the
+// Determinism survives multiplexing: a job's score, move sequence and
+// rollout counts are bit-identical to parallel.Reference's answer for the
+// same JobSpec and seed, no matter what else shares the pool (the
 // equivalence and storm tests pin this).
 package service
 
@@ -66,7 +66,7 @@ type Config struct {
 	// ErrNotFound), so a long-lived service holds bounded memory.
 	// Default 1024; negative evicts terminal jobs immediately.
 	Retain int
-	// Algo orders the shared dispatcher's pending rollouts
+	// Algo orders the medians waiting for a client
 	// (parallel.PoolConfig.Algo); default LastMinute (the paper's best
 	// policy). Never changes job results.
 	Algo parallel.Algorithm

@@ -168,7 +168,7 @@ type (
 	ServiceConfig = service.Config
 	// JobSpec describes one search job: domain position plus search
 	// parameters. Equal specs return bit-identical results, on the
-	// service or solo via RunWall.
+	// service or solo through the reference loop.
 	JobSpec = service.JobSpec
 	// JobStatus is a point-in-time snapshot of a submitted job.
 	JobStatus = service.JobStatus
