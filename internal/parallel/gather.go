@@ -75,6 +75,11 @@ type stepGather struct {
 	pool *core.StatePool
 	st   game.State // the root game's position
 	k    int        // speculation width; 0 = lockstep
+	// keep leaves shipped positions to the garbage collector instead of
+	// recycling them when their score arrives. A net pool's scheduler may
+	// still hold a scored candidate and re-grant it after its median's
+	// worker is lost, encoding the position again from another goroutine.
+	keep bool
 	// offer ships one candidate towards a median. par is the branch
 	// discriminator: the move index played at step−1 (candidate.Par).
 	offer func(step, cand, par int, child game.State)
@@ -163,7 +168,9 @@ func (g *stepGather) record(step, par, cand int, score float64, acct rolloutAcct
 	b.scored[cand] = true
 	b.scores[cand] = score
 	b.got++
-	g.pool.Put(b.shipped[cand])
+	if !g.keep {
+		g.pool.Put(b.shipped[cand])
+	}
 	switch {
 	case b != &g.cur:
 		b.acct.add(acct)

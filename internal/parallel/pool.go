@@ -1569,7 +1569,7 @@ func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, 
 		toSched(offSpecCancel, svcSpecCancel{Slot: slot, Epoch: js.epoch, Step: step, Keep: keep})
 	}
 
-	g := &stepGather{c: c, pool: pool, st: cfg.Root.Clone(), k: k, par: -1, moves: *movebuf,
+	g := &stepGather{c: c, pool: pool, st: cfg.Root.Clone(), k: k, keep: p.net != nil, par: -1, moves: *movebuf,
 		offer: func(step, cand, par int, child game.State) {
 			toSched(offOffer, svcCandidate{Step: step, Cand: cand, Par: par, P: params, State: child})
 		},
