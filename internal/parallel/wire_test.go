@@ -401,3 +401,30 @@ func TestServeWorkerRejectsForeignWorld(t *testing.T) {
 	}
 	nc.Run()
 }
+
+// TestServeWorkerRejectsLocalDispatchWithoutBothRoles hands the first of
+// two workers of a `c c | c m` pool a blob that asks for local dispatch:
+// its median-free range could never run a chunk, so ServeWorker must
+// refuse it rather than serve clients no median of its process will ask.
+func TestServeWorkerRejectsLocalDispatchWithoutBothRoles(t *testing.T) {
+	nc, err := mpi.ListenNet(mpi.NetConfig{
+		Listen:      "127.0.0.1:0",
+		LocalRanks:  3,
+		WorkerRanks: []int{2, 2},
+		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 1, Clients: 3}, true),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := mpi.DialWorker(nc.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ServeWorker(w); err == nil {
+		t.Fatal("local dispatch served on a range of two clients")
+	}
+	for r := 0; r < 3; r++ {
+		nc.Start(mpi.Rank(r), func(mpi.Comm) {})
+	}
+	nc.Run()
+}
