@@ -24,6 +24,7 @@ type clientList struct {
 	w            *poolWorld
 	lo, hi       mpi.Rank
 	longestFirst bool // Last-Minute: serve the waiting median with the fewest moves played
+	clients      int  // the list's client ranks, free or busy: all its medians can reach
 
 	mu      sync.Mutex
 	free    []mpi.Rank // first in, first out (§IV-B line 15)
@@ -39,6 +40,7 @@ func newClientList(w *poolWorld, lo, hi mpi.Rank) *clientList {
 			l.free = append(l.free, r)
 		}
 	}
+	l.clients = len(l.free)
 	return l
 }
 
@@ -79,14 +81,7 @@ func (l *clientList) put(client mpi.Rank) (mpi.Rank, bool) {
 		l.free = append(l.free, client)
 		return 0, false
 	}
-	best := 0
-	if l.longestFirst {
-		for i, j := range l.waiting {
-			if j.moves < l.waiting[best].moves {
-				best = i
-			}
-		}
-	}
+	best := nextPending(l.waiting, l.longestFirst)
 	median := l.waiting[best].sender
 	l.waiting = slices.Delete(l.waiting, best, best+1)
 	return median, true

@@ -38,6 +38,21 @@ type lmJob struct {
 	moves  int      // moves already played in the position to analyze
 }
 
+// nextPending is the index of the pending request served next: the one
+// with the fewest moves played (the longest expected job) when
+// longestFirst, the earliest arrival otherwise or among equals.
+func nextPending(jobs []lmJob, longestFirst bool) int {
+	best := 0
+	if longestFirst {
+		for i := 1; i < len(jobs); i++ {
+			if jobs[i].moves < jobs[best].moves {
+				best = i
+			}
+		}
+	}
+	return best
+}
+
 // runDispatcher is the paper's dispatcher process — Last-Minute (§IV-B):
 //
 //	1 listFreeClients = all Clients
@@ -96,14 +111,7 @@ func runDispatcher(c mpi.Comm, lay cluster.Layout, pol dispatchPolicy, trace fun
 	// longest-expected-job-first or arrival order.
 	serve := func() {
 		for len(jobs) > 0 && len(free) > 0 {
-			best := 0
-			if pol.longestFirst {
-				for i := 1; i < len(jobs); i++ {
-					if jobs[i].moves < jobs[best].moves {
-						best = i
-					}
-				}
-			}
+			best := nextPending(jobs, pol.longestFirst)
 			j := jobs[best]
 			jobs = append(jobs[:best], jobs[best+1:]...)
 			assign(j.sender)

@@ -218,7 +218,8 @@ func TestNetPoolDropsBadIdleTelemetry(t *testing.T) {
 // relay nothing, and what the coordinator sees — grants, work requests,
 // step scores — must stay under half a frame per rollout. (A coordinator
 // dispatcher costs three frames per chunk: the request, the assignment and
-// the free notice.)
+// the free notice.) Each median reaches one client, so it ships every step
+// whole, in as many chunks as an in-process 2-median × 1-client pool.
 func TestNetPoolChunksStayInProcess(t *testing.T) {
 	noGoroutineLeak(t)
 	pool, err := NewNetPool(
@@ -234,7 +235,7 @@ func TestNetPoolChunksStayInProcess(t *testing.T) {
 	wait := startNetWorkers(t, pool.WorkerAddr(), 2)
 	cfg := Config{Level: 2, Root: sudoku.New(3), Seed: 3}
 	res, err := pool.RunJob(0, cfg, nil)
-	st := pool.net.Stats()
+	st, chunks := pool.net.Stats(), pool.Metrics().Chunks
 	pool.Shutdown()
 	wait()
 	if err != nil {
@@ -245,6 +246,19 @@ func TestNetPoolChunksStayInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, "net pool with local dispatch", res, solo)
+	one, err := NewPool(PoolConfig{Slots: 1, Medians: 2, Clients: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = one.RunJob(0, cfg, nil)
+	whole := one.Metrics().Chunks
+	one.Shutdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunks != whole {
+		t.Fatalf("%d chunks for %d rollouts, want %d: one per step", chunks, res.Jobs, whole)
+	}
 	if st.Relayed != 0 {
 		t.Fatalf("the hub relayed %d frames", st.Relayed)
 	}

@@ -179,10 +179,11 @@ type svcChunkResult struct {
 }
 
 // chunkLimit is the number of rollouts a median packs into one svcChunk:
-// a step's moves spread evenly over the pool's clients. Read from the
-// layout so that no grain has to be tuned — one client takes a whole step
-// in one message, and with at least as many clients as moves every
-// rollout travels alone, which is the paper's protocol.
+// a step's moves spread evenly over the clients the median can reach
+// (poolWorld.reach). Read from the layout so that no grain has to be
+// tuned — one client takes a whole step in one message, and with at least
+// as many clients as moves every rollout travels alone, which is the
+// paper's protocol.
 func chunkLimit(moves, clients int) int {
 	return (moves + clients - 1) / clients
 }
@@ -608,6 +609,16 @@ type poolWorld struct {
 	degEpoch atomic.Uint64
 	degMu    sync.Mutex
 	degDead  []bool // indexed rank - firstWorker(); nil until first abandonment
+}
+
+// reach is the number of clients a median of this process can be given:
+// its clientList's, or the whole pool's where the coordinator's
+// dispatcher assigns clients.
+func (w *poolWorld) reach() int {
+	if w.list != nil {
+		return w.list.clients
+	}
+	return w.cfg.Clients
 }
 
 // markDead records [lo, hi) as abandoned.
@@ -2150,7 +2161,7 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 			if len(moves) == 0 {
 				break
 			}
-			limit := chunkLimit(len(moves), w.cfg.Clients)
+			limit := chunkLimit(len(moves), w.reach())
 			scores, scored, keys, owner = scores[:0], scored[:0], keys[:0], owner[:0]
 			sendq, cmoves, ckeys = sendq[:0], cmoves[:0], ckeys[:0]
 			head := 0

@@ -233,14 +233,15 @@ func TestDistributedServiceWorkerChurn(t *testing.T) {
 // running job fails fast with ErrDegraded; the Manager's retry policy
 // re-queues it under its original seed, a replacement worker revives the
 // pool, and the retried run completes bit-identical to the undisturbed
-// solo result. The pool has one worker, killed before the job is
-// submitted, so nothing can run the job before the grace window ends: a
-// second worker would host a median and a client of its own and finish
-// the job alone, and a job killed mid-run may finish before the kill.
+// solo result. The job is submitted once the pool has failed, with the
+// surviving worker still hosting a median and a client: only the
+// Degrade-off floor (every worker must stay) fails the pool there, and a
+// job this small would finish between a mid-run kill and the end of the
+// grace window, since each worker dispatches its own clients.
 func TestDistributedServiceRetryToSuccess(t *testing.T) {
 	m, err := New(Config{
 		Slots: 1, Medians: 2, Clients: 3,
-		Workers: 1, WorkerListen: "127.0.0.1:0",
+		Workers: 2, WorkerListen: "127.0.0.1:0",
 		// Degrade off: any abandonment fails the pool until capacity
 		// returns. Short grace + short backoff keep the test fast.
 		ReplaceGrace: 100 * time.Millisecond,
@@ -283,14 +284,22 @@ func TestDistributedServiceRetryToSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1done := serve(w1)
+	w2, err := mpi.DialWorker(m.WorkerAddr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2done := serve(w2)
 
-	// Kill the proxied worker before the job starts and withhold the
-	// replacement until the fail-fast + retry machinery has visibly
-	// engaged. The job then runs on a pool whose only worker is lost: it
-	// cannot finish before the grace window ends, however fast it is.
+	// Kill the proxied worker and withhold the replacement until the
+	// pool has failed and the fail-fast + retry machinery has visibly
+	// engaged. The surviving worker still hosts a median and a client.
 	proxy.Sever()
 	<-w1done
-	for m.Metrics().Pool.WorkersLost < 1 {
+	deadline := time.Now().Add(30 * time.Second)
+	for !m.Metrics().Pool.Failed {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never failed after the abandonment: %+v", m.Metrics().Pool)
+		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
@@ -300,7 +309,6 @@ func TestDistributedServiceRetryToSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
 	waitStatus := func(what string, cond func(JobStatus) bool) {
 		t.Helper()
 		for {
@@ -378,5 +386,6 @@ func TestDistributedServiceRetryToSuccess(t *testing.T) {
 	if err := m.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	<-w2done
 	<-w3done
 }
