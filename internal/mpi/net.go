@@ -1215,6 +1215,16 @@ func (w *NetWorker) route(from, to Rank, tag Tag, payload any) {
 	}
 }
 
+// Inject delivers an out-of-world message (From == External) to a hosted
+// rank; a rank outside this worker's range is ignored. After Run returns
+// with the coordinator lost, it is how the embedder releases the bodies
+// left waiting in Recv.
+func (w *NetWorker) Inject(to Rank, tag Tag, payload any) {
+	if to >= w.lo && to < w.hi {
+		w.local[to-w.lo].mb.push(Msg{From: External, Tag: tag, Payload: payload})
+	}
+}
+
 // Start implements Cluster: bodies for ranks outside this worker's range
 // are ignored (their hosting process runs them).
 func (w *NetWorker) Start(rank Rank, body func(Comm)) {
@@ -1231,9 +1241,8 @@ func (w *NetWorker) Start(rank Rank, body func(Comm)) {
 // Run implements Cluster: it launches the hosted bodies and blocks until
 // they all return (normally after the embedding protocol's shutdown
 // broadcast), then sends the goodbye frame and closes the connection. If
-// the coordinator connection dies first, Run returns early — the hosted
-// bodies are stranded mid-Recv and the worker process is expected to
-// exit.
+// the coordinator connection dies first, Run returns early with the hosted
+// bodies stranded mid-Recv; the embedder releases them with Inject.
 func (w *NetWorker) Run() time.Duration {
 	for _, nc := range w.local {
 		if nc.body == nil {

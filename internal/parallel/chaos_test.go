@@ -5,10 +5,10 @@ package parallel
 // worker mid-job, let a replacement reclaim the slot, and assert the
 // acceptance contract — Score, FirstMove, Sequence, Steps, Jobs and
 // WorkUnits bit-identical to Reference's answer for the same seed, on
-// every domain. Determinism under churn is the whole point:
-// re-granted candidates and re-issued rollouts replay the same
-// coordinate-keyed rng streams, and every duplicate the churn can
-// manufacture is shed by the epoch/key guards. Run with -race in CI.
+// every domain. Determinism under churn is the whole point: re-granted
+// candidates replay the same coordinate-keyed rng streams, and every
+// duplicate the churn can manufacture is shed by the epoch/key guards. Run
+// with -race in CI.
 
 import (
 	"sync"
@@ -77,10 +77,11 @@ func startReplacementWorker(t *testing.T, addr string) *chaosWorker {
 	}
 }
 
-// chaosRun runs cfg on a 2-worker distributed pool, invokes kill once
-// (from the first progress callback when the config plays multiple steps,
-// or after a fixed delay in first-move mode), starts a replacement
-// worker, and returns the result plus the pool metrics.
+// chaosRun runs cfg on a 2-worker distributed pool of 2 medians and 3
+// clients (ranks c c m | c m), invokes kill once (from the first progress
+// callback when the config plays multiple steps, or after a fixed delay
+// in first-move mode), starts a replacement worker, and returns the
+// result plus the pool metrics.
 func chaosRun(t *testing.T, cfg Config, killWorker int) (Result, PoolMetrics) {
 	t.Helper()
 	pool, err := NewNetPool(
@@ -130,10 +131,12 @@ func chaosRun(t *testing.T, cfg Config, killWorker int) (Result, PoolMetrics) {
 	return res, m
 }
 
-// TestChaosKillEquivalence kills one of two workers mid-job — medians and
-// a client with it — lets a replacement rejoin, and requires the result
-// bit-identical to the undisturbed solo run, per domain.
+// TestChaosKillEquivalence kills one of two workers mid-job — a median and
+// the clients holding its chunks with it — lets a replacement rejoin, and
+// requires the result bit-identical to the undisturbed solo run, per
+// domain.
 func TestChaosKillEquivalence(t *testing.T) {
+	noGoroutineLeak(t)
 	cfgs := map[string]Config{
 		"morpion":  {Level: 2, Root: morpion.New(morpion.Var4D), Seed: 11, Memorize: true, FirstMoveOnly: true},
 		"samegame": {Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5, Memorize: true},
@@ -145,9 +148,9 @@ func TestChaosKillEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Worker 0 hosts both medians and a client: killing it loses
-			// granted candidates (scheduler re-grant) and a rollout
-			// executor (dispatcher repair) at once.
+			// Worker 0 hosts a median and two clients (c c m): killing it
+			// loses a granted candidate (scheduler re-grant) and the
+			// clients holding its median's chunks at once.
 			res, m := chaosRun(t, cfg, 0)
 			assertSameResult(t, "chaos kill vs solo", res, solo)
 			if m.WorkersLost < 1 {
@@ -168,16 +171,18 @@ func TestChaosKillEquivalence(t *testing.T) {
 	}
 }
 
-// TestChaosKillClientsReissue kills the worker hosting only clients: the
-// surviving medians must re-issue the rollouts they had in flight on the
-// dead clients and the job still matches solo bit-for-bit.
+// TestChaosKillClientsReissue kills worker 1, which hosts a median and
+// the client holding its chunks (c m): the scheduler re-issues the dead
+// median's candidate to the survivor, and the job still matches solo
+// bit-for-bit.
 func TestChaosKillClientsReissue(t *testing.T) {
+	noGoroutineLeak(t)
 	cfg := Config{Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5, Memorize: true}
 	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Worker 1 hosts the last two client ranks only.
+	// Worker 1 hosts the last median and client ranks (c m).
 	res, m := chaosRun(t, cfg, 1)
 	assertSameResult(t, "chaos client kill vs solo", res, solo)
 	if m.WorkersLost < 1 || m.WorkersRejoined < 1 {
@@ -299,6 +304,7 @@ func waitPoolCond(t *testing.T, pool *Pool, what string, cond func(PoolMetrics) 
 // second job run entirely on the shrunken world must both be
 // bit-identical to the undisturbed solo run, per domain.
 func TestChaosDegradeNoReplacement(t *testing.T) {
+	noGoroutineLeak(t)
 	cfgs := map[string]Config{
 		"morpion":  {Level: 2, Root: morpion.New(morpion.Var4D), Seed: 11, Memorize: true, FirstMoveOnly: true},
 		"samegame": {Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5, Memorize: true},
@@ -326,9 +332,9 @@ func TestChaosDegradeNoReplacement(t *testing.T) {
 				startChaosWorker(t, pool.WorkerAddr()),
 			}
 
-			// Worker 1 hosts the last two client ranks only, so the
-			// survivor keeps both medians and one client: the smallest
-			// world that can still finish any job.
+			// Worker 1 hosts a median and a client (c m), so the
+			// survivor keeps a median and two clients (c c m), which
+			// finish any job alone.
 			var once sync.Once
 			kill := func() { once.Do(func() { workers[1].proxy.Sever() }) }
 			var progress func(Progress)
@@ -388,19 +394,18 @@ func TestChaosDegradeNoReplacement(t *testing.T) {
 // (no stall), refuses new jobs, and a worker rejoining after all revives
 // the pool to full, bit-identical service.
 func TestChaosDegradeFailFast(t *testing.T) {
+	noGoroutineLeak(t)
 	cfg := Config{Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5, Memorize: true}
 	solo, err := Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The severed worker hosts the pool's only median (ranks c c | c m),
-	// so the job cannot finish on the survivor before the grace expires:
-	// it is still running when the abandonment lands.
+	const grace = 100 * time.Millisecond
 	pool, err := NewNetPool(
-		PoolConfig{Slots: 1, Medians: 1, Clients: 3},
+		PoolConfig{Slots: 1, Medians: 2, Clients: 2},
 		NetPoolConfig{
 			Listen: "127.0.0.1:0", Workers: 2,
-			ReplaceGrace: 100 * time.Millisecond, // Degrade off: any abandonment fails the pool
+			ReplaceGrace: grace, // Degrade off: any abandonment fails the pool
 		},
 	)
 	if err != nil {
@@ -411,12 +416,22 @@ func TestChaosDegradeFailFast(t *testing.T) {
 		startChaosWorker(t, pool.WorkerAddr()),
 	}
 
+	// Worker 1 (ranks c m) is severed after the first root step, before
+	// the second step's candidates are offered. The survivor (c m) could
+	// finish the job alone, so everything it sends the coordinator is held
+	// for ten grace windows from just before the sever until the job has
+	// failed: no score of the second step arrives before the abandonment,
+	// and the job is still running when it lands.
 	var once sync.Once
 	res, err := pool.RunJob(0, cfg, func(p Progress) {
 		if p.Steps == 1 {
-			once.Do(func() { workers[1].proxy.Sever() })
+			once.Do(func() {
+				workers[0].proxy.SetDelayDir(faultnet.Up, 10*grace, 0)
+				workers[1].proxy.Sever()
+			})
 		}
 	})
+	workers[0].proxy.SetDelayDir(faultnet.Up, 0, 0)
 	if err != ErrDegraded {
 		t.Fatalf("fail-fast job returned (%+v, %v), want ErrDegraded", res, err)
 	}

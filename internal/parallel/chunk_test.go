@@ -89,11 +89,14 @@ func TestChunkShapeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := NewNetPool(cfg, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2})
+		// Every net worker hosts a median and a client: one worker for the
+		// one client.
+		workers := min(2, clients)
+		net, err := NewNetPool(cfg, NetPoolConfig{Listen: "127.0.0.1:0", Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wait := startNetWorkers(t, net.WorkerAddr(), 2)
+		wait := startNetWorkers(t, net.WorkerAddr(), workers)
 		for i, j := range jobs {
 			for _, speculate := range []int{0, 2} {
 				c := j.cfg
@@ -124,13 +127,13 @@ func TestChunkShapeEquivalence(t *testing.T) {
 	}
 }
 
-// TestChaosKillClientsHoldingChunks kills the worker that hosts every
-// client of a two-client pool — so each of the dead clients holds half a
-// step's rollouts in one chunk — and requires the finished job identical
-// to solo: every unscored item re-issued under its original key, the
-// duplicates the replacement computes from the flushed frames shed, no
-// drift in Jobs or WorkUnits.
+// TestChaosKillClientsHoldingChunks kills worker 1 of a two-worker pool
+// (ranks c m | c m) mid-job: a median dies together with the client
+// holding its chunk, which carries a whole step's rollouts. The scheduler
+// re-grants the median's candidate, and the finished job must be
+// identical to solo, with no drift in Jobs or WorkUnits.
 func TestChaosKillClientsHoldingChunks(t *testing.T) {
+	noGoroutineLeak(t)
 	cfg := Config{Level: 2, Root: samegame.NewRandom(8, 8, 4, 7), Seed: 5, Memorize: true}
 	solo, err := Reference(cfg)
 	if err != nil {
@@ -141,7 +144,7 @@ func TestChaosKillClientsHoldingChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Worker 0 hosts the two medians, worker 1 the two clients.
+	// Each worker hosts a median and the client it dispatches (c m).
 	workers := []*chaosWorker{
 		startChaosWorker(t, pool.WorkerAddr()),
 		startChaosWorker(t, pool.WorkerAddr()),
@@ -204,36 +207,53 @@ func TestPoolAsyncCancelsChunksInFlight(t *testing.T) {
 }
 
 // Ranks of the 1 slot × 1 median × 2 clients world the scripts run in:
-// slot 0, scheduler 1, dispatcher 2, then the median and the two clients
-// in newPoolWorld's interleaved order.
+// slot 0, scheduler 1, then the two clients and the median in
+// newPoolWorld's interleaved order (c c m).
 const slot0 mpi.Rank = 0
 
 var (
-	scriptedWorld  = newPoolWorld(PoolConfig{Slots: 1, Medians: 1, Clients: 2})
+	scriptedWorld  = newPoolWorld(PoolConfig{Slots: 1, Medians: 1, Clients: 2}, 1)
 	scriptedMedian = scriptedWorld.medians[0]
 	scriptedClient = scriptedWorld.clients[0]
 )
 
-// scriptedPool is a wall cluster with a pool's rank layout in which the
-// test plays every rank except those given a real body: a scripted rank
-// forwards what it receives to its inbox, and the test sends in its name.
+// scriptedPool is a wall cluster with a pool's (or a per-run) rank layout
+// in which the test plays every rank except those given a real body: a
+// scripted rank forwards what it receives to its inbox, and the test
+// sends in its name.
 type scriptedPool struct {
 	t     *testing.T
-	w     *poolWorld
+	w     *poolWorld // nil for a per-run layout
 	cl    *mpi.WallCluster
 	comm  []mpi.Comm
 	inbox []chan mpi.Msg
 }
 
+// newScriptedPool lays out an in-process pool of cfg, its clientList
+// included, and runs the real bodies given.
 func newScriptedPool(t *testing.T, cfg PoolConfig, real map[mpi.Rank]func(mpi.Comm, *poolWorld)) *scriptedPool {
 	t.Helper()
-	w := newPoolWorld(cfg.withDefaults())
-	sp := &scriptedPool{t: t, w: w, cl: mpi.NewWallCluster(w.size()),
-		comm: make([]mpi.Comm, w.size()), inbox: make([]chan mpi.Msg, w.size())}
+	w := newPoolWorld(cfg.withDefaults(), 1)
+	w.list = newClientList(w, w.firstWorker(), mpi.Rank(w.size()))
+	bodies := make(map[mpi.Rank]func(mpi.Comm), len(real))
+	for r, body := range real {
+		bodies[r] = func(c mpi.Comm) { body(c, w) }
+	}
+	sp := newScripted(t, w.size(), bodies)
+	sp.w = w
+	return sp
+}
+
+// newScripted starts a world of size ranks that runs the real bodies
+// given and scripts every other rank.
+func newScripted(t *testing.T, size int, real map[mpi.Rank]func(mpi.Comm)) *scriptedPool {
+	t.Helper()
+	sp := &scriptedPool{t: t, cl: mpi.NewWallCluster(size),
+		comm: make([]mpi.Comm, size), inbox: make([]chan mpi.Msg, size)}
 	var ready sync.WaitGroup
-	for r := mpi.Rank(0); int(r) < w.size(); r++ {
+	for r := mpi.Rank(0); int(r) < size; r++ {
 		if body, ok := real[r]; ok {
-			sp.cl.Start(r, func(c mpi.Comm) { body(c, w) })
+			sp.cl.Start(r, body)
 			continue
 		}
 		// Sized to hold a whole script: a scripted rank never blocks on the test.
@@ -258,7 +278,7 @@ func newScriptedPool(t *testing.T, cfg PoolConfig, real map[mpi.Rank]func(mpi.Co
 	}()
 	ready.Wait()
 	t.Cleanup(func() {
-		for r := 0; r < w.size(); r++ {
+		for r := 0; r < size; r++ {
 			sp.cl.Inject(mpi.Rank(r), tagShutdown, nil)
 		}
 		<-done
@@ -299,13 +319,24 @@ func (sp *scriptedPool) quiet(rank mpi.Rank) {
 	}
 }
 
-// chunkFor hands the median a client (answering its pending request) and
-// returns the chunk the median sends there.
-func (sp *scriptedPool) chunkFor(median, client mpi.Rank) svcChunk {
+// listState snapshots whether client is free on the list and how many
+// medians wait there for a client.
+func (l *clientList) listState(client mpi.Rank) (free bool, waiting int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Contains(l.free, client), len(l.waiting)
+}
+
+// until polls cond, failing the test if it does not hold within 10s.
+func (sp *scriptedPool) until(what string, cond func() bool) {
 	sp.t.Helper()
-	sp.expect(sp.w.disp, tagRequest)
-	sp.send(sp.w.disp, median, tagAssign, client)
-	return sp.expect(client, tagJob).Payload.(svcChunk)
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			sp.t.Fatalf("timeout waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // answer is the well-formed result of a chunk under made-up scores: seq j
@@ -321,12 +352,14 @@ func answer(ck svcChunk) svcChunkResult {
 	return r
 }
 
-// TestMedianReissuesLostChunk pins the per-item loss handling: a client
-// dies holding a three-rollout chunk, and the median re-issues exactly
-// those items — same moves, same keys, same seqs — to the next client;
-// the late answer of the dead client's replacement, forged items and
-// malformed results are shed, and every rollout is counted once.
-func TestMedianReissuesLostChunk(t *testing.T) {
+// TestMedianShedsStaleResults pins the median's per-item result guard: a
+// step of five rollouts goes out as a three-rollout and a two-rollout
+// chunk to the two clients of the median's process, each item under its
+// coordinate key; a duplicated answer, an answer of the slot's previous
+// job at the same coordinates, forged items and malformed results are
+// shed, and every rollout is counted once.
+func TestMedianShedsStaleResults(t *testing.T) {
+	noGoroutineLeak(t)
 	sp := newScriptedPool(t, PoolConfig{Slots: 1, Medians: 1, Clients: 2}, map[mpi.Rank]func(mpi.Comm, *poolWorld){
 		scriptedMedian: func(c mpi.Comm, w *poolWorld) { runPoolMedian(c, w, func(time.Duration) {}) },
 	})
@@ -339,10 +372,12 @@ func TestMedianReissuesLostChunk(t *testing.T) {
 	sp.send(w.sched, median, tagGrant, svcCandidate{Step: 3, Cand: 1, Par: -1, P: p, State: root.Clone()})
 	sp.expect(w.sched, tagWorkReq) // the prefetch, sent at play start
 
-	lost := sp.chunkFor(median, a) // ceil(5/2) = 3 rollouts
-	rest := sp.chunkFor(median, b)
+	// Both clients are free: the median takes them off the list in order,
+	// with no message, and sends the first ceil(5/2) = 3 rollouts.
+	first := sp.expect(a, tagJob).Payload.(svcChunk)
+	rest := sp.expect(b, tagJob).Payload.(svcChunk)
 	legal := root.LegalMoves(nil)
-	for i, ck := range []svcChunk{lost, rest} {
+	for i, ck := range []svcChunk{first, rest} {
 		lo := 3 * i
 		if !slices.Equal(ck.Seqs, []int{0, 1, 2, 3, 4}[lo:lo+len(ck.Seqs)]) || !slices.Equal(ck.Moves, legal[lo:lo+len(ck.Seqs)]) {
 			t.Fatalf("chunk %d: seqs %v moves %v", i, ck.Seqs, ck.Moves)
@@ -356,26 +391,27 @@ func TestMedianReissuesLostChunk(t *testing.T) {
 			t.Fatalf("chunk %d: params %+v par %d base at %d moves", i, ck.P, ck.Par, ck.Base.MovesPlayed())
 		}
 	}
-	if len(lost.Seqs) != 3 || len(rest.Seqs) != 2 {
-		t.Fatalf("chunks of %d and %d rollouts, want 3 and 2", len(lost.Seqs), len(rest.Seqs))
+	if len(first.Seqs) != 3 || len(rest.Seqs) != 2 {
+		t.Fatalf("chunks of %d and %d rollouts, want 3 and 2", len(first.Seqs), len(rest.Seqs))
 	}
 
-	// The worker hosting client a dies; the three items go out again.
-	sp.cl.Inject(median, tagRanksLost, svcRanksLost{Lo: a, Hi: a + 1})
-	again := sp.chunkFor(median, b)
-	if !slices.Equal(again.Seqs, lost.Seqs) || !slices.Equal(again.Keys, lost.Keys) || !slices.Equal(again.Moves, lost.Moves) {
-		t.Fatalf("re-issued chunk %+v differs from the lost one %+v", again, lost)
+	sp.send(a, median, tagResult, answer(first))
+	// The same answer again: every item is a duplicate.
+	sp.send(a, median, tagResult, answer(first))
+	// The slot's previous job at the same coordinates: same rng keys,
+	// another identity.
+	stale := answer(rest)
+	prev := p
+	prev.Epoch = 0
+	for i := range stale.Keys {
+		stale.Keys[i] = resultKey(prev, -1, rest.Keys[i])
 	}
-
-	sp.send(b, median, tagResult, answer(again))
-	// The original chunk was flushed to the dead client's replacement,
-	// which answers it too: every item is a duplicate.
-	sp.send(a, median, tagResult, answer(lost))
+	sp.send(b, median, tagResult, stale)
 	// Malformed and forged results: ragged slices, an out-of-range, a
 	// negative and a repeated seq, a key of another branch.
 	sp.send(b, median, tagResult, svcChunkResult{Keys: []uint64{1}, Seqs: []int{3, 4}, Scores: []float64{9}, Units: []int64{1000}})
 	sp.send(b, median, tagResult, svcChunkResult{
-		Keys:   []uint64{rest.Keys[0], rest.Keys[0], resultKey(p, -1, again.Keys[0]), resultKey(p, 0, rest.Keys[0])},
+		Keys:   []uint64{rest.Keys[0], rest.Keys[0], resultKey(p, -1, first.Keys[0]), resultKey(p, 0, rest.Keys[0])},
 		Seqs:   []int{99, -1, 0, 3},
 		Scores: []float64{9, 9, 9, 9},
 		Units:  []int64{1000, 1000, 1000, 1000},
@@ -384,8 +420,8 @@ func TestMedianReissuesLostChunk(t *testing.T) {
 	sp.send(b, median, tagResult, answer(rest))
 
 	sc := sp.expect(slot0, tagStepScore).Payload.(svcScore)
-	if sc.Rollouts != 5 || sc.Units != 10+11+12+13+14 || sc.Chunks != 3 {
-		t.Fatalf("score accounting %+v, want 5 rollouts, 60 units, 3 chunks", sc)
+	if sc.Rollouts != 5 || sc.Units != 10+11+12+13+14 || sc.Chunks != 2 {
+		t.Fatalf("score accounting %+v, want 5 rollouts, 60 units, 2 chunks", sc)
 	}
 	// argmax of the made-up scores (seq mod 3) is seq 2.
 	won := root.Clone()
@@ -402,6 +438,7 @@ func TestMedianReissuesLostChunk(t *testing.T) {
 // may still be reading them. The aborted game's late answer, under the
 // same rng keys but another branch, is shed by the identity echo.
 func TestMedianAbortDropsChunkBuffers(t *testing.T) {
+	noGoroutineLeak(t)
 	sp := newScriptedPool(t, PoolConfig{Slots: 1, Medians: 1, Clients: 2}, map[mpi.Rank]func(mpi.Comm, *poolWorld){
 		scriptedMedian: func(c mpi.Comm, w *poolWorld) { runPoolMedian(c, w, func(time.Duration) {}) },
 	})
@@ -410,30 +447,39 @@ func TestMedianAbortDropsChunkBuffers(t *testing.T) {
 	root := game.NewArmTree(4, 1, 7)
 	p := jobParams{Slot: 0, Epoch: 1, Level: 2, Seed: 9, JobScale: 1, Root: 0}
 
+	// b is busy with another chunk: the list hands the median a, then
+	// keeps it waiting for the other half of the step.
+	for _, want := range []mpi.Rank{a, b} {
+		if got, ok := w.list.take(median, 0); !ok || got != want {
+			t.Fatalf("list handed out %d (%v), want %d", got, ok, want)
+		}
+	}
+	w.list.release(sp.comm[a], a)
+
 	sp.expect(w.sched, tagWorkReq)
 	sp.send(w.sched, median, tagGrant, svcCandidate{Step: 1, Cand: 0, Par: 2, P: p, State: root.Clone()})
 	sp.expect(w.sched, tagWorkReq)
-	held := sp.chunkFor(median, a)
+	held := sp.expect(a, tagJob).Payload.(svcChunk)
 	snapshot := svcChunk{Moves: slices.Clone(held.Moves), Keys: slices.Clone(held.Keys), Seqs: slices.Clone(held.Seqs)}
-	sp.expect(w.disp, tagRequest) // for the other half; left unanswered
+	sp.until("the median to wait for a client", func() bool { _, n := w.list.listState(b); return n == 1 })
 
-	// Branch 2 lost the argmax to branch 0. The dispatcher's answer to the
-	// aborted game's request finds the median idle: the client must come
-	// straight back (an empty job, which it answers with a free notice),
-	// not wait reserved for a grant that may depend on it.
+	// Branch 2 lost the argmax to branch 0. b, freed, answers the aborted
+	// game's request and finds the median idle: the median must put it
+	// straight back on the list, not keep it reserved for a grant that may
+	// depend on it.
 	sp.send(w.sched, median, tagSpecCancel, svcSpecCancel{Slot: 0, Epoch: 1, Step: 1, Keep: 0})
-	sp.send(w.disp, median, tagAssign, b)
-	if release := sp.expect(b, tagJob); release.Payload != nil {
-		t.Fatalf("idle median kept its client busy with %+v", release.Payload)
-	}
+	w.list.release(sp.comm[b], b)
+	sp.until("the idle median to hand its client back", func() bool { free, _ := w.list.listState(b); return free })
 	sp.quiet(slot0) // the aborted game reported nothing
 
 	// The winner's game at the same coordinates follows: same rng keys,
-	// another identity.
+	// another identity. a still holds the aborted chunk, so both halves
+	// go to b.
 	sp.send(w.sched, median, tagGrant, svcCandidate{Step: 1, Cand: 0, Par: 0, P: p, State: root.Clone()})
 	sp.expect(w.sched, tagWorkReq)
-	first := sp.chunkFor(median, b)
-	second := sp.chunkFor(median, b)
+	first := sp.expect(b, tagJob).Payload.(svcChunk)
+	w.list.release(sp.comm[b], b)
+	second := sp.expect(b, tagJob).Payload.(svcChunk)
 	if !slices.Equal(first.Keys, held.Keys) || first.Par != 0 {
 		t.Fatalf("winner's chunk %+v: want the loser's rng keys under par 0", first)
 	}
@@ -460,10 +506,12 @@ func TestMedianAbortDropsChunkBuffers(t *testing.T) {
 }
 
 // TestClientAnswersChunks drives a real client rank: degenerate chunks are
-// refused with nothing but the availability notice the dispatcher needs,
-// and a well-formed chunk is answered item by item with the score the
-// sequential search gives under the item's key.
+// refused without an answer, and a well-formed chunk is answered item by
+// item with the score the sequential search gives under the item's key,
+// with the client back on its process's list by the time the answer
+// arrives.
 func TestClientAnswersChunks(t *testing.T) {
+	noGoroutineLeak(t)
 	sp := newScriptedPool(t, PoolConfig{Slots: 1, Medians: 1, Clients: 2}, map[mpi.Rank]func(mpi.Comm, *poolWorld){
 		scriptedClient: func(c mpi.Comm, w *poolWorld) { runPoolClient(c, w, nil, false, func(time.Duration) {}) },
 	})
@@ -474,6 +522,10 @@ func TestClientAnswersChunks(t *testing.T) {
 	p := jobParams{Slot: 0, Epoch: 1, Level: 3, Seed: 9, Memorize: true, JobScale: 1, Root: 0}
 	good := svcChunk{Par: -1, P: p, Base: base, Moves: legal[:2], Keys: []uint64{21, 22}, Seqs: []int{5, 6}}
 
+	// The median takes the client off the list, as it does for a chunk.
+	if got, ok := w.list.take(median, 0); !ok || got != client {
+		t.Fatalf("list handed out %d (%v), want %d", got, ok, client)
+	}
 	flat := good
 	flat.P.Level = 1
 	refused := map[string]struct {
@@ -487,16 +539,15 @@ func TestClientAnswersChunks(t *testing.T) {
 		"seqs long":         {median, svcChunk{P: p, Base: base, Moves: legal[:1], Keys: []uint64{1}, Seqs: []int{0, 1}}},
 		"not from a median": {other, good},
 	}
-	for name, r := range refused {
+	for _, r := range refused {
 		sp.send(r.from, client, tagJob, r.payload)
-		if msg := sp.expect(w.disp, tagFree); msg.From != client {
-			t.Fatalf("%s: free notice from %d", name, msg.From)
-		}
 	}
 
 	sp.send(median, client, tagJob, good)
-	sp.expect(w.disp, tagFree)
 	res := sp.expect(median, tagResult).Payload.(svcChunkResult)
+	if free, _ := w.list.listState(client); !free {
+		t.Fatal("the client answered before putting itself back on the list")
+	}
 	sp.quiet(median) // the refused chunks were never answered
 	sp.quiet(other)
 	if !slices.Equal(res.Seqs, good.Seqs) || len(res.Keys) != 2 || len(res.Scores) != 2 || len(res.Units) != 2 {

@@ -16,10 +16,10 @@ import (
 // and the rank that freed the client sends it (release).
 //
 // The list serves the contiguous worker ranks [lo, hi): every worker rank
-// of an in-process pool, or one worker process's range of a net pool whose
-// every range hosts both roles (localDispatch). Its clients never serve a
-// median of another process, so a lost worker takes its medians, clients
-// and list together and nothing else needs repair.
+// of an in-process pool, or one worker process's range of a net pool,
+// which hosts both roles (newPoolWorld). Its clients never serve a median
+// of another process, so a lost worker takes its medians, clients and list
+// together and nothing else needs repair.
 type clientList struct {
 	w            *poolWorld
 	lo, hi       mpi.Rank

@@ -13,7 +13,7 @@ import (
 // putting a client that is already free, or is no client of the list,
 // changes nothing.
 func TestClientList(t *testing.T) {
-	// 1 slot, 3 medians, 3 clients: worker ranks 3..8 are c m c m c m.
+	// 1 slot, 3 medians, 3 clients: worker ranks 2..7 are c m c m c m.
 	for _, tc := range []struct {
 		algo  Algorithm
 		order []int // waiting medians served, as indexes into medians
@@ -21,7 +21,7 @@ func TestClientList(t *testing.T) {
 		{LastMinute, []int{1, 2, 0}},
 		{RoundRobin, []int{0, 1, 2}},
 	} {
-		w := newPoolWorld(PoolConfig{Slots: 1, Medians: 3, Clients: 3, Algo: tc.algo})
+		w := newPoolWorld(PoolConfig{Slots: 1, Medians: 3, Clients: 3, Algo: tc.algo}, 1)
 		l := newClientList(w, w.firstWorker(), mpi.Rank(w.size()))
 		a, b, c := w.clients[0], w.clients[1], w.clients[2]
 		m := w.medians

@@ -139,12 +139,13 @@ func TestEvaluatorEquivalence(t *testing.T) {
 	wait()
 }
 
-// TestChaosKillEvaluatorBatch kills a worker while guided rollouts — and
-// so evaluations — are in flight on its client ranks. The re-issued
-// rollouts replay the same coordinate-keyed rng streams and the pure
-// evaluator re-scores identically on the replacement worker, so the
+// TestChaosKillGuidedRollouts kills a worker while guided rollouts — and
+// so evaluations — are in flight on its client ranks. The dead median's
+// re-granted candidate replays the same coordinate-keyed rng streams and
+// the pure evaluator re-scores identically on whichever worker plays it, so the
 // result must still match the undisturbed solo run.
-func TestChaosKillEvaluatorBatch(t *testing.T) {
+func TestChaosKillGuidedRollouts(t *testing.T) {
+	noGoroutineLeak(t)
 	cfg := Config{
 		Level: 2, Root: samegame.NewRandom(6, 6, 3, 3), Seed: 5,
 		Memorize: true, Evaluator: "heuristic",
@@ -153,8 +154,9 @@ func TestChaosKillEvaluatorBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Worker 0 hosts medians and a client: the kill loses granted
-	// candidates and in-flight evaluations at once.
+	// Worker 0 hosts a median and two clients (c c m): the kill loses a
+	// granted candidate and the evaluations its chunks had in flight at
+	// once.
 	res, m := chaosRun(t, cfg, 0)
 	assertSameResult(t, "chaos kill mid-evaluation vs solo", res, solo)
 	if m.WorkersLost < 1 || m.WorkersRejoined < 1 {

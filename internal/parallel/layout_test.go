@@ -1,13 +1,16 @@
 package parallel
 
-// The pool's rank layout: medians and clients interleaved so that any
-// contiguous range of worker ranks — in particular each worker process's
-// share under NewNetPool's even split — holds its proportional share of
-// both roles.
+// The pool's rank layout: each worker process hosts one contiguous range
+// of ranks holding an even share of the medians and of the clients, so
+// that at every worker count NewNetPool accepts, every worker hosts both
+// roles.
 
 import (
+	"fmt"
 	"math"
+	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,76 +19,111 @@ import (
 	"repro/internal/sudoku"
 )
 
-// TestPoolWorldLayout checks the layout rule over a table of pool shapes
-// and worker counts: the role lists partition the worker ranks, every
-// role lookup agrees with them, each worker's range holds ⌊·⌋ or ⌈·⌉ of
-// its proportional share of medians, and at the table's shapes with at
-// least as many medians and clients as workers, every worker hosts both
-// roles. (The rule guarantees that whenever each worker's range holds at
-// least n/min(M, C) ranks; with more workers a range may not.) The local
-// column is NewNetPool's dispatch choice: each worker dispatches its own
-// clients exactly when every range hosts both roles, and the coordinator's
-// dispatcher runs otherwise.
+// TestPoolWorldLayout checks the layout rule at every shape of up to 24
+// medians and 24 clients and every worker count NewNetPool accepts: the
+// role lists partition the worker ranks, every role lookup agrees with
+// them, worker i's range holds exactly splitRanks(M, W)[i] medians and
+// splitRanks(C, W)[i] clients, and one worker lays the ranks out in the
+// interleave the single-process pool has always used.
 func TestPoolWorldLayout(t *testing.T) {
-	for _, tc := range []struct {
-		slots, m, c, w int
-		local          bool
-	}{
-		{1, 1, 1, 1, true}, {2, 2, 2, 2, true}, {1, 2, 3, 1, true},
-		{4, 4, 8, 1, true}, {4, 4, 8, 2, true}, {4, 4, 8, 3, true}, {4, 4, 8, 4, true},
-		{2, 3, 5, 2, true}, {1, 1, 8, 2, false}, {3, 5, 9, 3, true},
-		{1, 1, 3, 2, false}, {1, 2, 2, 3, false}, {4, 4, 8, 6, false},
-	} {
-		w := newPoolWorld(PoolConfig{Slots: tc.slots, Medians: tc.m, Clients: tc.c})
-		n := tc.m + tc.c
-		first := w.firstWorker()
-		if first != mpi.Rank(tc.slots+2) || w.size() != tc.slots+2+n {
-			t.Fatalf("%+v: first worker %d, size %d", tc, first, w.size())
-		}
-		if len(w.medians) != tc.m || len(w.clients) != tc.c {
-			t.Fatalf("%+v: %d medians, %d clients", tc, len(w.medians), len(w.clients))
-		}
-		all := slices.Sorted(slices.Values(append(slices.Clone(w.medians), w.clients...)))
-		for i, r := range all {
-			if r != first+mpi.Rank(i) {
-				t.Fatalf("%+v: medians %v and clients %v do not partition the worker ranks", tc, w.medians, w.clients)
+	const slots = 2
+	for m := 1; m <= 24; m++ {
+		for c := 1; c <= 24; c++ {
+			for workers := 1; workers <= min(m, c); workers++ {
+				checkPoolWorld(t, PoolConfig{Slots: slots, Medians: m, Clients: c}, workers)
 			}
 		}
-		for r := mpi.Rank(-1); int(r) <= w.size(); r++ {
-			mi, ci := slices.Index(w.medians, r), slices.Index(w.clients, r)
-			if isMedianRank(w, r) != (mi >= 0) || isClientRank(w, r) != (ci >= 0) {
-				t.Fatalf("%+v: rank %d: isMedianRank %v, isClientRank %v, lists %d/%d",
-					tc, r, isMedianRank(w, r), isClientRank(w, r), mi, ci)
-			}
-			ro, ok := w.role(r)
-			switch {
-			case !ok && (mi >= 0 || ci >= 0):
-				t.Fatalf("%+v: worker rank %d has no role", tc, r)
-			case ok && ro.median && ro.index != mi, ok && !ro.median && ro.index != ci:
-				t.Fatalf("%+v: rank %d role %+v disagrees with the lists (%d, %d)", tc, r, ro, mi, ci)
-			}
-		}
+	}
+}
 
-		if got := localDispatch(w, splitRanks(n, tc.w)); got != tc.local {
-			t.Fatalf("%+v: local dispatch %v", tc, got)
+// checkPoolWorld checks one shape of TestPoolWorldLayout.
+func checkPoolWorld(t *testing.T, cfg PoolConfig, workers int) {
+	t.Helper()
+	w := newPoolWorld(cfg, workers)
+	n := cfg.Medians + cfg.Clients
+	first := w.firstWorker()
+	if first != mpi.Rank(cfg.Slots+1) || w.size() != cfg.Slots+1+n {
+		t.Fatalf("%+v on %d: first worker %d, size %d", cfg, workers, first, w.size())
+	}
+	if len(w.medians) != cfg.Medians || len(w.clients) != cfg.Clients {
+		t.Fatalf("%+v on %d: %d medians, %d clients", cfg, workers, len(w.medians), len(w.clients))
+	}
+	all := slices.Sorted(slices.Values(append(slices.Clone(w.medians), w.clients...)))
+	for i, r := range all {
+		if r != first+mpi.Rank(i) {
+			t.Fatalf("%+v on %d: medians %v and clients %v do not partition the worker ranks", cfg, workers, w.medians, w.clients)
 		}
-		lo := first
-		for i, size := range splitRanks(n, tc.w) {
-			hi := lo + mpi.Rank(size)
-			medians := 0
-			for r := lo; r < hi; r++ {
-				if isMedianRank(w, r) {
-					medians++
-				}
+	}
+	for r := mpi.Rank(-1); int(r) <= w.size(); r++ {
+		mi, ci := slices.Index(w.medians, r), slices.Index(w.clients, r)
+		if isMedianRank(w, r) != (mi >= 0) || isClientRank(w, r) != (ci >= 0) {
+			t.Fatalf("%+v on %d: rank %d: isMedianRank %v, isClientRank %v, lists %d/%d",
+				cfg, workers, r, isMedianRank(w, r), isClientRank(w, r), mi, ci)
+		}
+		ro, ok := w.role(r)
+		switch {
+		case !ok && (mi >= 0 || ci >= 0):
+			t.Fatalf("%+v on %d: worker rank %d has no role", cfg, workers, r)
+		case ok && ro.median && ro.index != mi, ok && !ro.median && ro.index != ci:
+			t.Fatalf("%+v on %d: rank %d role %+v disagrees with the lists (%d, %d)", cfg, workers, r, ro, mi, ci)
+		}
+	}
+
+	medians, clients := splitRanks(cfg.Medians, workers), splitRanks(cfg.Clients, workers)
+	if len(w.ranks) != workers {
+		t.Fatalf("%+v on %d: %d worker ranges", cfg, workers, len(w.ranks))
+	}
+	lo := first
+	for i, size := range w.ranks {
+		hi := lo + mpi.Rank(size)
+		m := 0
+		for r := lo; r < hi; r++ {
+			if isMedianRank(w, r) {
+				m++
 			}
-			share := float64(size*tc.m) / float64(n)
-			if medians != int(math.Floor(share)) && medians != int(math.Ceil(share)) {
-				t.Fatalf("%+v: worker %d [%d, %d) hosts %d medians, share %.2f", tc, i, lo, hi, medians, share)
+		}
+		if m != medians[i] || size-m != clients[i] {
+			t.Fatalf("%+v on %d: worker %d [%d, %d) hosts %d medians and %d clients, want %d and %d",
+				cfg, workers, i, lo, hi, m, size-m, medians[i], clients[i])
+		}
+		if !w.isRange(lo, hi) || w.isRange(lo, hi+1) || (size > 1 && w.isRange(lo+1, hi)) {
+			t.Fatalf("%+v on %d: isRange disagrees with worker %d's range [%d, %d)", cfg, workers, i, lo, hi)
+		}
+		lo = hi
+	}
+
+	if workers == 1 {
+		// The interleave rule over all n worker ranks: rank k is a median
+		// iff ⌊(k+1)·M/n⌋ > ⌊k·M/n⌋.
+		for k := range n {
+			want := (k+1)*cfg.Medians/n > k*cfg.Medians/n
+			if isMedianRank(w, first+mpi.Rank(k)) != want {
+				t.Fatalf("%+v on one worker: rank %d median %v, want %v", cfg, first+mpi.Rank(k), !want, want)
 			}
-			if tc.m >= tc.w && tc.c >= tc.w && (medians == 0 || medians == size) {
-				t.Fatalf("%+v: worker %d [%d, %d) hosts %d medians of %d ranks, want both roles", tc, i, lo, hi, medians, size)
-			}
-			lo = hi
+		}
+	}
+}
+
+// TestNetPoolRefusesWorkersWithoutBothRoles asks NewNetPool for one worker
+// more than min(medians, clients): some worker would host no median or no
+// client, and the pool must refuse, naming the bound, before it listens.
+func TestNetPoolRefusesWorkersWithoutBothRoles(t *testing.T) {
+	// Hold the port the pool would bind: a pool that listened first would
+	// fail with an address-in-use error instead of the bound.
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	for _, cfg := range []PoolConfig{{Medians: 2, Clients: 5}, {Medians: 4, Clients: 3}, {Medians: 1, Clients: 1}} {
+		bound := min(cfg.Medians, cfg.Clients)
+		pool, err := NewNetPool(cfg, NetPoolConfig{Listen: taken.Addr().String(), Workers: bound + 1})
+		if err == nil {
+			pool.Shutdown()
+			t.Fatalf("%d medians, %d clients: %d workers accepted", cfg.Medians, cfg.Clients, bound+1)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("min(medians, clients) = %d", bound)) {
+			t.Fatalf("%d medians, %d clients, %d workers: error %q does not name the bound", cfg.Medians, cfg.Clients, bound+1, err)
 		}
 	}
 }
@@ -228,9 +266,6 @@ func TestNetPoolChunksStayInProcess(t *testing.T) {
 	)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !pool.local {
-		t.Fatal("net_loopback's shape runs the coordinator's dispatcher")
 	}
 	wait := startNetWorkers(t, pool.WorkerAddr(), 2)
 	cfg := Config{Level: 2, Root: sudoku.New(3), Seed: 3}

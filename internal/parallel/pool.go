@@ -23,9 +23,9 @@ package parallel
 //   - Medians take clients from a free list shared in memory by the
 //     medians and clients of their process (clientList): the demand-driven
 //     dispatcher without its rank, pending requests served
-//     longest-expected-first under LastMinute. A net pool whose worker
-//     processes do not each host both roles keeps the dispatcher rank in
-//     the coordinator instead (localDispatch).
+//     longest-expected-first under LastMinute. Every process that hosts
+//     worker ranks hosts both roles (newPoolWorld), so a chunk never leaves
+//     its median's process.
 //   - M median ranks and C client ranks are built once and reused across
 //     every job: their StatePools, searchers and move buffers stay warm,
 //     and per-job parameters (level, seed, memorization) travel with the
@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/game"
 	"repro/internal/mpi"
@@ -67,17 +66,17 @@ import (
 // messages multiplexed onto the shared scheduler use the per-slot tag
 // bands of Pool.space.
 const (
-	tagJobStart     mpi.Tag = 64 + iota // External -> slot: start this job
-	tagJobCancel                        // External -> slot: cancel epoch
-	tagGrant                            // scheduler -> median: candidate to play
-	tagStepScore                        // median -> slot: finished game score
-	tagAbandonAck                       // scheduler -> slot: dropped-candidate count
-	tagRanksLost                        // External -> scheduler (and dispatcher/median, see noticeDispatch): worker ranks died
-	tagRegrant                          // scheduler -> slot: lost candidates re-queued
-	tagRanksDead                        // External -> scheduler (and dispatcher/median): ranks abandoned, no replacement coming
-	tagRanksRevived                     // External -> dispatcher/median: abandoned ranks rejoined after all
-	tagJobFail                          // External -> slot: pool degraded below its floor, fail the job
-	tagSpecCancel                       // scheduler -> median: speculative branch cancelled
+	tagJobStart   mpi.Tag = 64 + iota // External -> slot: start this job
+	tagJobCancel                      // External -> slot: cancel epoch
+	tagGrant                          // scheduler -> median: candidate to play
+	tagStepScore                      // median -> slot: finished game score
+	tagAbandonAck                     // scheduler -> slot: dropped-candidate count
+	tagRanksLost                      // External -> scheduler: worker ranks died
+	tagRegrant                        // scheduler -> slot: lost candidates re-queued
+	tagRanksDead                      // External -> scheduler: ranks abandoned, no replacement coming
+	_                                 // retired (revived-ranks notice); left blank so later tags keep their values
+	tagJobFail                        // External -> slot: pool degraded below its floor, fail the job
+	tagSpecCancel                     // scheduler -> median: speculative branch cancelled
 )
 
 // Per-slot tag-band offsets (see mpi.TagSpace): the scheduler tells jobs
@@ -165,12 +164,10 @@ type svcScore struct {
 // the score of the Seqs[i]-th candidate of the median's current step and
 // the rollout's metered work. Keys[i] is the item's identity echo
 // (resultKey: the rng key folded with the owning job's slot, epoch and
-// branch discriminator) — the median uses it to reject stale items: under
-// worker churn a lost chunk may be both re-issued and (via the rejoin
-// pending-queue flush) computed by the dead client's replacement, and the
-// duplicate — or an item surviving from an earlier step, from another job
+// branch discriminator) — the median uses it to reject stale items: a
+// duplicate, or an item surviving from an earlier step, from another job
 // at the same logical coordinates, or from a cancelled speculative
-// branch's aborted game — must never be mistaken for a live one.
+// branch's aborted game, must never be mistaken for a live one.
 type svcChunkResult struct {
 	Keys   []uint64
 	Seqs   []int
@@ -206,14 +203,13 @@ func resultKey(p jobParams, par int, rngKey uint64) uint64 {
 	return rng.Fold(uint64(p.Slot), p.Epoch, rngKey, uint64(par+1))
 }
 
-// svcRanksLost is the worker-loss notice the pool injects when a worker
-// process dies: the contiguous rank range [Lo, Hi) the worker hosted. Each
-// recipient repairs its own bookkeeping — the scheduler re-queues the
-// medians' outstanding candidate grants; where the coordinator's
-// dispatcher runs, it re-frees dead or dead-assigned clients and each
-// surviving median re-issues rollout jobs it had in flight on dead
-// clients. Where medians take clients from their own process's list, only
-// the scheduler is told: the worker took its clients with it.
+// svcRanksLost is the worker-loss notice the pool injects at its scheduler
+// when a worker process dies or is abandoned: the contiguous rank range
+// [Lo, Hi) the worker hosted. The scheduler re-queues the medians'
+// outstanding candidate grants. Nothing else needs telling: the worker's
+// medians took their clients with them, and no surviving median ever sent
+// the range a chunk. The scheduler is a coordinator rank and the notice an
+// Inject, so it never crosses the wire and has no codec kind.
 type svcRanksLost struct {
 	Lo, Hi mpi.Rank
 }
@@ -574,52 +570,42 @@ func (co *poolCollector) remoteIdle(ro rankRole) (base, cur *time.Duration) {
 	return &co.remoteClientBase[ro.index], &co.remoteClientCur[ro.index]
 }
 
-// poolWorld is the pool's rank topology, a pure function of PoolConfig:
-// slots first, then scheduler, dispatcher (whose body returns at once
-// under local dispatch), then the worker ranks with medians and clients
-// interleaved (newPoolWorld). The coordinator derives
-// it when building the pool and a pnmcs-worker process derives the
-// identical layout from the PoolConfig in its handshake blob, so both
-// sides agree on every rank and tag without exchanging anything beyond
-// the config.
+// poolWorld is the pool's rank topology, a pure function of PoolConfig and
+// the number of processes hosting its worker ranks: slots first, then the
+// scheduler, then each worker process's contiguous range of medians and
+// clients (newPoolWorld). The coordinator derives it when building the
+// pool and a pnmcs-worker process derives the identical layout from the
+// PoolConfig and worker count in its handshake blob, so both sides agree
+// on every rank and tag without exchanging anything beyond the two.
 type poolWorld struct {
 	cfg     PoolConfig
 	sched   mpi.Rank
-	disp    mpi.Rank
 	medians []mpi.Rank
 	clients []mpi.Rank
 	roles   []rankRole // indexed rank - firstWorker()
+	ranks   []int      // rank count of each worker process's range, in rank order
 	space   mpi.TagSpace
 	// list is the free list the medians and clients of this process share
 	// (clientList): every worker rank of an in-process pool, or a worker
-	// process's own range. nil where the coordinator's dispatcher rank
-	// assigns clients, and in a net pool's coordinator, which hosts no
+	// process's own range. nil in a net pool's coordinator, which hosts no
 	// median or client.
 	list *clientList
 
 	// Degraded layout: which worker ranks have been abandoned (their
-	// process lost for good, no replacement). Every participant that
-	// routes work — the coordinator's dispatcher/scheduler and each
-	// median, including medians in remote worker processes with their own
-	// poolWorld instance — learns of abandonment through
-	// tagRanksDead/tagRanksRevived notices and updates the dead set it can
-	// see. degEpoch counts dead-set transitions; it stays zero for the
-	// whole life of a healthy pool (and always for wall pools), so the
-	// healthy hot path is one atomic load, no lock, no allocation.
+	// process lost for good, no replacement). Only the coordinator's world
+	// tracks it, for Result.Degraded: a median only ever hands work to the
+	// clients of its own process. degEpoch counts dead-set
+	// transitions; it stays zero for the whole life of a healthy pool (and
+	// always for wall pools), so the healthy check is one atomic load, no
+	// lock.
 	degEpoch atomic.Uint64
 	degMu    sync.Mutex
 	degDead  []bool // indexed rank - firstWorker(); nil until first abandonment
 }
 
 // reach is the number of clients a median of this process can be given:
-// its clientList's, or the whole pool's where the coordinator's
-// dispatcher assigns clients.
-func (w *poolWorld) reach() int {
-	if w.list != nil {
-		return w.list.clients
-	}
-	return w.cfg.Clients
-}
+// its clientList's.
+func (w *poolWorld) reach() int { return w.list.clients }
 
 // markDead records [lo, hi) as abandoned.
 func (w *poolWorld) markDead(lo, hi mpi.Rank) {
@@ -648,19 +634,6 @@ func (w *poolWorld) revive(lo, hi mpi.Rank) {
 	w.degEpoch.Add(1)
 }
 
-// isDead reports whether rank r belongs to an abandoned worker. The
-// epoch==0 fast path keeps the per-rollout check free on pools that have
-// never degraded.
-func (w *poolWorld) isDead(r mpi.Rank) bool {
-	if w.degEpoch.Load() == 0 {
-		return false
-	}
-	w.degMu.Lock()
-	defer w.degMu.Unlock()
-	i := int(r - w.firstWorker())
-	return i >= 0 && i < len(w.degDead) && w.degDead[i]
-}
-
 // anyDead reports whether the world is currently shrunken.
 func (w *poolWorld) anyDead() bool {
 	if w.degEpoch.Load() == 0 {
@@ -684,33 +657,48 @@ type rankRole struct {
 }
 
 // newPoolWorld lays out the world of a pool with the given (defaulted)
-// config. With M medians among n = M + C worker ranks, worker rank k
-// (0-based after the control ranks) is a median iff ⌊(k+1)·M/n⌋ >
-// ⌊k·M/n⌋, a client otherwise. The first L worker ranks therefore hold
-// exactly ⌊L·M/n⌋ medians, so any contiguous range of L ranks holds
-// ⌊L·M/n⌋ or ⌈L·M/n⌉ of them: NewNetPool's even split of the worker
-// ranks gives every worker process its proportional share of both roles,
-// and a median's clients can live in its process.
-func newPoolWorld(cfg PoolConfig) *poolWorld {
-	n := cfg.Medians + cfg.Clients
+// config, whose worker ranks are hosted by workers processes (1 for an
+// in-process pool). Worker process i hosts splitRanks(M, workers)[i]
+// medians and splitRanks(C, workers)[i] clients in one contiguous range,
+// so whenever workers ≤ min(M, C) every process hosts both roles and a
+// median's clients live in its process. Inside a range of n ranks holding
+// m medians, its rank k (0-based) is a median iff ⌊(k+1)·m/n⌋ > ⌊k·m/n⌋,
+// a client otherwise: the roles interleave evenly.
+func newPoolWorld(cfg PoolConfig, workers int) *poolWorld {
 	w := &poolWorld{
 		cfg:   cfg,
 		sched: mpi.Rank(cfg.Slots),
-		disp:  mpi.Rank(cfg.Slots + 1),
-		roles: make([]rankRole, n),
+		roles: make([]rankRole, 0, cfg.Medians+cfg.Clients),
 		space: mpi.TagSpace{Base: tagBandBase, Width: numOffsets, Bands: cfg.Slots},
 	}
-	for k := range w.roles {
-		r := w.firstWorker() + mpi.Rank(k)
-		if (k+1)*cfg.Medians/n > k*cfg.Medians/n {
-			w.roles[k] = rankRole{median: true, index: len(w.medians)}
-			w.medians = append(w.medians, r)
-		} else {
-			w.roles[k] = rankRole{index: len(w.clients)}
-			w.clients = append(w.clients, r)
+	clients := splitRanks(cfg.Clients, workers)
+	for i, m := range splitRanks(cfg.Medians, workers) {
+		n := m + clients[i]
+		w.ranks = append(w.ranks, n)
+		for k := range n {
+			r := w.firstWorker() + mpi.Rank(len(w.roles))
+			if (k+1)*m/n > k*m/n {
+				w.roles = append(w.roles, rankRole{median: true, index: len(w.medians)})
+				w.medians = append(w.medians, r)
+			} else {
+				w.roles = append(w.roles, rankRole{index: len(w.clients)})
+				w.clients = append(w.clients, r)
+			}
 		}
 	}
 	return w
+}
+
+// isRange reports whether [lo, hi) is one worker process's range.
+func (w *poolWorld) isRange(lo, hi mpi.Rank) bool {
+	r := w.firstWorker()
+	for _, n := range w.ranks {
+		if lo == r && hi == r+mpi.Rank(n) {
+			return true
+		}
+		r += mpi.Rank(n)
+	}
+	return false
 }
 
 // role returns worker rank r's role; ok is false for control ranks and
@@ -723,14 +711,14 @@ func (w *poolWorld) role(r mpi.Rank) (ro rankRole, ok bool) {
 	return w.roles[i], true
 }
 
-// size returns the world size: slots + scheduler + dispatcher + workers.
+// size returns the world size: slots + scheduler + workers.
 func (w *poolWorld) size() int {
-	return w.cfg.Slots + 2 + w.cfg.Medians + w.cfg.Clients
+	return w.cfg.Slots + 1 + w.cfg.Medians + w.cfg.Clients
 }
 
 // firstWorker is the first worker (median or client) rank — every rank
 // at or beyond it may be hosted by a remote worker process.
-func (w *poolWorld) firstWorker() mpi.Rank { return mpi.Rank(w.cfg.Slots + 2) }
+func (w *poolWorld) firstWorker() mpi.Rank { return mpi.Rank(w.cfg.Slots + 1) }
 
 // poolCluster is what a Pool needs from its transport: the Cluster
 // life-cycle plus out-of-world injection. WallCluster and NetCluster both
@@ -755,7 +743,6 @@ type Pool struct {
 	coll    *poolCollector
 	cache   *cache.Cache // coordinator-resident clients' transposition cache
 	inline  bool         // in process, 1 median × 1 client: slots play their jobs (playInline)
-	local   bool         // medians take clients from their process's clientList; no dispatcher runs
 
 	runDone chan struct{}
 
@@ -798,25 +785,24 @@ var ErrPoolClosed = fmt.Errorf("parallel: pool is shut down")
 // ErrDegraded is returned by RunJob — immediately on submission, or as a
 // fail-fast mid-job — when permanent worker loss has shrunk the pool
 // below its floor: any abandonment with NetPoolConfig.Degrade off, or
-// fewer than MinWorkers surviving workers (or no live median / no live
-// client) with it on. The failure is deterministic and prompt: queued
-// frames for the dead worker are dropped, nothing stalls, and a re-run of
-// the same Config under the same seed (see service-level retry) produces
-// the same answer once capacity returns.
+// fewer than MinWorkers surviving workers with it on. The failure is
+// deterministic and prompt: queued frames for the dead worker are
+// dropped, nothing stalls, and a re-run of the same Config under the same
+// seed (see service-level retry) produces the same answer once capacity
+// returns.
 var ErrDegraded = fmt.Errorf("parallel: pool degraded below its worker floor")
 
 // NewPool builds the worker cluster — slots, scheduler, medians, clients
 // — as goroutines of this process and starts it running. One clientList
-// holds every client, so no dispatcher rank runs. The pool idles until
-// jobs are submitted with RunJob.
+// holds every client. The pool idles until jobs are submitted with RunJob.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	world := newPoolWorld(cfg)
+	world := newPoolWorld(cfg, 1)
 	world.list = newClientList(world, world.firstWorker(), mpi.Rank(world.size()))
-	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg), true, nil)
+	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg))
 }
 
 // NetPoolConfig describes the distributed deployment of a NewNetPool.
@@ -824,14 +810,11 @@ type NetPoolConfig struct {
 	// Listen is the TCP address worker processes dial; "127.0.0.1:0"
 	// binds an ephemeral port (read it back with Pool.WorkerAddr).
 	Listen string
-	// Workers is the number of pnmcs-worker processes expected. The
-	// pool's worker ranks are split across them as contiguous ranges, as
-	// evenly as possible; since medians and clients are interleaved
-	// (newPoolWorld), each range holds its proportional share of both
-	// roles. When every range holds both, each worker's medians take
-	// clients from the worker's own free list and the coordinator runs no
-	// dispatcher (localDispatch); otherwise the coordinator's dispatcher
-	// grants a median a client of its own process first.
+	// Workers is the number of pnmcs-worker processes expected, at most
+	// min(Medians, Clients). Each hosts one contiguous range of worker
+	// ranks holding an even share of the medians and of the clients
+	// (newPoolWorld), so every worker hosts both roles and its medians
+	// take clients from the worker's own free list.
 	Workers int
 	// Token, when non-empty, is the shared secret every worker must
 	// present at handshake (constant-time compared by the coordinator).
@@ -864,17 +847,18 @@ type NetPoolConfig struct {
 	// abandonment fails running jobs deterministically with ErrDegraded.
 	Degrade bool
 	// MinWorkers is the degraded floor: with Degrade on, jobs keep
-	// running while at least MinWorkers workers (and at least one median
-	// and one client rank) survive; below it the pool fails fast. Zero
-	// means 1.
+	// running while at least MinWorkers workers survive; below it the pool
+	// fails fast. Zero means 1.
 	MinWorkers int
 }
 
-// NewNetPool builds a distributed pool: the control ranks — job slots,
-// scheduler and, when the layout needs one, the dispatcher — run in this
-// process (the coordinator), and the median and client ranks are hosted
-// by Workers external processes running cmd/pnmcs-worker (or
-// parallel.ServeWorker). The pool accepts jobs immediately; until workers
+// NewNetPool builds a distributed pool: the control ranks — job slots
+// and scheduler — run in this process (the coordinator), and the median
+// and client ranks are hosted by Workers external processes running
+// cmd/pnmcs-worker (or parallel.ServeWorker), each with a share of both
+// roles. Workers must not exceed min(Medians, Clients): past it some
+// worker would host medians with no client to take, or clients no median
+// can reach. The pool accepts jobs immediately; until workers
 // dial in, candidates simply wait in the scheduler's queues. Results are
 // bit-identical to Reference's answer for the same Config: rollout
 // streams are keyed by logical job coordinates, never by where a rollout
@@ -883,14 +867,11 @@ type NetPoolConfig struct {
 // The pool survives worker churn (DESIGN.md §8): when a worker's stream
 // dies — crash, reset, or missed heartbeat — the candidates granted to
 // its medians are re-queued at the head of their jobs' queues and
-// re-granted to surviving medians. Where the coordinator's dispatcher
-// runs, medians also re-issue rollout jobs they had in flight on the dead
-// worker's clients, and the dispatcher returns the stranded clients to its
-// free list; where each worker dispatches its own clients, the worker took
-// them with it and there is nothing more to repair. A replacement worker dialing in
-// reclaims the lost slot's rank range mid-job and starts serving
-// immediately, receiving everything queued for the slot while it was
-// down. Results stay bit-identical through all of it: re-executed work
+// re-granted to surviving medians. The worker took its clients, and every
+// chunk its medians had in flight, with it, so there is nothing more to
+// repair. A replacement worker dialing in reclaims the lost slot's rank
+// range mid-job and starts serving immediately, receiving everything
+// queued for the slot while it was down. Results stay bit-identical through all of it: re-executed work
 // replays the same coordinate-keyed rollout streams and duplicates are
 // shed by key/epoch guards at every consumer.
 func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
@@ -901,24 +882,11 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 	if net.Workers < 1 {
 		return nil, fmt.Errorf("parallel: net pool needs at least one worker process")
 	}
-	world := newPoolWorld(cfg)
-	remote := cfg.Medians + cfg.Clients
-	if net.Workers > remote {
-		return nil, fmt.Errorf("parallel: %d workers for %d median+client ranks", net.Workers, remote)
+	if bound := min(cfg.Medians, cfg.Clients); net.Workers > bound {
+		return nil, fmt.Errorf("parallel: %d workers for %d medians and %d clients: every worker must host both, so at most min(medians, clients) = %d",
+			net.Workers, cfg.Medians, cfg.Clients, bound)
 	}
-	ranks := splitRanks(remote, net.Workers)
-	local := localDispatch(world, ranks)
-	host := make([]int, 0, remote) // worker index of each rank - firstWorker()
-	for i, n := range ranks {
-		for range n {
-			host = append(host, i)
-		}
-	}
-	// near tells the dispatcher which clients share a median's process:
-	// granting those first keeps a chunk and its result off the hub.
-	// Both ranks are worker ranks: the dispatcher only asks it about a
-	// validated median and a client from its free list.
-	near := func(a, b mpi.Rank) bool { return host[a-world.firstWorker()] == host[b-world.firstWorker()] }
+	world := newPoolWorld(cfg, net.Workers)
 	coll := newPoolCollector(cfg)
 
 	if net.MinWorkers <= 0 {
@@ -956,9 +924,9 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 	}
 	nc, err := mpi.ListenNet(mpi.NetConfig{
 		Listen:           net.Listen,
-		LocalRanks:       cfg.Slots + 2,
-		WorkerRanks:      ranks,
-		Blob:             appendWorkerBlob(nil, cfg, local),
+		LocalRanks:       cfg.Slots + 1,
+		WorkerRanks:      world.ranks,
+		Blob:             appendWorkerBlob(nil, cfg, net.Workers),
 		Token:            net.Token,
 		Heartbeat:        net.Heartbeat,
 		HeartbeatTimeout: net.HeartbeatTimeout,
@@ -967,13 +935,10 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 		OnWorkerLost: func(_ int, lo, hi mpi.Rank) {
 			coll.addWorkerLost()
 			coll.foldRemoteIdle(world, lo, hi)
-			// Repair order does not matter — each recipient only fixes its
-			// own bookkeeping — but all notices are injected before the
-			// transport reopens the slot, so they are ordered ahead of
-			// anything a replacement worker says.
-			c := cluster()
-			c.Inject(world.sched, tagRanksLost, svcRanksLost{Lo: lo, Hi: hi})
-			noticeDispatch(c, world, local, tagRanksLost, lo, hi)
+			// Injected before the transport reopens the slot, so the
+			// scheduler's repair is ordered ahead of anything a
+			// replacement worker says.
+			cluster().Inject(world.sched, tagRanksLost, svcRanksLost{Lo: lo, Hi: hi})
 		},
 		OnWorkerJoined: func(worker int, lo, hi mpi.Rank, rejoin bool) {
 			if rejoin {
@@ -992,7 +957,7 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 		return nil, err
 	}
 	ncp.Store(nc)
-	p, err := newPoolOn(world, nc, nc, coll, local, near)
+	p, err := newPoolOn(world, nc, nc, coll)
 	if err != nil {
 		return nil, err
 	}
@@ -1001,49 +966,9 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 	return p, nil
 }
 
-// localDispatch reports whether every worker range of the split (sizes in
-// rank order, from splitRanks) hosts at least one median and one client.
-// Then each worker process dispatches its own clients (clientList) and no
-// chunk ever leaves its median's process; otherwise a worker's clients
-// may only be able to serve a remote median, and the coordinator runs the
-// dispatcher for them.
-func localDispatch(w *poolWorld, ranks []int) bool {
-	lo := w.firstWorker()
-	for _, n := range ranks {
-		hi := lo + mpi.Rank(n)
-		medians := 0
-		for r := lo; r < hi; r++ {
-			if isMedianRank(w, r) {
-				medians++
-			}
-		}
-		if medians == 0 || medians == n {
-			return false
-		}
-		lo = hi
-	}
-	return true
-}
-
-// noticeDispatch injects a notice about the worker range [lo, hi) at the
-// ranks that route rollouts across processes: the coordinator's dispatcher
-// and every median outside the range (the range's own medians died with
-// it, or announce themselves when it rejoins). Under local dispatch there
-// are none — no surviving median ever sent the range a chunk.
-func noticeDispatch(cl poolCluster, w *poolWorld, local bool, tag mpi.Tag, lo, hi mpi.Rank) {
-	if local {
-		return
-	}
-	cl.Inject(w.disp, tag, svcRanksLost{Lo: lo, Hi: hi})
-	for _, m := range w.medians {
-		if m < lo || m >= hi {
-			cl.Inject(m, tag, svcRanksLost{Lo: lo, Hi: hi})
-		}
-	}
-}
-
-// splitRanks splits n worker ranks into w contiguous ranges, as evenly as
-// possible: the first n%w ranges hold one rank more than the rest.
+// splitRanks splits n ranks of one role over w worker processes, as
+// evenly as possible: the first n%w processes get one rank more than the
+// rest.
 func splitRanks(n, w int) []int {
 	ranks := make([]int, w)
 	for i := range ranks {
@@ -1062,13 +987,11 @@ func splitRanks(n, w int) []int {
 func (p *Pool) handleAbandoned(worker int, lo, hi mpi.Rank) {
 	p.coll.addWorkerAbandoned()
 	p.world.markDead(lo, hi)
-	// Dead notices first — scheduler, and the dispatcher and surviving
-	// medians where they route to other workers' clients — so that by the
-	// time a slot's fail-fast abandon reaches the scheduler, the scheduler
-	// has already repaired its grant bookkeeping. Inject is a synchronous
-	// mailbox push, so this ordering is a guarantee, not a hope.
+	// The dead notice first, so that by the time a slot's fail-fast
+	// abandon reaches the scheduler, the scheduler has already repaired
+	// its grant bookkeeping. Inject is a synchronous mailbox push, so this
+	// ordering is a guarantee, not a hope.
 	p.cluster.Inject(p.world.sched, tagRanksDead, svcRanksLost{Lo: lo, Hi: hi})
-	noticeDispatch(p.cluster, p.world, p.local, tagRanksDead, lo, hi)
 	p.deg.mu.Lock()
 	if p.deg.abandoned == nil {
 		p.deg.abandoned = make(map[int]svcRanksLost)
@@ -1083,8 +1006,9 @@ func (p *Pool) handleAbandoned(worker int, lo, hi mpi.Rank) {
 }
 
 // handleJoined reverses an abandonment when a replacement turns up after
-// all: the revived ranks rejoin the routable world and a failed pool may
-// recover its floor.
+// all: the revived ranks rejoin the world and a failed pool may recover
+// its floor. The replacement's medians and clients boot idle with their
+// own free list, so no rank needs telling.
 func (p *Pool) handleJoined(worker int, lo, hi mpi.Rank) {
 	p.deg.mu.Lock()
 	_, wasAbandoned := p.deg.abandoned[worker]
@@ -1097,29 +1021,20 @@ func (p *Pool) handleJoined(worker int, lo, hi mpi.Rank) {
 		return
 	}
 	p.world.revive(lo, hi)
-	noticeDispatch(p.cluster, p.world, p.local, tagRanksRevived, lo, hi)
 }
 
 // recomputeFailedLocked re-derives the fail-fast condition from the
-// abandoned set. Caller holds p.deg.mu.
+// abandoned set. Caller holds p.deg.mu. Every worker hosts a median and a
+// client (NewNetPool), so a surviving worker is a live median with a
+// client to take, and a floor of at least one surviving worker is also
+// the floor a job needs to finish.
 func (p *Pool) recomputeFailedLocked() {
 	surviving := p.netCfg.Workers - len(p.deg.abandoned)
-	liveMedians, liveClients := p.cfg.Medians, p.cfg.Clients
-	for _, rg := range p.deg.abandoned {
-		for r := rg.Lo; r < rg.Hi; r++ {
-			switch {
-			case isMedianRank(p.world, r):
-				liveMedians--
-			case isClientRank(p.world, r):
-				liveClients--
-			}
-		}
-	}
 	floor := p.netCfg.MinWorkers
 	if !p.netCfg.Degrade {
 		floor = p.netCfg.Workers // any abandonment at all fails the pool
 	}
-	p.deg.failed = surviving < floor || liveMedians == 0 || liveClients == 0
+	p.deg.failed = surviving < floor
 }
 
 // failBusySlots injects a fail-fast order at every slot with a running
@@ -1157,11 +1072,8 @@ func newPoolCollector(cfg PoolConfig) *poolCollector {
 // newPoolOn wires the pool's ranks onto a transport and starts it. The
 // same wiring runs for every transport: a cluster hosting only a subset
 // of the ranks (the net coordinator) ignores Start calls for the ranks
-// other processes host. local says medians take clients from their
-// process's clientList, so the dispatcher rank does nothing; otherwise it
-// runs the dispatcher, with near as its locality preference
-// (dispatchPolicy.near).
-func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolCollector, local bool, near func(a, b mpi.Rank) bool) (*Pool, error) {
+// other processes host.
+func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolCollector) (*Pool, error) {
 	cfg := world.cfg
 	p := &Pool{
 		cfg:       cfg,
@@ -1174,7 +1086,6 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		slotEpoch: make([]uint64, cfg.Slots),
 		slotStop:  make([]atomic.Uint64, cfg.Slots),
 		inline:    nc == nil && cfg.Medians == 1 && cfg.Clients == 1,
-		local:     local,
 		// One cache shared by every client rank this process hosts; a net
 		// coordinator hosts none, so its cache sits empty and each
 		// pnmcs-worker builds its own from the handshake blob.
@@ -1187,23 +1098,6 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		p.cluster.Start(mpi.Rank(slot), func(c mpi.Comm) { p.runSlot(c, slot) })
 	}
 	p.cluster.Start(world.sched, func(c mpi.Comm) { p.runScheduler(c) })
-	if local {
-		// The rank keeps its number, so the layout and tag bands match
-		// every other pool's, but its body returns at once: nothing is
-		// ever sent to it except the shutdown broadcast.
-		p.cluster.Start(world.disp, func(mpi.Comm) {})
-	} else {
-		// The per-run dispatcher is reused verbatim: it only needs the
-		// worker rank lists (medians for request validation, clients for
-		// the free list) and the policy — fault-aware, so worker-loss
-		// notices can return stranded clients to the free list.
-		dispLay := cluster.Layout{
-			Medians: append([]mpi.Rank(nil), world.medians...),
-			Clients: append([]mpi.Rank(nil), world.clients...),
-		}
-		pol := dispatchPolicy{longestFirst: cfg.Algo == LastMinute, faultAware: true, near: near}
-		p.cluster.Start(world.disp, func(c mpi.Comm) { runDispatcher(c, dispLay, pol, nil) })
-	}
 	startPoolWorkers(p.cluster, world, p.cache, cfg.CacheVerify, p.coll.addMedianIdle, p.coll.addClientIdle)
 
 	go func() {
@@ -1950,12 +1844,10 @@ func (p *Pool) runScheduler(c mpi.Comm) {
 }
 
 // medianComm is the event-driven heart of runPoolMedian: every Recv is a
-// wildcard, dispatched by tag, so a worker-loss notice can never be
-// starved behind a selective wait — the flaw that would wedge a median
-// waiting on a result from a client that no longer exists. Messages that
-// belong to a later phase (a prefetched grant mid-game) are buffered;
-// stale ones (an assign answering a dead predecessor's request, a result
-// from a superseded step) are absorbed without corrupting state.
+// wildcard, dispatched by tag. Messages that belong to a later phase (a
+// prefetched grant mid-game) are buffered; stale ones (an assign answering
+// an aborted game's request, a result from a superseded step) are
+// absorbed without corrupting state.
 type medianComm struct {
 	c    mpi.Comm
 	w    *poolWorld
@@ -1964,13 +1856,12 @@ type medianComm struct {
 	grants []svcCandidate // prefetched/stale grants awaiting play
 	// clients holds the clients taken or assigned but not yet spent on a
 	// chunk, in arrival order. An assign answering a request an aborted
-	// game left behind, or a stale assign flushed to a replacement median
-	// (whose dead predecessor requested it), adds a surplus, which is
-	// spent on the next outgoing chunks — or handed back when the median
-	// goes idle — so the reserved client is never stranded.
+	// game left behind adds a surplus, which is spent on the next outgoing
+	// chunks — or handed back when the median goes idle — so the reserved
+	// client is never stranded.
 	clients []mpi.Rank
 	// reqs counts our own unanswered client requests: at most one, waiting
-	// at the process's clientList or at the coordinator's dispatcher.
+	// at the process's clientList.
 	reqs int
 	shut bool // shutdown broadcast seen; unwind without new work
 	// cancels holds the latest speculation cancel per slot (nil until the
@@ -2005,32 +1896,13 @@ func (mc *medianComm) recv() mpi.Msg {
 			mc.grants = append(mc.grants, cand)
 		}
 	case tagAssign:
-		// From the dispatcher, or under local dispatch from the rank of
-		// this process that freed the client — never across the wire.
-		client, ok := msg.Payload.(mpi.Rank)
-		if l := mc.w.list; l != nil {
-			ok = ok && l.hosts(msg.From) && l.hosts(client)
-		} else {
-			ok = ok && msg.From == mc.w.disp
-		}
-		if ok {
+		// From the rank of this process that freed the client — never
+		// across the wire.
+		if client, ok := msg.Payload.(mpi.Rank); ok && mc.w.list.hosts(msg.From) && mc.w.list.hosts(client) {
 			mc.clients = append(mc.clients, client)
 			if mc.reqs > 0 {
 				mc.reqs--
 			}
-		}
-	case tagRanksDead:
-		// Abandonment notice: record the dead range in this process's own
-		// poolWorld (a remote worker's world is a separate instance from
-		// the coordinator's, so the knowledge must arrive by message, not
-		// by shared memory). The spend path consults it before handing a
-		// rollout to a client.
-		if lost, ok := msg.Payload.(svcRanksLost); ok && msg.From == mpi.External {
-			mc.w.markDead(lost.Lo, lost.Hi)
-		}
-	case tagRanksRevived:
-		if lost, ok := msg.Payload.(svcRanksLost); ok && msg.From == mpi.External {
-			mc.w.revive(lost.Lo, lost.Hi)
 		}
 	case tagSpecCancel:
 		// Only the scheduler cancels speculation; latest per slot wins (a
@@ -2045,36 +1917,26 @@ func (mc *medianComm) recv() mpi.Msg {
 	return msg
 }
 
-// ask requests a client for a position with moves played: from the
-// process's clientList, which hands one over at once when one is free, or
-// from the coordinator's dispatcher. It reports whether a client is now in
-// hand; otherwise an assign answers later.
+// ask requests a client for a position with moves played from the
+// process's clientList, which hands one over at once when one is free. It
+// reports whether a client is now in hand; otherwise an assign answers
+// later.
 func (mc *medianComm) ask(moves int) bool {
-	if l := mc.w.list; l != nil {
-		if client, ok := l.take(mc.c.Rank(), moves); ok {
-			mc.clients = append(mc.clients, client)
-			return true
-		}
-	} else {
-		mc.c.Send(mc.w.disp, tagRequest, moves)
+	if client, ok := mc.w.list.take(mc.c.Rank(), moves); ok {
+		mc.clients = append(mc.clients, client)
+		return true
 	}
 	mc.reqs++
 	return false
 }
 
-// handBack frees the clients an idle median holds — the answer to a
-// request an aborted game left behind. A client held here is reserved
-// while other medians may be waiting for one, and with few clients the
-// grant this median waits for can depend on it. Under local dispatch the
-// clients go straight back to the list; the dispatcher learns it from an
-// empty job, which the client answers with its free notice.
+// handBack returns the clients an idle median holds — the answer to a
+// request an aborted game left behind — to the list. A client held here
+// is reserved while other medians may be waiting for one, and with few
+// clients the grant this median waits for can depend on it.
 func (mc *medianComm) handBack() {
 	for _, client := range mc.clients {
-		if l := mc.w.list; l != nil {
-			l.release(mc.c, client)
-		} else {
-			mc.c.Send(client, tagJob, nil)
-		}
+		mc.w.list.release(mc.c, client)
 	}
 	mc.clients = mc.clients[:0]
 }
@@ -2088,34 +1950,28 @@ func (mc *medianComm) handBack() {
 // persist across jobs and domains.
 //
 // Rollouts travel in chunks (svcChunk): every client the median takes
-// from its process's clientList (or is assigned by the coordinator's
-// dispatcher) takes up to chunkLimit of the step's unsent moves together
-// with the step position, and plays the moves itself — the median no
-// longer clones a child per move, and a step costs one chunk/result
-// exchange per client instead of one per rollout (plus an assignment when
-// the median had to wait for a client, and a request and free notice per
-// chunk through a dispatcher rank).
+// from its process's clientList takes up to chunkLimit of the step's
+// unsent moves together with the step position, and plays the moves
+// itself — the median no longer clones a child per move, and a step costs
+// one chunk/result exchange per client instead of one per rollout (plus an
+// assignment when the median had to wait for a client).
 //
 // The body is written against mpi.Comm and the poolWorld layout only, so
 // the identical function runs as a coordinator goroutine (wall pool) or
 // inside a pnmcs-worker process (net pool). idle receives each
 // Recv-blocked interval; a remote worker passes its own sink.
 //
-// Fault tolerance: each in-flight rollout remembers which client it went
-// to; a worker-loss notice (tagRanksLost) re-enqueues the rollouts lost
-// with dead clients, and they are re-requested and re-sent with the same
-// coordinate-derived key — so the replayed score is bit-identical and a
-// late duplicate (the original chunk flushed to the dead client's
-// replacement) is shed item by item by the key/seq guard. The rollout's
-// rng key also disambiguates steps: only an item echoing the exact key
-// issued for a seq in the current step is accepted, so churn can never
-// smuggle a stale step's score into a later one.
+// Fault tolerance: a median's clients live in its process, so a worker
+// loss takes a median's in-flight chunks down with the median, and the
+// scheduler re-grants its candidate (runScheduler). Each result item is
+// checked against the key issued for its seq in the current step: a
+// duplicate, a stale step's or game's item, or a forged one is shed item
+// by item.
 func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 	var moves []game.Move
 	var scores []float64
-	var scored []bool    // per-candidate received flag, guards duplicate items
-	var keys []uint64    // per-candidate rollout rng key
-	var owner []mpi.Rank // per-candidate client the rollout was sent to (-1 = none)
+	var scored []bool // per-candidate received flag, guards duplicate items
+	var keys []uint64 // per-candidate rollout rng key
 	// sendq[head:] are the candidate seqs awaiting a client. Sent chunks
 	// alias sendq, cmoves and ckeys, which clients of this process read
 	// until their results are in: within a step the three only grow, and an
@@ -2162,14 +2018,13 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 				break
 			}
 			limit := chunkLimit(len(moves), w.reach())
-			scores, scored, keys, owner = scores[:0], scored[:0], keys[:0], owner[:0]
+			scores, scored, keys = scores[:0], scored[:0], keys[:0]
 			sendq, cmoves, ckeys = sendq[:0], cmoves[:0], ckeys[:0]
 			head := 0
 			for j := range moves {
 				scores = append(scores, 0)
 				scored = append(scored, false)
 				keys = append(keys, rng.Fold(uint64(cand.Step), uint64(cand.Cand), uint64(t), uint64(j)))
-				owner = append(owner, -1)
 				sendq = append(sendq, j)
 			}
 
@@ -2180,19 +2035,10 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 				for head < len(sendq) && (len(mc.clients) > 0 || mc.reqs == 0 && mc.ask(st.MovesPlayed()+1)) {
 					client := mc.clients[0]
 					mc.clients = mc.clients[:copy(mc.clients, mc.clients[1:])]
-					if mc.w.isDead(client) {
-						// An assign that was in flight when its client's
-						// worker was abandoned: a chunk sent there would
-						// vanish. Discard the assign; the request counter
-						// is already settled, so the loop's next request
-						// fetches a live replacement.
-						continue
-					}
 					seqs := sendq[head:min(head+limit, len(sendq))]
 					head += len(seqs)
 					off := len(cmoves)
 					for _, j := range seqs {
-						owner[j] = client
 						cmoves = append(cmoves, moves[j])
 						ckeys = append(ckeys, keys[j])
 					}
@@ -2216,8 +2062,7 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 					sendq, cmoves, ckeys = nil, nil, nil
 					break game
 				}
-				switch msg.Tag {
-				case tagResult:
+				if msg.Tag == tagResult {
 					res, ok := msg.Payload.(svcChunkResult)
 					if !ok || !isClientRank(w, msg.From) || len(res.Keys) != len(res.Seqs) ||
 						len(res.Scores) != len(res.Seqs) || len(res.Units) != len(res.Seqs) {
@@ -2230,25 +2075,9 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 						}
 						scored[seq] = true
 						scores[seq] = res.Scores[i]
-						owner[seq] = -1
 						rollouts++
 						units += res.Units[i]
 						got++
-					}
-				case tagRanksLost, tagRanksDead:
-					lost, ok := msg.Payload.(svcRanksLost)
-					if !ok || msg.From != mpi.External {
-						continue // forged wire frame: only the pool declares losses
-					}
-					// Re-enqueue every unscored rollout that was sent to a
-					// now-dead (or now-abandoned) client; the loop head
-					// re-requests and re-sends them under their original
-					// keys, so the replayed scores stay bit-identical.
-					for j, cl := range owner {
-						if cl >= lost.Lo && cl < lost.Hi && !scored[j] {
-							owner[j] = -1
-							sendq = append(sendq, j)
-						}
 					}
 				}
 			}
@@ -2307,16 +2136,9 @@ func runPoolClient(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, 
 			ck, ok := msg.Payload.(svcChunk)
 			if !ok || !isMedianRank(w, msg.From) || ck.Base == nil || ck.P.Level < 2 ||
 				len(ck.Keys) != len(ck.Moves) || len(ck.Seqs) != len(ck.Moves) ||
-				w.list != nil && !w.list.hosts(msg.From) {
-				// An idle median handing this client back to the dispatcher
-				// (nil payload), or a wrong-typed, degenerate or foreign wire
-				// frame. The dispatcher must not lose this client from its
-				// free list over a frame the client did not run, so it hears
-				// of it; under local dispatch no such frame took the client
-				// off the list.
-				if w.list == nil {
-					c.Send(w.disp, tagFree, nil)
-				}
+				!w.list.hosts(msg.From) {
+				// A wrong-typed, degenerate or foreign wire frame: no median
+				// took this client off the list for it, so it is dropped.
 				continue
 			}
 
@@ -2358,11 +2180,7 @@ func runPoolClient(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, 
 
 			// Free before answering: a median whose result this is finds
 			// the client back on the list when it asks for its next chunk.
-			if w.list != nil {
-				w.list.release(c, c.Rank())
-			} else {
-				c.Send(w.disp, tagFree, nil)
-			}
+			w.list.release(c, c.Rank())
 			c.Send(msg.From, tagResult, res)
 		}
 	}

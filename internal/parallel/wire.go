@@ -27,14 +27,15 @@ import (
 
 // Application payload kinds (64+ is the application band, see codec).
 // 64–67 were the per-run protocol's and stay unassigned, so the surviving
-// kinds keep their wire values.
+// kinds keep their wire values. So does 73, the worker-loss notice's: it
+// is only ever injected at the coordinator's own scheduler.
 const (
 	kindSvcCandidate   codec.Kind = 68 + iota // pool slot -> scheduler -> median
 	kindSvcChunk                              // pool median -> client
 	kindSvcScore                              // pool median -> slot
 	kindSvcChunkResult                        // pool client -> median
 	kindSvcAbandonAck                         // pool scheduler -> slot
-	kindSvcRanksLost                          // pool coordinator -> median: worker ranks died
+	_                                         // 73: unassigned (see above)
 	kindSvcRegrant                            // pool scheduler -> slot: grants re-queued
 	kindSvcSpecCancel                         // pool scheduler -> median: speculative branch cancelled
 )
@@ -238,30 +239,6 @@ func init() {
 				return r, fmt.Errorf("%w: svcChunkResult trailing bytes", codec.ErrMalformed)
 			}
 			return r, nil
-		})
-
-	codec.Register(kindSvcRanksLost,
-		func(buf []byte, v svcRanksLost) ([]byte, error) {
-			buf = binary.AppendUvarint(buf, uint64(v.Lo))
-			return binary.AppendUvarint(buf, uint64(v.Hi)), nil
-		},
-		func(data []byte) (svcRanksLost, error) {
-			var l svcRanksLost
-			lo, data, err := codec.ReadUvarint(data)
-			if err != nil {
-				return l, err
-			}
-			hi, data, err := codec.ReadUvarint(data)
-			if err != nil {
-				return l, err
-			}
-			if len(data) != 0 {
-				return l, fmt.Errorf("%w: ranks-lost trailing bytes", codec.ErrMalformed)
-			}
-			if hi < lo {
-				return l, fmt.Errorf("%w: ranks-lost range [%d, %d)", codec.ErrMalformed, lo, hi)
-			}
-			return svcRanksLost{Lo: mpi.Rank(lo), Hi: mpi.Rank(hi)}, nil
 		})
 
 	codec.Register(kindSvcRegrant,
@@ -526,28 +503,25 @@ func readJobParams(data []byte) (jobParams, []byte, error) {
 // 2 added the evaluation batch shape, two uvarints that are reserved
 // since the batcher was removed (written as 0, read and discarded);
 // 3 added the transposition-cache shape (CacheMB, CacheVerify flag);
-// 4 added the async-root speculation default (Speculate); 5 carries the
-// local-dispatch flag in the first reserved v2 field. A v4 worker must not
-// join a v5 coordinator: it would wait on a dispatcher that is not there.
-const workerBlobVersion = 5
+// 4 added the async-root speculation default (Speculate); 5 carried a
+// local-dispatch flag in the first reserved v2 field; 6 carries the worker
+// count there instead, and drops the dispatcher rank from the world. A v5
+// worker must not join a v6 coordinator: it would lay the world out one
+// rank off.
+const workerBlobVersion = 6
 
-// appendWorkerBlob encodes the PoolConfig a pnmcs-worker needs to derive
-// the identical poolWorld the coordinator built — and, since v3, to size
-// its transposition cache the way the coordinator was configured. local
-// says the worker dispatches its own clients (localDispatch): a worker
-// sees only its own rank range, so it cannot derive that from the config.
-func appendWorkerBlob(buf []byte, cfg PoolConfig, local bool) []byte {
+// appendWorkerBlob encodes the PoolConfig and worker count a pnmcs-worker
+// needs to derive the identical poolWorld the coordinator built — and,
+// since v3, to size its transposition cache the way the coordinator was
+// configured.
+func appendWorkerBlob(buf []byte, cfg PoolConfig, workers int) []byte {
 	buf = append(buf, workerBlobVersion)
 	buf = binary.AppendUvarint(buf, uint64(cfg.Slots))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Medians))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Clients))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Algo))
-	flag := uint64(0)
-	if local {
-		flag = 1
-	}
-	buf = binary.AppendUvarint(buf, flag) // v5: local dispatch, in the first reserved v2 field
-	buf = append(buf, 0)                  // the second reserved v2 field
+	buf = binary.AppendUvarint(buf, uint64(workers)) // v6: in the first reserved v2 field
+	buf = append(buf, 0)                             // the second reserved v2 field
 	buf = binary.AppendUvarint(buf, uint64(cfg.CacheMB))
 	verify := uint64(0)
 	if cfg.CacheVerify {
@@ -560,71 +534,74 @@ func appendWorkerBlob(buf []byte, cfg PoolConfig, local bool) []byte {
 }
 
 // decodeWorkerBlob reverses appendWorkerBlob.
-func decodeWorkerBlob(data []byte) (cfg PoolConfig, local bool, err error) {
+func decodeWorkerBlob(data []byte) (cfg PoolConfig, workers int, err error) {
 	if len(data) < 1 {
-		return cfg, false, fmt.Errorf("parallel: empty worker blob")
+		return cfg, 0, fmt.Errorf("parallel: empty worker blob")
 	}
 	if data[0] != workerBlobVersion {
-		return cfg, false, fmt.Errorf("parallel: worker blob version %d, want %d", data[0], workerBlobVersion)
+		return cfg, 0, fmt.Errorf("parallel: worker blob version %d, want %d", data[0], workerBlobVersion)
 	}
 	data = data[1:]
 	fields := []*int{&cfg.Slots, &cfg.Medians, &cfg.Clients}
-	world := uint64(2) // scheduler and dispatcher
+	world := uint64(1) // the scheduler
 	for _, f := range fields {
 		v, rest, err := codec.ReadUvarint(data)
 		if err != nil {
-			return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
+			return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 		}
 		if world += min(v, wireMaxWorld); world > wireMaxWorld {
-			return cfg, false, fmt.Errorf("parallel: worker blob: world exceeds %d ranks", wireMaxWorld)
+			return cfg, 0, fmt.Errorf("parallel: worker blob: world exceeds %d ranks", wireMaxWorld)
 		}
 		*f, data = int(v), rest
 	}
 	algo, data, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
+		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	cfg.Algo = Algorithm(algo)
-	flag, data, err := codec.ReadUvarint(data)
+	w, data, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
-	}
-	if flag > 1 {
-		return cfg, false, fmt.Errorf("parallel: worker blob: local-dispatch flag %d", flag)
+		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	if _, data, err = codec.ReadUvarint(data); err != nil { // reserved v2 field
-		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
+		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	cacheMB, data, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
+		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	cfg.CacheMB = int(cacheMB)
 	verify, data, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
+		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	if verify > 1 {
-		return cfg, false, fmt.Errorf("parallel: worker blob: cache-verify flag %d", verify)
+		return cfg, 0, fmt.Errorf("parallel: worker blob: cache-verify flag %d", verify)
 	}
 	cfg.CacheVerify = verify == 1
 	spec, rest, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, false, fmt.Errorf("parallel: worker blob: %w", err)
+		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	if spec > MaxSpeculate {
-		return cfg, false, fmt.Errorf("parallel: worker blob: speculate %d exceeds limit %d", spec, MaxSpeculate)
+		return cfg, 0, fmt.Errorf("parallel: worker blob: speculate %d exceeds limit %d", spec, MaxSpeculate)
 	}
 	cfg.Speculate = int(spec)
 	if len(rest) != 0 {
 		// Trailing bytes mean version skew (a field added without bumping
 		// workerBlobVersion): fail loudly — a misparsed blob would
 		// desynchronize the whole rank/tag layout.
-		return cfg, false, fmt.Errorf("parallel: worker blob: %d trailing bytes", len(rest))
+		return cfg, 0, fmt.Errorf("parallel: worker blob: %d trailing bytes", len(rest))
 	}
 	if cfg.Slots < 1 || cfg.Medians < 1 || cfg.Clients < 1 {
-		return cfg, false, fmt.Errorf("parallel: worker blob: degenerate pool %d/%d/%d",
+		return cfg, 0, fmt.Errorf("parallel: worker blob: degenerate pool %d/%d/%d",
 			cfg.Slots, cfg.Medians, cfg.Clients)
 	}
-	return cfg, flag == 1, nil
+	// NewNetPool's bound: a worker count past min(medians, clients) would
+	// lay out a worker without one of the roles.
+	if w < 1 || w > uint64(min(cfg.Medians, cfg.Clients)) {
+		return cfg, 0, fmt.Errorf("parallel: worker blob: %d workers for %d medians and %d clients",
+			w, cfg.Medians, cfg.Clients)
+	}
+	return cfg, int(w), nil
 }

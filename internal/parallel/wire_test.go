@@ -104,14 +104,6 @@ func TestScalarPayloadRoundTrips(t *testing.T) {
 			v := svcAbandonAck{Epoch: epoch, Dropped: nonneg(dropped)}
 			return payloadTrip(t, v).(svcAbandonAck) == v
 		},
-		"svcRanksLost": func(lo, hi int) bool {
-			l, h := nonneg(lo), nonneg(hi)
-			if h < l {
-				l, h = h, l
-			}
-			v := svcRanksLost{Lo: mpi.Rank(l), Hi: mpi.Rank(h)}
-			return payloadTrip(t, v).(svcRanksLost) == v
-		},
 		"svcRegrant": func(epoch uint64, count int) bool {
 			v := svcRegrant{Epoch: epoch, Count: nonneg(count)}
 			return payloadTrip(t, v).(svcRegrant) == v
@@ -162,6 +154,8 @@ func TestStateCarryingPayloadRoundTrips(t *testing.T) {
 // codec kinds: Execute never runs on the net transport, so a frame of kind
 // 64–67 (candidate, job, jobScore, stepScore) can only come from a
 // misbehaving worker socket, and the coordinator must refuse to decode it.
+// The same holds for kind 73, the worker-loss notice's: the pool only ever
+// injects it at its own scheduler.
 func TestPerRunKindsAreUnknown(t *testing.T) {
 	good, err := codec.AppendFrame(nil, codec.Frame{From: 3, To: 0, Tag: int32(tagStepScore), Payload: svcRegrant{Epoch: 1, Count: 2}})
 	if err != nil {
@@ -171,13 +165,13 @@ func TestPerRunKindsAreUnknown(t *testing.T) {
 	if _, err := codec.DecodeFrame(body); err != nil {
 		t.Fatalf("control frame: %v", err)
 	}
-	for kind := uint16(64); kind < uint16(kindSvcCandidate); kind++ {
+	for _, kind := range []uint16{64, 65, 66, 67, 73} {
 		binary.LittleEndian.PutUint16(body[13:], kind) // the payload kind follows the 13-byte header
 		if _, err := codec.DecodeFrame(body); !errors.Is(err, codec.ErrKind) {
 			t.Errorf("frame of kind %d: decode error %v, want ErrKind", kind, err)
 		}
 	}
-	for _, v := range []any{candidate{}, job{}, jobScore{}, stepScore{}} {
+	for _, v := range []any{candidate{}, job{}, jobScore{}, stepScore{}, svcRanksLost{}} {
 		if _, err := codec.EncodePayload(nil, v); !errors.Is(err, codec.ErrKind) {
 			t.Errorf("%T: encode error %v, want ErrKind", v, err)
 		}
@@ -308,40 +302,41 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 	cfg := PoolConfig{
 		Slots: 3, Medians: 5, Clients: 9, Algo: LastMinute, Speculate: 2,
 	}
-	for _, local := range []bool{false, true} {
-		got, gotLocal, err := decodeWorkerBlob(appendWorkerBlob(nil, cfg, local))
+	for _, workers := range []int{1, 2, 5} {
+		got, gotWorkers, err := decodeWorkerBlob(appendWorkerBlob(nil, cfg, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != cfg || gotLocal != local {
-			t.Fatalf("blob round trip: %+v local %v != %+v local %v", got, gotLocal, cfg, local)
+		if got != cfg || gotWorkers != workers {
+			t.Fatalf("blob round trip: %+v on %d workers != %+v on %d", got, gotWorkers, cfg, workers)
+		}
+	}
+	// A worker count of zero, or past min(medians, clients), lays out a
+	// world NewNetPool refuses: some worker would lack a role.
+	for _, workers := range []int{0, 6} {
+		if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, cfg, workers)); err == nil {
+			t.Fatalf("blob of %d workers for 5 medians and 9 clients accepted", workers)
 		}
 	}
 	// net_loopback's pool, byte for byte (the committed fuzz seed
-	// valid_local_dispatch): the flag is the first reserved v2 field.
+	// valid_workers): the worker count is the first reserved v2 field.
 	loopback := PoolConfig{Slots: 2, Medians: 2, Clients: 2, Algo: LastMinute, CacheMB: 64}
-	if got := appendWorkerBlob(nil, loopback, true); string(got) != "\x05\x02\x02\x02\x01\x01\x00@\x00\x00" {
-		t.Fatalf("v5 blob of net_loopback's pool is %q", got)
+	if got := appendWorkerBlob(nil, loopback, 2); string(got) != "\x06\x02\x02\x02\x01\x02\x00@\x00\x00" {
+		t.Fatalf("v6 blob of net_loopback's pool is %q", got)
 	}
-	// The local-dispatch flag is a bit: any other value is a corrupt blob.
-	flagged := appendWorkerBlob(nil, cfg, true)
-	flagged[5]++ // version, slots, medians, clients, algo, then the flag
-	if _, _, err := decodeWorkerBlob(flagged); err == nil {
-		t.Fatal("local-dispatch flag 2 accepted")
-	}
-	// A version-4 blob is refused: its coordinator runs a dispatcher that
-	// this worker's medians would never ask.
-	v4 := appendWorkerBlob(nil, cfg, false)
-	v4[0] = 4
-	if _, _, err := decodeWorkerBlob(v4); err == nil {
-		t.Fatal("version-4 blob accepted")
+	// A version-5 blob is refused: it lays the world out with a dispatcher
+	// rank this coordinator does not have.
+	v5 := appendWorkerBlob(nil, cfg, 1)
+	v5[0] = 5
+	if _, _, err := decodeWorkerBlob(v5); err == nil {
+		t.Fatal("version-5 blob accepted")
 	}
 
 	// A negative pool-wide speculation width means "off" everywhere it is
 	// consulted; the blob clamps it to 0 so the worker sees the same thing.
 	neg := cfg
 	neg.Speculate = -3
-	got, _, err := decodeWorkerBlob(appendWorkerBlob(nil, neg, false))
+	got, _, err := decodeWorkerBlob(appendWorkerBlob(nil, neg, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +350,7 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 	if _, _, err := decodeWorkerBlob([]byte{workerBlobVersion + 1, 1, 1, 1, 0}); err == nil {
 		t.Fatal("foreign blob version accepted")
 	}
-	if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{}, false)); err == nil {
+	if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{}, 1)); err == nil {
 		t.Fatal("degenerate pool config accepted")
 	}
 
@@ -364,14 +359,14 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 	// decode, and neither may three counts that only overflow together.
 	for _, huge := range []PoolConfig{
 		{Slots: 1, Medians: 1 << 40, Clients: 1},
-		{Slots: 1, Medians: wireMaxWorld - 3, Clients: 1},
+		{Slots: 1, Medians: wireMaxWorld - 2, Clients: 1},
 		{Slots: wireMaxWorld, Medians: wireMaxWorld, Clients: wireMaxWorld},
 	} {
-		if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, huge, false)); err == nil {
+		if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, huge, 1)); err == nil {
 			t.Fatalf("oversized world %d/%d/%d accepted", huge.Slots, huge.Medians, huge.Clients)
 		}
 	}
-	if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: wireMaxWorld - 4, Clients: 1}, false)); err != nil {
+	if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: wireMaxWorld - 3, Clients: 1}, 1)); err != nil {
 		t.Fatalf("world of exactly %d ranks rejected: %v", wireMaxWorld, err)
 	}
 }
@@ -384,7 +379,7 @@ func TestServeWorkerRejectsForeignWorld(t *testing.T) {
 		Listen:      "127.0.0.1:0",
 		LocalRanks:  3,
 		WorkerRanks: []int{2},
-		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 3, Clients: 1}, false),
+		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 3, Clients: 1}, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +389,7 @@ func TestServeWorkerRejectsForeignWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ServeWorker(w); err == nil {
-		t.Fatal("blob of 7 ranks served in a world of 5")
+		t.Fatal("blob of 6 ranks served in a world of 5")
 	}
 	for r := 0; r < 3; r++ {
 		nc.Start(mpi.Rank(r), func(mpi.Comm) {})
@@ -402,16 +397,17 @@ func TestServeWorkerRejectsForeignWorld(t *testing.T) {
 	nc.Run()
 }
 
-// TestServeWorkerRejectsLocalDispatchWithoutBothRoles hands the first of
-// two workers of a `c c | c m` pool a blob that asks for local dispatch:
-// its median-free range could never run a chunk, so ServeWorker must
-// refuse it rather than serve clients no median of its process will ask.
-func TestServeWorkerRejectsLocalDispatchWithoutBothRoles(t *testing.T) {
+// TestServeWorkerRejectsForeignRange hands the first of two workers of a
+// 1 slot × 2 medians × 2 clients pool the rank range [2, 3) — one client —
+// where the blob's layout has two ranges of a median and a client each:
+// ServeWorker must refuse it rather than serve a client no median of its
+// process will ask.
+func TestServeWorkerRejectsForeignRange(t *testing.T) {
 	nc, err := mpi.ListenNet(mpi.NetConfig{
 		Listen:      "127.0.0.1:0",
-		LocalRanks:  3,
-		WorkerRanks: []int{2, 2},
-		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 1, Clients: 3}, true),
+		LocalRanks:  2,
+		WorkerRanks: []int{1, 3},
+		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 2, Clients: 2}, 2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -421,9 +417,9 @@ func TestServeWorkerRejectsLocalDispatchWithoutBothRoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ServeWorker(w); err == nil {
-		t.Fatal("local dispatch served on a range of two clients")
+		t.Fatal("a range of one client served")
 	}
-	for r := 0; r < 3; r++ {
+	for r := 0; r < 2; r++ {
 		nc.Start(mpi.Rank(r), func(mpi.Comm) {})
 	}
 	nc.Run()

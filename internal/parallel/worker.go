@@ -32,37 +32,31 @@ type WorkerStats struct {
 
 // ServeWorker runs the pool ranks assigned to a dialed worker connection
 // until the coordinator broadcasts shutdown, and returns the worker's
-// service statistics. When the blob says so (localDispatch), the hosted
-// medians take the hosted clients from one clientList and no chunk leaves
-// the process. It fails fast when the handshake blob does not decode, the
-// assigned range contains coordinator-only ranks (slots, scheduler,
-// dispatcher always live with the coordinator), or local dispatch is asked
-// of a range that lacks a median or a client.
+// service statistics. The hosted medians take the hosted clients from one
+// clientList, so no chunk leaves the process. It fails fast when the
+// handshake blob does not decode, or the assigned range is not one of the
+// worker ranges of the layout the blob describes (the slots and scheduler
+// always live with the coordinator, and every range hosts both roles).
 func ServeWorker(w *mpi.NetWorker) (WorkerStats, error) {
 	var stats WorkerStats
 	// Validation failures close the dialed connection: the handshake
 	// already claimed a coordinator worker slot, and a long-lived
 	// embedder that merely drops the NetWorker would occupy it forever
 	// (the coordinator frees the slot when the connection dies).
-	cfg, local, err := decodeWorkerBlob(w.Blob())
-	if n := cfg.Slots + 2 + cfg.Medians + cfg.Clients; err == nil && n != w.Size() {
+	cfg, workers, err := decodeWorkerBlob(w.Blob())
+	if n := cfg.Slots + 1 + cfg.Medians + cfg.Clients; err == nil && n != w.Size() {
 		err = fmt.Errorf("parallel: worker blob lays out %d ranks, handshake world has %d", n, w.Size())
 	}
 	if err != nil {
 		w.Close() //nolint:errcheck // already failing
 		return stats, err
 	}
-	world := newPoolWorld(cfg.withDefaults())
+	world := newPoolWorld(cfg.withDefaults(), workers)
 	lo, hi := w.RankRange()
-	if lo < world.firstWorker() {
+	if !world.isRange(lo, hi) {
 		w.Close() //nolint:errcheck // already failing
-		return stats, fmt.Errorf("parallel: assigned range [%d, %d) includes coordinator rank %d",
-			lo, hi, lo)
-	}
-	if int(hi) > world.size() {
-		w.Close() //nolint:errcheck // already failing
-		return stats, fmt.Errorf("parallel: assigned range [%d, %d) beyond world of %d ranks",
-			lo, hi, world.size())
+		return stats, fmt.Errorf("parallel: assigned range [%d, %d) is not one of the %d worker ranges of the layout",
+			lo, hi, workers)
 	}
 
 	for r := lo; r < hi; r++ {
@@ -72,14 +66,7 @@ func ServeWorker(w *mpi.NetWorker) (WorkerStats, error) {
 			stats.Clients++
 		}
 	}
-	if local {
-		if stats.Medians == 0 || stats.Clients == 0 {
-			w.Close() //nolint:errcheck // already failing
-			return stats, fmt.Errorf("parallel: local dispatch on range [%d, %d) of %d medians and %d clients",
-				lo, hi, stats.Medians, stats.Clients)
-		}
-		world.list = newClientList(world, lo, hi)
-	}
+	world.list = newClientList(world, lo, hi)
 	// Idle is metered per hosted rank so the coordinator's /metrics can
 	// expose the same per-rank series a co-resident pool has: the sampler
 	// snapshot rides every pong and the goodbye frame (mpi.SetTelemetry).
@@ -102,6 +89,15 @@ func ServeWorker(w *mpi.NetWorker) (WorkerStats, error) {
 	startPoolWorkers(w, world, tc, world.cfg.CacheVerify, medianIdle, clientIdle)
 
 	w.Run()
+	if w.Lost() {
+		// The coordinator is gone and the hosted bodies wait in Recv for
+		// frames that will never come: release them as its shutdown
+		// broadcast would have, so a redialing process does not keep a
+		// stranded set of ranks per lost link.
+		for r := lo; r < hi; r++ {
+			w.Inject(r, tagShutdown, nil)
+		}
+	}
 	var total int64
 	for i := range perRank {
 		total += perRank[i].Load()

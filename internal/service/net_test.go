@@ -9,6 +9,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,21 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/parallel"
 )
+
+// TestNewRefusesWorkersWithoutBothRoles configures a distributed manager
+// the way pnmcsd -workers 3 -medians 2 -clients 4 does: every worker must
+// host a median and a client, so New must fail and name the bound, which
+// is the message pnmcsd exits with.
+func TestNewRefusesWorkersWithoutBothRoles(t *testing.T) {
+	m, err := New(Config{Slots: 1, Medians: 2, Clients: 4, Workers: 3, WorkerListen: "127.0.0.1:0"})
+	if err == nil {
+		m.Shutdown(context.Background()) //nolint:errcheck // already failing
+		t.Fatal("3 workers for 2 medians accepted")
+	}
+	if !strings.Contains(err.Error(), "min(medians, clients) = 2") {
+		t.Fatalf("error %q does not name the bound", err)
+	}
+}
 
 func TestDistributedServiceEquivalence(t *testing.T) {
 	m, err := New(Config{

@@ -84,6 +84,7 @@ type Config struct {
 	// goroutines: the manager becomes the coordinator of a distributed
 	// rank world (parallel.NewNetPool) and listens on WorkerListen for
 	// the workers to dial in. Job results are bit-identical either way.
+	// At most min(Medians, Clients): every worker hosts both roles.
 	Workers int
 	// WorkerListen is the TCP address workers dial; ":0" binds an
 	// ephemeral port (read it back with Manager.WorkerAddr). Only used
