@@ -291,7 +291,8 @@ func WithAlgorithm(a Algorithm) Option { return func(c *ServiceConfig) { c.Algo 
 func WithEvaluator(name string) Option { return func(c *ServiceConfig) { c.Evaluator = name } }
 
 // WithWorkers serves the pool's median and client ranks from n external
-// worker processes instead of goroutines. Job results are bit-identical
+// worker processes instead of goroutines, n at most min(medians, clients)
+// so that every worker hosts both roles. Job results are bit-identical
 // either way.
 func WithWorkers(n int) Option { return func(c *ServiceConfig) { c.Workers = n } }
 
