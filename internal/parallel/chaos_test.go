@@ -172,7 +172,7 @@ func TestChaosKillEquivalence(t *testing.T) {
 }
 
 // TestChaosKillClientsReissue kills worker 1, which hosts a median and
-// the client holding its chunks (c m): the scheduler re-issues the dead
+// the client holding its chunks (c m): the scheduler re-grants the dead
 // median's candidate to the survivor, and the job still matches solo
 // bit-for-bit.
 func TestChaosKillClientsReissue(t *testing.T) {
