@@ -198,7 +198,9 @@ func TestUnknownJobIs404(t *testing.T) {
 }
 
 func TestHealthAndMetrics(t *testing.T) {
-	mux := newTestServer(t, service.Config{Slots: 2, Medians: 2, Clients: 2})
+	// More clients than medians: the medians ship their steps to clients in
+	// chunks (with no more, they play the steps themselves).
+	mux := newTestServer(t, service.Config{Slots: 2, Medians: 2, Clients: 3})
 	rec := do(mux, "GET", "/healthz", "")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ok"`) {
 		t.Fatalf("healthz: %d %s", rec.Code, rec.Body.String())

@@ -28,7 +28,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	// and fault-protocol (ranks-lost, regrant) frames and an eval-carrying
 	// candidate, stamped v2 and v3 — they pin version rejection — and the
 	// current version's chunk and chunk-result frames, one well-formed and
-	// one malformed each (an illegal move, an item count that lies).
+	// one malformed each (an illegal move, an item count that lies), whose
+	// kinds are retired: chunks never leave their median's process, so
+	// these now pin that the decoder refuses the kind.
 	for _, fr := range []codec.Frame{
 		{From: 0, To: 1, Tag: 2, Payload: nil},
 		{From: -2, To: 3, Tag: 64, Payload: uint64(99)},

@@ -177,10 +177,10 @@ func BenchmarkPoolFineJob(b *testing.B) {
 // dialed in over TCP loopback: the first move of a level-2 sudoku box 3.
 // frames/rollout counts the coordinator's frames sent and received per
 // rollout, relayed/rollout the share of them the hub forwarded from one
-// worker to another. Each worker hosts a median and a client and
-// dispatches its own clients, so chunks never reach the coordinator: what
-// it sees is grants, work requests and step scores, and allocs/op does not
-// depend on loopback timing, so the gate watches it.
+// worker to another. Each worker hosts a median and a client, so each
+// median plays its steps' rollouts itself and sends no chunk: what the
+// coordinator sees is grants, work requests and step scores, and allocs/op
+// does not depend on loopback timing, so the gate watches it.
 func BenchmarkNetPoolFineJob(b *testing.B) {
 	cfg := Config{Level: 2, Root: sudoku.New(3), Seed: 3, FirstMoveOnly: true}
 	pool, err := NewNetPool(PoolConfig{Slots: 2, Medians: 2, Clients: 2}, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2})

@@ -95,6 +95,7 @@ func chaosRun(t *testing.T, cfg Config, killWorker int) (Result, PoolMetrics) {
 		startChaosWorker(t, pool.WorkerAddr()),
 		startChaosWorker(t, pool.WorkerAddr()),
 	}
+	waitMediansAsking(t, pool)
 
 	var once sync.Once
 	kill := func() {
@@ -283,6 +284,18 @@ func TestChaosLateJoinDuringCancel(t *testing.T) {
 
 	pool.Shutdown()
 	wait()
+}
+
+// waitMediansAsking waits until the coordinator has received one frame per
+// median: the opening work request each median sends as its worker starts.
+// From then on every median waits at the scheduler, so the first step's
+// candidates go to all of them, and a worker killed at the first step
+// always takes a grant with it, however fast the survivor plays.
+func waitMediansAsking(t *testing.T, pool *Pool) {
+	t.Helper()
+	waitPoolCond(t, pool, "every median's opening work request", func(m PoolMetrics) bool {
+		return m.Net.FramesRecv >= uint64(pool.cfg.Medians)
+	})
 }
 
 // waitPoolCond polls the pool's metrics until cond holds.

@@ -45,9 +45,12 @@ func lateGame(root game.State, left int, seed uint64) game.State {
 	return st
 }
 
-// TestChunkShapeEquivalence is the chunk-shape table: 1, 2 and 16 clients
-// × three domains × level 2 and 3 × the lockstep and the speculating root,
-// on the wall pool and on the net pool, each against Reference.
+// TestChunkShapeEquivalence is the chunk-shape table: 2 medians with 1, 2,
+// 4 and 16 clients × three domains × level 2 and 3 × the lockstep and the
+// speculating root, on the wall pool and on the net pool, each against
+// Reference. With 1 and 2 clients no process hosts more clients than
+// medians, so the medians play their steps themselves and send no chunk;
+// with 4 and 16 the layout alone decides the chunk size.
 func TestChunkShapeEquivalence(t *testing.T) {
 	noGoroutineLeak(t)
 	type job struct {
@@ -83,7 +86,7 @@ func TestChunkShapeEquivalence(t *testing.T) {
 	}
 
 	lastMean := math.Inf(1)
-	for _, clients := range []int{1, 2, 16} {
+	for _, clients := range []int{1, 2, 4, 16} {
 		cfg := PoolConfig{Slots: 1, Medians: 2, Clients: clients}
 		wall, err := NewPool(cfg)
 		if err != nil {
@@ -97,6 +100,7 @@ func TestChunkShapeEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		wait := startNetWorkers(t, net.WorkerAddr(), workers)
+		wasted := map[string]int64{}
 		for i, j := range jobs {
 			for _, speculate := range []int{0, 2} {
 				c := j.cfg
@@ -110,17 +114,27 @@ func TestChunkShapeEquivalence(t *testing.T) {
 					if speculate > 0 && res.Speculated == 0 {
 						t.Fatalf("%s pool, %s: Speculate=%d job never speculated", name, j.name, speculate)
 					}
+					wasted[name] += res.SpecWasted
 				}
 			}
 		}
-		// The layout decided the chunk shape, and nothing else did: whole
-		// steps on one client, about one rollout per message on sixteen.
+		t.Logf("%d clients: speculating rows wasted %d candidates on the wall pool, %d on the net pool",
+			clients, wasted["wall"], wasted["net"])
+		// The layout decided the chunk shape, and nothing else did: no
+		// chunk where the medians play inline, about one rollout per
+		// message on sixteen clients.
 		m := wall.Metrics()
-		mean := float64(m.Jobs) / float64(m.Chunks)
-		if mean < 1 || mean >= lastMean || (clients == 16 && mean > 1.25) {
-			t.Fatalf("%d clients: mean chunk of %.2f rollouts (after %.2f on fewer clients)", clients, mean, lastMean)
+		if clients <= 2 {
+			if nm := net.Metrics(); m.Chunks != 0 || nm.Chunks != 0 {
+				t.Fatalf("%d clients for 2 medians: %d chunks on the wall pool, %d on the net pool", clients, m.Chunks, nm.Chunks)
+			}
+		} else {
+			mean := float64(m.Jobs) / float64(m.Chunks)
+			if mean < 1 || mean >= lastMean || (clients == 16 && mean > 1.25) {
+				t.Fatalf("%d clients: mean chunk of %.2f rollouts (after %.2f on fewer clients)", clients, mean, lastMean)
+			}
+			lastMean = mean
 		}
-		lastMean = mean
 		wall.Shutdown()
 		net.Shutdown()
 		wait()
@@ -128,9 +142,9 @@ func TestChunkShapeEquivalence(t *testing.T) {
 }
 
 // TestChaosKillClientsHoldingChunks kills worker 1 of a two-worker pool
-// (ranks c m | c m) mid-job: a median dies together with the client
-// holding its chunk, which carries a whole step's rollouts. The scheduler
-// re-grants the median's candidate, and the finished job must be
+// (ranks c c m | c c m) mid-job: a median dies together with the two
+// clients holding its chunks, each carrying half a step's rollouts. The
+// scheduler re-grants the median's candidate, and the finished job must be
 // identical to solo, with no drift in Jobs or WorkUnits.
 func TestChaosKillClientsHoldingChunks(t *testing.T) {
 	noGoroutineLeak(t)
@@ -139,12 +153,12 @@ func TestChaosKillClientsHoldingChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewNetPool(PoolConfig{Slots: 1, Medians: 2, Clients: 2},
+	pool, err := NewNetPool(PoolConfig{Slots: 1, Medians: 2, Clients: 4},
 		NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each worker hosts a median and the client it dispatches (c m).
+	// Each worker hosts a median and the two clients it dispatches (c c m).
 	workers := []*chaosWorker{
 		startChaosWorker(t, pool.WorkerAddr()),
 		startChaosWorker(t, pool.WorkerAddr()),
@@ -176,13 +190,14 @@ func TestChaosKillClientsHoldingChunks(t *testing.T) {
 	}
 }
 
-// TestPoolAsyncCancelsChunksInFlight runs speculating jobs on a pool whose
-// single client takes every step as one chunk, so the losing branches'
-// games are aborted while their chunks are queued at or running on the
-// client: the medians must drop the buffers those chunks alias, and the
-// stale answers must be shed. Bit-identical to solo, with waste recorded.
+// TestPoolAsyncCancelsChunksInFlight runs speculating jobs on a pool of
+// two medians and three clients, so the medians ship every step in chunks
+// and the losing branches' games are aborted while their chunks run on
+// the clients: the medians must drop the buffers those chunks alias, and
+// the stale answers must be shed. Bit-identical to solo, with waste and
+// chunks recorded.
 func TestPoolAsyncCancelsChunksInFlight(t *testing.T) {
-	pool, err := NewPool(PoolConfig{Slots: 1, Medians: 3, Clients: 1})
+	pool, err := NewPool(PoolConfig{Slots: 1, Medians: 2, Clients: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +213,14 @@ func TestPoolAsyncCancelsChunksInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, name+": async on one client vs solo", res, solo)
+		assertSameResult(t, name+": async on chunking medians vs solo", res, solo)
 		wasted += res.SpecWasted
 	}
 	if wasted == 0 {
 		t.Fatal("no speculative branch lost: nothing was cancelled")
+	}
+	if pool.Metrics().Chunks == 0 {
+		t.Fatal("no chunk sent: nothing was in flight to cancel")
 	}
 }
 
@@ -342,10 +360,10 @@ func (sp *scriptedPool) until(what string, cond func() bool) {
 // answer is the well-formed result of a chunk under made-up scores: seq j
 // scores j mod 3 and costs 10+j units, so a double-counted item shows.
 func answer(ck svcChunk) svcChunkResult {
-	var r svcChunkResult
-	for i, seq := range ck.Seqs {
+	r := svcChunkResult{First: ck.First}
+	for i := range ck.Keys {
+		seq := ck.First + i
 		r.Keys = append(r.Keys, resultKey(ck.P, ck.Par, ck.Keys[i]))
-		r.Seqs = append(r.Seqs, seq)
 		r.Scores = append(r.Scores, float64(seq%3))
 		r.Units = append(r.Units, int64(10+seq))
 	}
@@ -361,7 +379,7 @@ func answer(ck svcChunk) svcChunkResult {
 func TestMedianShedsStaleResults(t *testing.T) {
 	noGoroutineLeak(t)
 	sp := newScriptedPool(t, PoolConfig{Slots: 1, Medians: 1, Clients: 2}, map[mpi.Rank]func(mpi.Comm, *poolWorld){
-		scriptedMedian: func(c mpi.Comm, w *poolWorld) { runPoolMedian(c, w, func(time.Duration) {}) },
+		scriptedMedian: func(c mpi.Comm, w *poolWorld) { runPoolMedian(c, w, nil, false, func(time.Duration) {}) },
 	})
 	w, median := sp.w, scriptedMedian
 	a, b := w.clients[0], w.clients[1]
@@ -379,11 +397,11 @@ func TestMedianShedsStaleResults(t *testing.T) {
 	legal := root.LegalMoves(nil)
 	for i, ck := range []svcChunk{first, rest} {
 		lo := 3 * i
-		if !slices.Equal(ck.Seqs, []int{0, 1, 2, 3, 4}[lo:lo+len(ck.Seqs)]) || !slices.Equal(ck.Moves, legal[lo:lo+len(ck.Seqs)]) {
-			t.Fatalf("chunk %d: seqs %v moves %v", i, ck.Seqs, ck.Moves)
+		if ck.First != lo || !slices.Equal(ck.Moves, legal[lo:lo+len(ck.Moves)]) {
+			t.Fatalf("chunk %d: first %d moves %v", i, ck.First, ck.Moves)
 		}
-		for k, seq := range ck.Seqs {
-			if want := rng.Fold(3, 1, 0, uint64(seq)); ck.Keys[k] != want {
+		for k := range ck.Keys {
+			if want := rng.Fold(3, 1, 0, uint64(lo+k)); ck.Keys[k] != want {
 				t.Fatalf("chunk %d item %d: key %#x, want the coordinate key %#x", i, k, ck.Keys[k], want)
 			}
 		}
@@ -391,8 +409,8 @@ func TestMedianShedsStaleResults(t *testing.T) {
 			t.Fatalf("chunk %d: params %+v par %d base at %d moves", i, ck.P, ck.Par, ck.Base.MovesPlayed())
 		}
 	}
-	if len(first.Seqs) != 3 || len(rest.Seqs) != 2 {
-		t.Fatalf("chunks of %d and %d rollouts, want 3 and 2", len(first.Seqs), len(rest.Seqs))
+	if len(first.Moves) != 3 || len(rest.Moves) != 2 || len(first.Keys) != 3 || len(rest.Keys) != 2 {
+		t.Fatalf("chunks of %d and %d rollouts, want 3 and 2", len(first.Moves), len(rest.Moves))
 	}
 
 	sp.send(a, median, tagResult, answer(first))
@@ -409,13 +427,13 @@ func TestMedianShedsStaleResults(t *testing.T) {
 	sp.send(b, median, tagResult, stale)
 	// Malformed and forged results: ragged slices, an out-of-range, a
 	// negative and a repeated seq, a key of another branch.
-	sp.send(b, median, tagResult, svcChunkResult{Keys: []uint64{1}, Seqs: []int{3, 4}, Scores: []float64{9}, Units: []int64{1000}})
-	sp.send(b, median, tagResult, svcChunkResult{
-		Keys:   []uint64{rest.Keys[0], rest.Keys[0], resultKey(p, -1, first.Keys[0]), resultKey(p, 0, rest.Keys[0])},
-		Seqs:   []int{99, -1, 0, 3},
-		Scores: []float64{9, 9, 9, 9},
-		Units:  []int64{1000, 1000, 1000, 1000},
-	})
+	sp.send(b, median, tagResult, svcChunkResult{First: 3, Keys: []uint64{1, 2}, Scores: []float64{9}, Units: []int64{1000, 1000}})
+	for _, forged := range []struct {
+		first int
+		key   uint64
+	}{{99, rest.Keys[0]}, {-1, rest.Keys[0]}, {0, resultKey(p, -1, first.Keys[0])}, {3, resultKey(p, 0, rest.Keys[0])}} {
+		sp.send(b, median, tagResult, svcChunkResult{First: forged.first, Keys: []uint64{forged.key}, Scores: []float64{9}, Units: []int64{1000}})
+	}
 	sp.send(slot0, median, tagResult, answer(rest)) // not a client: forged
 	sp.send(b, median, tagResult, answer(rest))
 
@@ -440,7 +458,7 @@ func TestMedianShedsStaleResults(t *testing.T) {
 func TestMedianAbortDropsChunkBuffers(t *testing.T) {
 	noGoroutineLeak(t)
 	sp := newScriptedPool(t, PoolConfig{Slots: 1, Medians: 1, Clients: 2}, map[mpi.Rank]func(mpi.Comm, *poolWorld){
-		scriptedMedian: func(c mpi.Comm, w *poolWorld) { runPoolMedian(c, w, func(time.Duration) {}) },
+		scriptedMedian: func(c mpi.Comm, w *poolWorld) { runPoolMedian(c, w, nil, false, func(time.Duration) {}) },
 	})
 	w, median := sp.w, scriptedMedian
 	a, b := w.clients[0], w.clients[1]
@@ -460,7 +478,7 @@ func TestMedianAbortDropsChunkBuffers(t *testing.T) {
 	sp.send(w.sched, median, tagGrant, svcCandidate{Step: 1, Cand: 0, Par: 2, P: p, State: root.Clone()})
 	sp.expect(w.sched, tagWorkReq)
 	held := sp.expect(a, tagJob).Payload.(svcChunk)
-	snapshot := svcChunk{Moves: slices.Clone(held.Moves), Keys: slices.Clone(held.Keys), Seqs: slices.Clone(held.Seqs)}
+	snapshot := svcChunk{Moves: slices.Clone(held.Moves), Keys: slices.Clone(held.Keys), First: held.First}
 	sp.until("the median to wait for a client", func() bool { _, n := w.list.listState(b); return n == 1 })
 
 	// Branch 2 lost the argmax to branch 0. b, freed, answers the aborted
@@ -483,13 +501,12 @@ func TestMedianAbortDropsChunkBuffers(t *testing.T) {
 	if !slices.Equal(first.Keys, held.Keys) || first.Par != 0 {
 		t.Fatalf("winner's chunk %+v: want the loser's rng keys under par 0", first)
 	}
-	if !slices.Equal(held.Moves, snapshot.Moves) || !slices.Equal(held.Keys, snapshot.Keys) || !slices.Equal(held.Seqs, snapshot.Seqs) {
+	if !slices.Equal(held.Moves, snapshot.Moves) || !slices.Equal(held.Keys, snapshot.Keys) || held.First != snapshot.First {
 		t.Fatalf("held chunk rewritten to %+v", held)
 	}
 	for name, shared := range map[string]bool{
 		"moves": &first.Moves[0] == &held.Moves[0],
 		"keys":  &first.Keys[0] == &held.Keys[0],
-		"seqs":  &first.Seqs[0] == &held.Seqs[0],
 	} {
 		if shared {
 			t.Fatalf("the new game's chunk reuses the %s buffer a client still holds", name)
@@ -520,7 +537,7 @@ func TestClientAnswersChunks(t *testing.T) {
 	base := sudoku.New(2)
 	legal := base.LegalMoves(nil)
 	p := jobParams{Slot: 0, Epoch: 1, Level: 3, Seed: 9, Memorize: true, JobScale: 1, Root: 0}
-	good := svcChunk{Par: -1, P: p, Base: base, Moves: legal[:2], Keys: []uint64{21, 22}, Seqs: []int{5, 6}}
+	good := svcChunk{Par: -1, P: p, Base: base, Moves: legal[:2], Keys: []uint64{21, 22}, First: 5}
 
 	// The median takes the client off the list, as it does for a chunk.
 	if got, ok := w.list.take(median, 0); !ok || got != client {
@@ -533,10 +550,9 @@ func TestClientAnswersChunks(t *testing.T) {
 		payload any
 	}{
 		"wrong type":        {median, svcCandidate{}},
-		"no base":           {median, svcChunk{P: p, Moves: legal[:1], Keys: []uint64{1}, Seqs: []int{0}}},
+		"no base":           {median, svcChunk{P: p, Moves: legal[:1], Keys: []uint64{1}}},
 		"level below 2":     {median, flat},
-		"keys short":        {median, svcChunk{P: p, Base: base, Moves: legal[:2], Keys: []uint64{1}, Seqs: []int{0, 1}}},
-		"seqs long":         {median, svcChunk{P: p, Base: base, Moves: legal[:1], Keys: []uint64{1}, Seqs: []int{0, 1}}},
+		"keys short":        {median, svcChunk{P: p, Base: base, Moves: legal[:2], Keys: []uint64{1}}},
 		"not from a median": {other, good},
 	}
 	for _, r := range refused {
@@ -550,7 +566,7 @@ func TestClientAnswersChunks(t *testing.T) {
 	}
 	sp.quiet(median) // the refused chunks were never answered
 	sp.quiet(other)
-	if !slices.Equal(res.Seqs, good.Seqs) || len(res.Keys) != 2 || len(res.Scores) != 2 || len(res.Units) != 2 {
+	if res.First != good.First || len(res.Keys) != 2 || len(res.Scores) != 2 || len(res.Units) != 2 {
 		t.Fatalf("result %+v", res)
 	}
 	if base.MovesPlayed() != 0 {

@@ -19,12 +19,15 @@ import (
 // of an in-process pool, or one worker process's range of a net pool,
 // which hosts both roles (newPoolWorld). Its clients never serve a median
 // of another process, so a lost worker takes its medians, clients and list
-// together and nothing else needs repair.
+// together and nothing else needs repair. A list with no more clients than
+// medians is never used at all: its medians play their steps themselves
+// (inline).
 type clientList struct {
 	w            *poolWorld
 	lo, hi       mpi.Rank
 	longestFirst bool // Last-Minute: serve the waiting median with the fewest moves played
 	clients      int  // the list's client ranks, free or busy: all its medians can reach
+	medians      int  // the list's median ranks
 
 	mu      sync.Mutex
 	free    []mpi.Rank // first in, first out (§IV-B line 15)
@@ -38,11 +41,21 @@ func newClientList(w *poolWorld, lo, hi mpi.Rank) *clientList {
 	for r := lo; r < hi; r++ {
 		if isClientRank(w, r) {
 			l.free = append(l.free, r)
+		} else {
+			l.medians++
 		}
 	}
 	l.clients = len(l.free)
 	return l
 }
+
+// inline reports whether the list's medians play every step of their
+// games themselves. With no more clients than medians a client buys a
+// median no width: the median would sleep while its one client played the
+// step, at the cost of two hand-offs. The rule reads the layout only, and
+// holds for every median of the process, so median and client compute
+// never compete on one list.
+func (l *clientList) inline() bool { return l.clients <= l.medians }
 
 // hosts reports whether r is one of the list's ranks, median or client.
 // Only those ranks send assignments: a frame from another process never

@@ -1,16 +1,21 @@
 package parallel
 
-// Tests of the width-one pool: an in-process pool of one median and one
-// client plays every job on its slot with the reference loop. Its answers
-// are held to the golden constants in TestNilEvaluatorGolden; these tests
-// hold its lifecycle — cancel, deadline, shutdown, progress, metrics — to
-// the message path's, and guard the rule that picks it.
+// Tests of inline play. The width-one pool: an in-process pool of one
+// median and one client plays every job on its slot with the reference
+// loop. Its answers are held to the golden constants in
+// TestNilEvaluatorGolden; these tests hold its lifecycle — cancel,
+// deadline, shutdown, progress, metrics — to the message path's, and guard
+// the rule that picks it. The inline median: a median whose process hosts
+// no more clients than medians plays its steps' rollouts itself.
 
 import (
 	"testing"
 	"time"
 
+	"repro/internal/game"
 	"repro/internal/morpion"
+	"repro/internal/mpi"
+	"repro/internal/samegame"
 	"repro/internal/sudoku"
 )
 
@@ -145,7 +150,9 @@ func TestInlineProgressAndMetrics(t *testing.T) {
 }
 
 // TestNetPoolNeverInline guards the rule's other edge: a net pool of one
-// median and one client still ships its rollouts in chunks.
+// median and one client never plays a job on its slot. Its worker's median
+// plays the steps itself, so no chunk is sent, but every candidate leaves
+// the coordinator as a grant frame and comes back as a step score frame.
 func TestNetPoolNeverInline(t *testing.T) {
 	noGoroutineLeak(t)
 	pool, err := NewNetPool(PoolConfig{Slots: 1, Medians: 1, Clients: 1}, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 1})
@@ -155,10 +162,98 @@ func TestNetPoolNeverInline(t *testing.T) {
 	wait := startNetWorkers(t, pool.WorkerAddr(), 1)
 	defer wait()
 	defer pool.Shutdown()
-	if _, err := pool.RunJob(0, Config{Level: 2, Root: sudoku.New(2), Seed: 7}, nil); err != nil {
+	res, err := pool.RunJob(0, Config{Level: 2, Root: sudoku.New(2), Seed: 7}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m := pool.Metrics(); m.Chunks == 0 {
-		t.Fatalf("1×1 net pool sent no chunks: %+v", m)
+	m, st := pool.Metrics(), pool.net.Stats()
+	if m.Chunks != 0 || m.Jobs != res.Jobs || res.Jobs == 0 {
+		t.Fatalf("1×1 net pool: %d chunks, %d rollouts counted for a job of %d", m.Chunks, m.Jobs, res.Jobs)
+	}
+	if steps := uint64(res.Steps); st.FramesSent < steps || st.FramesRecv < steps {
+		t.Fatalf("1×1 net pool: %d frames sent and %d received for %d root steps", st.FramesSent, st.FramesRecv, steps)
+	}
+}
+
+// TestMedianInlineRule holds the rule that picks who plays a step's
+// rollouts: a median whose process hosts no more clients than medians
+// plays them itself, any other ships them to its process's clients in
+// chunks. On in-process pools of 2 × 2, 3 × 1 and 2 × 3 and on net pools
+// laid out c m | c m and c c m | c m, uniform, guided, cached and
+// speculating jobs all return Reference's answer, and chunks are counted
+// exactly where some process hosts more clients than medians: on the mixed
+// net pool, worker 0 (c c m) is the only one whose list ships.
+func TestMedianInlineRule(t *testing.T) {
+	noGoroutineLeak(t)
+	samegame6 := samegame.NewRandom(6, 6, 3, 3)
+	jobs := map[string]Config{
+		"uniform":   {Level: 2, Root: samegame6, Seed: 5, Memorize: true},
+		"guided":    {Level: 2, Root: samegame6, Seed: 3, Memorize: true, Evaluator: game.HeuristicEvaluatorName},
+		"cached":    {Level: 3, Root: sudoku.New(2), Seed: 4, Memorize: true, Cache: true, CacheVerify: true},
+		"speculate": {Level: 2, Root: samegame6, Seed: 7, Memorize: true, Speculate: 2},
+	}
+	solo := map[string]Result{}
+	for name, cfg := range jobs {
+		res, err := Reference(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[name] = res
+	}
+	for _, l := range []struct {
+		name             string
+		medians, clients int
+		workers          int    // 0: in process
+		ships            []bool // per process: its medians send chunks
+	}{
+		{"in process 2x2", 2, 2, 0, []bool{false}},
+		{"in process 3x1", 3, 1, 0, []bool{false}},
+		{"in process 2x3", 2, 3, 0, []bool{true}},
+		{"net c m | c m", 2, 2, 2, []bool{false, false}},
+		{"net c c m | c m", 2, 3, 2, []bool{true, false}},
+	} {
+		t.Run(l.name, func(t *testing.T) {
+			cfg := PoolConfig{Slots: 1, Medians: l.medians, Clients: l.clients, CacheVerify: true}
+			var pool *Pool
+			var err error
+			if l.workers == 0 {
+				pool, err = NewPool(cfg)
+			} else {
+				pool, err = NewNetPool(cfg, NetPoolConfig{Listen: "127.0.0.1:0", Workers: l.workers})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.workers > 0 {
+				defer startNetWorkers(t, pool.WorkerAddr(), l.workers)()
+				// Every median takes part from the first step on, so a
+				// shipping worker's median plays some of the first game.
+				waitMediansAsking(t, pool)
+			}
+			defer pool.Shutdown()
+
+			w, lo, shipping := pool.world, pool.world.firstWorker(), false
+			for i, n := range w.ranks {
+				ships := !newClientList(w, lo, lo+mpi.Rank(n)).inline()
+				if ships != l.ships[i] {
+					t.Fatalf("process %d: ships chunks %v, want %v", i, ships, l.ships[i])
+				}
+				shipping = shipping || ships
+				lo += mpi.Rank(n)
+			}
+			for name, job := range jobs {
+				res, err := pool.RunJob(0, job, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResult(t, name, res, solo[name])
+				if job.Speculate > 0 && res.Speculated == 0 {
+					t.Fatalf("%s: never speculated", name)
+				}
+			}
+			if m := pool.Metrics(); (m.Chunks > 0) != shipping {
+				t.Fatalf("%d chunks for %d rollouts, want chunks: %v", m.Chunks, m.Jobs, shipping)
+			}
+		})
 	}
 }

@@ -25,7 +25,9 @@ package parallel
 //     dispatcher without its rank, pending requests served
 //     longest-expected-first under LastMinute. Every process that hosts
 //     worker ranks hosts both roles (newPoolWorld), so a chunk never leaves
-//     its median's process.
+//     its median's process. In a process with no more clients than
+//     medians, a client would buy its median no width, so the medians play
+//     their steps' rollouts themselves and take no client at all.
 //   - M median ranks and C client ranks are built once and reused across
 //     every job: their StatePools, searchers and move buffers stay warm,
 //     and per-job parameters (level, seed, memorization) travel with the
@@ -40,7 +42,7 @@ package parallel
 // parameters, positions, scores, rollout accounting) travels in the
 // protocol messages, never through shared memory.
 //
-// Determinism: client rollouts are keyed by their logical job coordinates
+// Determinism: rollouts are keyed by their logical job coordinates
 // (rng.Fold over root step, root candidate, median step, median
 // candidate) and the job's own seed, exactly as in Reference — so a job's
 // score, sequence and rollout accounting are bit-identical to Reference's
@@ -123,16 +125,17 @@ type svcCandidate struct {
 
 // svcChunk is the median→client payload: up to chunkLimit rollouts of one
 // median step in one message. Item i is Base after Moves[i], rolled out
-// under rng key Keys[i] and answered as candidate Seqs[i]. On an
-// in-process transport Base and the slices are the median's own step
-// state, read by the client while the median blocks on the results.
+// under rng key Keys[i] and answered as candidate First+i: a step's moves
+// go out in contiguous runs. Base and the slices are the median's own step
+// state, read by a client of its process while the median blocks on the
+// results; a chunk never leaves its median's process and has no codec kind.
 type svcChunk struct {
 	Par   int // branch discriminator of the owning game (see resultKey)
 	P     jobParams
 	Base  game.State
 	Moves []game.Move
 	Keys  []uint64
-	Seqs  []int
+	First int
 }
 
 // svcScore is the median→slot result: the final score of the Cand-th
@@ -161,16 +164,16 @@ type svcScore struct {
 }
 
 // svcChunkResult is the client→median answer to one svcChunk: per item,
-// the score of the Seqs[i]-th candidate of the median's current step and
-// the rollout's metered work. Keys[i] is the item's identity echo
-// (resultKey: the rng key folded with the owning job's slot, epoch and
-// branch discriminator) — the median uses it to reject stale items: a
-// duplicate, or an item surviving from an earlier step, from another job
-// at the same logical coordinates, or from a cancelled speculative
-// branch's aborted game, must never be mistaken for a live one.
+// the score of candidate First+i of the median's current step and the
+// rollout's metered work. Keys[i] is the item's identity echo (resultKey:
+// the rng key folded with the owning job's slot, epoch and branch
+// discriminator) — the median uses it to reject stale items: a duplicate,
+// or an item surviving from an earlier step, from another job at the same
+// logical coordinates, or from a cancelled speculative branch's aborted
+// game, must never be mistaken for a live one.
 type svcChunkResult struct {
+	First  int
 	Keys   []uint64
-	Seqs   []int
 	Scores []float64
 	Units  []int64
 }
@@ -292,7 +295,10 @@ type PoolConfig struct {
 	// Medians is the number of shared median workers. Default 4. With one
 	// median and one client, NewPool's slots play their jobs themselves.
 	Medians int
-	// Clients is the number of shared rollout workers. Default 8. See Medians.
+	// Clients is the number of shared rollout workers. Default 8. Clients
+	// add width only in a process that hosts more of them than medians:
+	// elsewhere the medians play their steps' rollouts themselves and the
+	// clients stand idle.
 	Clients int
 	// Algo orders the medians waiting for a client (LastMinute serves the
 	// longest-expected job first). A pool-level policy: jobs share the
@@ -357,8 +363,10 @@ type PoolMetrics struct {
 	// WorkUnits is the total metered CPU work across client rollouts.
 	WorkUnits int64
 	// Chunks is the number of median→client messages that carried those
-	// rollouts; Jobs / Chunks is the mean chunk size. Zero on a NewPool of
-	// one median and one client: its slots play their jobs without messages.
+	// rollouts; Jobs / Chunks is the mean chunk size. Zero where no process
+	// hosts more clients than medians: there the medians (or, on a NewPool
+	// of one median and one client, the slots) play every rollout
+	// themselves.
 	Chunks int64
 	// MedianIdle / ClientIdle map each worker to its cumulative
 	// Recv-blocked time — waiting for a grant, an assignment or a result.
@@ -1112,14 +1120,14 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 // pool itself (collector-backed sinks) and by ServeWorker in a remote
 // worker process (worker-local sinks) — the bodies are identical on both
 // sides of the wire, and a cluster hosting only some of the ranks ignores
-// the Start calls for the others. tc is the hosted client ranks' shared
+// the Start calls for the others. tc is the hosted ranks' shared
 // transposition cache (consulted only on jobs whose params ask for it)
 // and cacheVerify turns every hit into a recompute-and-compare assertion.
 func startPoolWorkers(cl mpi.Cluster, world *poolWorld, tc *cache.Cache, cacheVerify bool, medianIdle, clientIdle func(i int, d time.Duration)) {
 	for i := 0; i < world.cfg.Medians; i++ {
 		i := i
 		cl.Start(world.medians[i], func(c mpi.Comm) {
-			runPoolMedian(c, world, func(d time.Duration) { medianIdle(i, d) })
+			runPoolMedian(c, world, tc, cacheVerify, func(d time.Duration) { medianIdle(i, d) })
 		})
 	}
 	for i := 0; i < world.cfg.Clients; i++ {
@@ -1943,42 +1951,48 @@ func (mc *medianComm) handBack() {
 
 // runPoolMedian is the persistent form of the per-run median process:
 // pull a candidate from the shared scheduler, play its full level-(ℓ−1)
-// game with one client rollout per candidate move, report the score to
-// the owning slot, repeat. One work request is kept in flight while a
+// game with one level-(ℓ−2) rollout per candidate move, report the score
+// to the owning slot, repeat. One work request is kept in flight while a
 // game is being played (the PR 2 prefetch window at its default of 1), so
 // the next grant travels during computation. The median's move buffers
 // persist across jobs and domains.
 //
-// Rollouts travel in chunks (svcChunk): every client the median takes
-// from its process's clientList takes up to chunkLimit of the step's
-// unsent moves together with the step position, and plays the moves
-// itself — the median no longer clones a child per move, and a step costs
-// one chunk/result exchange per client instead of one per rollout (plus an
+// Who plays a step's rollouts is the layout's call (clientList.inline).
+// In a process with no more clients than medians the median plays every
+// step itself, with the client's rollout body (poolRollouts), and reads its
+// mailbox only between games: a speculation cancel or a shutdown that
+// arrives mid-game takes effect when the game ends, and the slot sheds the
+// cancelled game's score. Otherwise rollouts travel in chunks (svcChunk):
+// every client the median takes from its process's clientList takes up to
+// chunkLimit of the step's unsent moves together with the step position,
+// so a step costs one chunk/result exchange per client (plus an
 // assignment when the median had to wait for a client).
 //
 // The body is written against mpi.Comm and the poolWorld layout only, so
 // the identical function runs as a coordinator goroutine (wall pool) or
-// inside a pnmcs-worker process (net pool). idle receives each
-// Recv-blocked interval; a remote worker passes its own sink.
+// inside a pnmcs-worker process (net pool). tc and cacheVerify are the
+// process's transposition cache and its verify mode, for inline rollouts;
+// idle receives each Recv-blocked interval; a remote worker passes its
+// own sink.
 //
 // Fault tolerance: a median's clients live in its process, so a worker
 // loss takes a median's in-flight chunks down with the median, and the
 // scheduler re-grants its candidate (runScheduler). Each result item is
-// checked against the key issued for its seq in the current step: a
+// checked against the key issued for its candidate in the current step: a
 // duplicate, a stale step's or game's item, or a forged one is shed item
 // by item.
-func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
+func runPoolMedian(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, idle func(time.Duration)) {
+	// Sent chunks alias moves and keys, which clients of this process read
+	// until their results are in: an aborted game drops both instead of
+	// reusing them.
 	var moves []game.Move
+	var keys []uint64 // per-candidate rollout rng key
 	var scores []float64
 	var scored []bool // per-candidate received flag, guards duplicate items
-	var keys []uint64 // per-candidate rollout rng key
-	// sendq[head:] are the candidate seqs awaiting a client. Sent chunks
-	// alias sendq, cmoves and ckeys, which clients of this process read
-	// until their results are in: within a step the three only grow, and an
-	// aborted game drops them instead of rewinding.
-	var sendq []int
-	var cmoves []game.Move
-	var ckeys []uint64
+	var ro *poolRollouts
+	if w.list.inline() {
+		ro = &poolRollouts{tc: tc, verify: cacheVerify}
+	}
 	mc := &medianComm{c: c, w: w, idle: idle}
 
 	c.Send(w.sched, tagWorkReq, nil)
@@ -2009,7 +2023,10 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 		}
 
 		st := cand.State
-		rollouts, units, chunks := int64(0), int64(0), int64(0)
+		var acct rolloutAcct
+		if ro != nil {
+			ro.use(cand.P)
+		}
 		aborted := false
 	game:
 		for t := 0; ; t++ {
@@ -2017,111 +2034,159 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, idle func(time.Duration)) {
 			if len(moves) == 0 {
 				break
 			}
-			limit := chunkLimit(len(moves), w.reach())
 			scores, scored, keys = scores[:0], scored[:0], keys[:0]
-			sendq, cmoves, ckeys = sendq[:0], cmoves[:0], ckeys[:0]
-			head := 0
 			for j := range moves {
 				scores = append(scores, 0)
 				scored = append(scored, false)
 				keys = append(keys, rng.Fold(uint64(cand.Step), uint64(cand.Cand), uint64(t), uint64(j)))
-				sendq = append(sendq, j)
 			}
 
-			for got := 0; got < len(moves); {
-				// Spend clients in hand on unsent rollouts and ask for more
-				// while any remain; when none is free, one request stays in
-				// flight until an assign answers it.
-				for head < len(sendq) && (len(mc.clients) > 0 || mc.reqs == 0 && mc.ask(st.MovesPlayed()+1)) {
-					client := mc.clients[0]
-					mc.clients = mc.clients[:copy(mc.clients, mc.clients[1:])]
-					seqs := sendq[head:min(head+limit, len(sendq))]
-					head += len(seqs)
-					off := len(cmoves)
-					for _, j := range seqs {
-						cmoves = append(cmoves, moves[j])
-						ckeys = append(ckeys, keys[j])
-					}
-					c.Send(client, tagJob, svcChunk{Par: cand.Par, P: cand.P, Base: st,
-						Moves: cmoves[off:], Keys: ckeys[off:], Seqs: seqs})
-					chunks++
+			if ro != nil {
+				units := int64(0)
+				for j, mv := range moves {
+					var u int64
+					scores[j], u = ro.play(st, mv, keys[j])
+					units += u
 				}
+				acct.add(rolloutAcct{rollouts: int64(len(moves)), units: units})
+				c.Work(units * cand.P.JobScale)
+			} else {
+				limit := chunkLimit(len(moves), w.reach())
+				for head, got := 0, 0; got < len(moves); {
+					// Spend clients in hand on unsent rollouts and ask for more
+					// while any remain; when none is free, one request stays in
+					// flight until an assign answers it.
+					for head < len(moves) && (len(mc.clients) > 0 || mc.reqs == 0 && mc.ask(st.MovesPlayed()+1)) {
+						client := mc.clients[0]
+						mc.clients = mc.clients[:copy(mc.clients, mc.clients[1:])]
+						end := min(head+limit, len(moves))
+						c.Send(client, tagJob, svcChunk{Par: cand.Par, P: cand.P, Base: st,
+							Moves: moves[head:end], Keys: keys[head:end], First: head})
+						head = end
+						acct.chunks++
+					}
 
-				msg := mc.recv()
-				if mc.shut {
-					return
-				}
-				if mc.covered(cand) {
-					// The branch this game belongs to just lost its argmax
-					// (or its job ended): abort without scoring. In-flight
-					// chunks on clients resolve harmlessly — their results
-					// are shed by the next game's key guard — and the step
-					// buffers they alias are left to the garbage collector
-					// (a client may still be reading them).
-					aborted = true
-					sendq, cmoves, ckeys = nil, nil, nil
-					break game
-				}
-				if msg.Tag == tagResult {
-					res, ok := msg.Payload.(svcChunkResult)
-					if !ok || !isClientRank(w, msg.From) || len(res.Keys) != len(res.Seqs) ||
-						len(res.Scores) != len(res.Seqs) || len(res.Units) != len(res.Seqs) {
-						continue // wrong-typed or forged wire frame
+					msg := mc.recv()
+					if mc.shut {
+						return
 					}
-					for i, seq := range res.Seqs {
-						if seq < 0 || seq >= len(scores) || scored[seq] ||
-							res.Keys[i] != resultKey(cand.P, cand.Par, keys[seq]) {
-							continue // forged, stale or duplicated item
+					if mc.covered(cand) {
+						// The branch this game belongs to just lost its argmax
+						// (or its job ended): abort without scoring. In-flight
+						// chunks on clients resolve harmlessly — their results
+						// are shed by the next game's key guard — and the step
+						// buffers they alias are left to the garbage collector
+						// (a client may still be reading them).
+						aborted = true
+						moves, keys = nil, nil
+						break game
+					}
+					if msg.Tag == tagResult {
+						res, ok := msg.Payload.(svcChunkResult)
+						if !ok || !isClientRank(w, msg.From) ||
+							len(res.Scores) != len(res.Keys) || len(res.Units) != len(res.Keys) {
+							continue // wrong-typed or malformed result
 						}
-						scored[seq] = true
-						scores[seq] = res.Scores[i]
-						rollouts++
-						units += res.Units[i]
-						got++
+						for i, key := range res.Keys {
+							seq := res.First + i
+							if seq < 0 || seq >= len(scores) || scored[seq] ||
+								key != resultKey(cand.P, cand.Par, keys[seq]) {
+								continue // forged, stale or duplicated item
+							}
+							scored[seq] = true
+							scores[seq] = res.Scores[i]
+							acct.add(rolloutAcct{rollouts: 1, units: res.Units[i]})
+							got++
+						}
 					}
 				}
 			}
 			st.Play(moves[argmax(scores)])
 			c.Work(1)
 		}
+		if ro != nil {
+			ro.done()
+		}
 		if aborted {
 			continue
 		}
 		c.Send(cand.P.Root, tagStepScore, svcScore{
 			Epoch: cand.P.Epoch, Step: cand.Step, Cand: cand.Cand, Par: cand.Par,
-			Score: st.Score(), Rollouts: rollouts, Units: units, Chunks: chunks,
+			Score: st.Score(), Rollouts: acct.rollouts, Units: acct.units, Chunks: acct.chunks,
 		})
 	}
 }
 
-// runPoolClient is the persistent rollout worker. Chunks of any domain,
-// level and memorization mix arrive interleaved; each item's random
-// stream is reseeded from (job seed, logical coordinates), so a given
-// candidate's score is identical no matter which client executes it, in
-// which chunk or order, or what ran on this client before — the property
-// the equivalence tests pin against Reference on both the wall and net
-// transports. Searchers (one per memorization mode, sharing
-// nothing), their scratch StatePools and the pool the chunk positions are
-// copied into persist across jobs. Like runPoolMedian, the body is
-// transport-blind and runs unchanged in the coordinator or in a
-// pnmcs-worker process. tc is the process-shared transposition cache;
-// jobs opt in per job (P.Cache), and because a cached job's sub-searches
-// draw from position-derived rng streams the cache is shared across jobs
-// and clients without coupling their results to each other's hit
-// patterns.
-func runPoolClient(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, idle func(time.Duration)) {
-	meter := &unitMeter{}
-	var pool core.StatePool
-	searchers := map[bool]*core.Searcher{}
-	searcherFor := func(memorize bool) *core.Searcher {
-		s, ok := searchers[memorize]
-		if !ok {
-			s = core.NewSearcher(rng.New(0), core.Options{Meter: meter, Memorize: memorize})
-			searchers[memorize] = s
-		}
-		return s
-	}
+// poolRollouts plays a pool job's level-(ℓ−2) rollouts: the items of a
+// client's chunks, or every step of an inline median's games. Each rollout
+// is reseeded from (job seed, coordinate key), so its score is identical
+// no matter which rank plays it, in which chunk or order, or what ran on
+// that rank before — the property the equivalence tests pin against
+// Reference on both the wall and net transports. The searchers (one per
+// memorization mode, sharing nothing), their scratch StatePools and the
+// pool the positions are copied into persist across jobs. tc is the
+// process-shared transposition cache; jobs opt in per job (P.Cache), and
+// because a cached job's sub-searches draw from position-derived rng
+// streams the cache is shared across jobs and ranks without coupling their
+// results to each other's hit patterns.
+type poolRollouts struct {
+	tc        *cache.Cache
+	verify    bool // recompute every cache hit
+	meter     unitMeter
+	pool      core.StatePool
+	searchers [2]*core.Searcher // by P.Memorize
+	s         *core.Searcher    // wired for job p by use
+	p         jobParams
+}
 
+// use wires the searcher of p's memorization mode for job p. Jobs of
+// differing evaluator configurations interleave on one persistent
+// searcher, so the evaluator is resolved and swapped per use, like the rng
+// stream is reseeded per rollout. A name this process has not registered
+// (a version-skewed worker) resolves to nil: uniform playouts. A job that
+// asks for the cache gets it until done.
+func (r *poolRollouts) use(p jobParams) {
+	i := 0
+	if p.Memorize {
+		i = 1
+	}
+	if r.searchers[i] == nil {
+		r.searchers[i] = core.NewSearcher(rng.New(0), core.Options{Meter: &r.meter, Memorize: p.Memorize})
+	}
+	r.s, r.p = r.searchers[i], p
+	var eval game.Evaluator
+	if p.Eval != "" {
+		eval, _ = game.NewEvaluator(p.Eval)
+	}
+	r.s.SetEvaluator(eval)
+	if p.Cache {
+		r.s.SetCache(r.tc, cache.Scope(p.Eval, p.Memorize, 0), r.verify)
+	}
+}
+
+// play scores base after mv with the rollout keyed key, and returns the
+// score and the rollout's metered work units. base is left as it was.
+func (r *poolRollouts) play(base game.State, mv game.Move, key uint64) (float64, int64) {
+	r.meter.units = 0
+	st := r.pool.Get(base)
+	st.Play(mv)
+	r.s.Reseed(r.p.Seed, key)
+	score := r.s.Score(st, r.p.Level-2, r.p.Cache)
+	r.pool.Put(st)
+	return score, r.meter.units
+}
+
+// done detaches the cache use attached.
+func (r *poolRollouts) done() { r.s.SetCache(nil, 0, false) }
+
+// runPoolClient is the persistent rollout worker. Chunks of any domain,
+// level and memorization mix arrive interleaved from the medians of its
+// process, and it plays them with poolRollouts. Like runPoolMedian, the
+// body is transport-blind and runs unchanged in the coordinator or in a
+// pnmcs-worker process. In a process whose medians play inline, no chunk
+// ever comes and the client stands idle.
+func runPoolClient(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, idle func(time.Duration)) {
+	ro := &poolRollouts{tc: tc, verify: cacheVerify}
 	for {
 		t0 := c.Now()
 		msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
@@ -2135,47 +2200,25 @@ func runPoolClient(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, 
 		case tagJob:
 			ck, ok := msg.Payload.(svcChunk)
 			if !ok || !isMedianRank(w, msg.From) || ck.Base == nil || ck.P.Level < 2 ||
-				len(ck.Keys) != len(ck.Moves) || len(ck.Seqs) != len(ck.Moves) ||
-				!w.list.hosts(msg.From) {
-				// A wrong-typed, degenerate or foreign wire frame: no median
+				len(ck.Keys) != len(ck.Moves) || !w.list.hosts(msg.From) {
+				// A wrong-typed, degenerate or foreign message: no median
 				// took this client off the list for it, so it is dropped.
 				continue
 			}
-
-			s := searcherFor(ck.P.Memorize)
-			// Per-job evaluator wiring: jobs of differing evaluator
-			// configurations interleave on one persistent searcher, so the
-			// evaluator is swapped per chunk like the rng stream is reseeded
-			// per item. A name this process has not registered (a
-			// version-skewed worker) resolves to nil: uniform playouts.
-			var eval game.Evaluator
-			if ck.P.Eval != "" {
-				eval, _ = game.NewEvaluator(ck.P.Eval)
-			}
-			s.SetEvaluator(eval)
-			if ck.P.Cache {
-				s.SetCache(tc, cache.Scope(ck.P.Eval, ck.P.Memorize, 0), cacheVerify)
-			}
-			// The answer is allocated per chunk, never reused: on an
-			// in-process transport the median reads it after this client
-			// has moved on. Seqs is the median's own slice, echoed.
+			// The answer is allocated per chunk, never reused: the median
+			// reads it after this client has moved on.
 			res := svcChunkResult{
-				Keys: make([]uint64, len(ck.Moves)), Seqs: ck.Seqs,
+				First: ck.First, Keys: make([]uint64, len(ck.Moves)),
 				Scores: make([]float64, len(ck.Moves)), Units: make([]int64, len(ck.Moves)),
 			}
 			total := int64(0)
+			ro.use(ck.P)
 			for i, mv := range ck.Moves {
-				meter.units = 0
-				st := pool.Get(ck.Base)
-				st.Play(mv)
-				s.Reseed(ck.P.Seed, ck.Keys[i])
-				res.Scores[i] = s.Score(st, ck.P.Level-2, ck.P.Cache)
-				pool.Put(st)
+				res.Scores[i], res.Units[i] = ro.play(ck.Base, mv, ck.Keys[i])
 				res.Keys[i] = resultKey(ck.P, ck.Par, ck.Keys[i])
-				res.Units[i] = meter.units
-				total += meter.units
+				total += res.Units[i]
 			}
-			s.SetCache(nil, 0, false)
+			ro.done()
 			c.Work(total * ck.P.JobScale)
 
 			// Free before answering: a median whose result this is finds

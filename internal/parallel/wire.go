@@ -1,13 +1,15 @@
 package parallel
 
 // Wire encodings of the pool protocol's payloads (service candidates,
-// rollout chunks and results, abandon acks), registered with the frame
-// codec so they can cross process boundaries on the net transport. The
-// in-process transports never touch these: payloads stay bare Go values
-// between goroutines. The per-run protocol (candidate, job, jobScore,
-// stepScore) has no encodings: Execute only ever runs on the virtual and
-// wall transports, so no frame of those kinds was ever sent, and a kind
-// the coordinator can decode is a kind a worker socket can make it decode.
+// step scores, abandon acks, re-grant and speculation-cancel notices),
+// registered with the frame codec so they can cross process boundaries on
+// the net transport. The in-process transports never touch these:
+// payloads stay bare Go values between goroutines. The per-run protocol
+// (candidate, job, jobScore, stepScore) has no encodings: Execute only
+// ever runs on the virtual and wall transports, so no frame of those kinds
+// was ever sent, and a kind the coordinator can decode is a kind a worker
+// socket can make it decode. The same holds for rollout chunks and their
+// results: a median only hands them to clients of its own process.
 //
 // Encodings follow the codec conventions: fixed-width little-endian
 // scalars via encoding/binary, uvarints for small counts, and a nested
@@ -18,26 +20,26 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
-	"repro/internal/game"
 	"repro/internal/mpi"
 	"repro/internal/mpi/codec"
 )
 
 // Application payload kinds (64+ is the application band, see codec).
 // 64–67 were the per-run protocol's and stay unassigned, so the surviving
-// kinds keep their wire values. So does 73, the worker-loss notice's: it
-// is only ever injected at the coordinator's own scheduler.
+// kinds keep their wire values. So do 69 and 71, the rollout chunk's and
+// chunk result's, which never leave their median's process, and 73, the
+// worker-loss notice's: it is only ever injected at the coordinator's own
+// scheduler.
 const (
-	kindSvcCandidate   codec.Kind = 68 + iota // pool slot -> scheduler -> median
-	kindSvcChunk                              // pool median -> client
-	kindSvcScore                              // pool median -> slot
-	kindSvcChunkResult                        // pool client -> median
-	kindSvcAbandonAck                         // pool scheduler -> slot
-	_                                         // 73: unassigned (see above)
-	kindSvcRegrant                            // pool scheduler -> slot: grants re-queued
-	kindSvcSpecCancel                         // pool scheduler -> median: speculative branch cancelled
+	kindSvcCandidate  codec.Kind = 68 + iota // pool slot -> scheduler -> median
+	_                                        // 69: unassigned (see above)
+	kindSvcScore                             // pool median -> slot
+	_                                        // 71: unassigned (see above)
+	kindSvcAbandonAck                        // pool scheduler -> slot
+	_                                        // 73: unassigned (see above)
+	kindSvcRegrant                           // pool scheduler -> slot: grants re-queued
+	kindSvcSpecCancel                        // pool scheduler -> median: speculative branch cancelled
 )
 
 // The worker handshake blob (appendWorkerBlob) is NOT a frame payload: it
@@ -76,68 +78,6 @@ func init() {
 				return c, err
 			}
 			return svcCandidate{Step: int(step), Cand: int(cand), Par: par, P: p, State: st}, nil
-		})
-
-	codec.Register(kindSvcChunk,
-		func(buf []byte, v svcChunk) ([]byte, error) {
-			if len(v.Keys) != len(v.Moves) || len(v.Seqs) != len(v.Moves) {
-				return nil, fmt.Errorf("%w: svcChunk with %d moves, %d keys, %d seqs",
-					codec.ErrMalformed, len(v.Moves), len(v.Keys), len(v.Seqs))
-			}
-			buf = appendPar(buf, v.Par)
-			buf = appendJobParams(buf, v.P)
-			buf = binary.AppendUvarint(buf, uint64(len(v.Moves)))
-			for i, mv := range v.Moves {
-				buf = binary.AppendUvarint(buf, uint64(mv))
-				buf = binary.LittleEndian.AppendUint64(buf, v.Keys[i])
-				buf = binary.AppendUvarint(buf, uint64(v.Seqs[i]))
-			}
-			return codec.EncodeState(buf, v.Base)
-		},
-		func(data []byte) (svcChunk, error) {
-			var ck svcChunk
-			par, data, err := readPar(data)
-			if err != nil {
-				return ck, err
-			}
-			p, data, err := readJobParams(data)
-			if err != nil {
-				return ck, err
-			}
-			n, data, err := readChunkCount(data, 1+8+1)
-			if err != nil {
-				return ck, err
-			}
-			ck = svcChunk{Par: par, P: p, Moves: make([]game.Move, n), Keys: make([]uint64, n), Seqs: make([]int, n)}
-			for i := range ck.Moves {
-				mv, rest, err := codec.ReadUvarint(data)
-				if err != nil {
-					return ck, err
-				}
-				if len(rest) < 8 {
-					return ck, fmt.Errorf("%w: svcChunk key %d", codec.ErrTruncated, i)
-				}
-				ck.Moves[i], ck.Keys[i] = game.Move(mv), binary.LittleEndian.Uint64(rest)
-				if ck.Seqs[i], data, err = readChunkSeq(rest[8:]); err != nil {
-					return ck, err
-				}
-			}
-			if ck.Base, err = codec.DecodeState(data); err != nil {
-				return ck, err
-			}
-			// The client plays every move on a copy of Base, and Play
-			// panics on an illegal move: reject here what the position
-			// does not allow.
-			legal := ck.Base.LegalMoves(nil)
-			if n > len(legal) {
-				return ck, fmt.Errorf("%w: svcChunk of %d items on a position with %d moves", codec.ErrMalformed, n, len(legal))
-			}
-			for i, mv := range ck.Moves {
-				if !slices.Contains(legal, mv) {
-					return ck, fmt.Errorf("%w: svcChunk item %d: illegal move %#x", codec.ErrMalformed, i, mv)
-				}
-			}
-			return ck, nil
 		})
 
 	codec.Register(kindSvcScore,
@@ -193,52 +133,6 @@ func init() {
 			}
 			s.Rollouts, s.Units, s.Chunks = int64(rollouts), int64(units), int64(chunks)
 			return s, nil
-		})
-
-	codec.Register(kindSvcChunkResult,
-		func(buf []byte, v svcChunkResult) ([]byte, error) {
-			if len(v.Keys) != len(v.Seqs) || len(v.Scores) != len(v.Seqs) || len(v.Units) != len(v.Seqs) {
-				return nil, fmt.Errorf("%w: svcChunkResult with %d seqs, %d keys, %d scores, %d units",
-					codec.ErrMalformed, len(v.Seqs), len(v.Keys), len(v.Scores), len(v.Units))
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(v.Seqs)))
-			for i, seq := range v.Seqs {
-				buf = binary.LittleEndian.AppendUint64(buf, v.Keys[i])
-				buf = binary.AppendUvarint(buf, uint64(seq))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Scores[i]))
-				buf = binary.AppendUvarint(buf, uint64(v.Units[i]))
-			}
-			return buf, nil
-		},
-		func(data []byte) (svcChunkResult, error) {
-			var r svcChunkResult
-			n, data, err := readChunkCount(data, 8+1+8+1)
-			if err != nil {
-				return r, err
-			}
-			r = svcChunkResult{Keys: make([]uint64, n), Seqs: make([]int, n), Scores: make([]float64, n), Units: make([]int64, n)}
-			for i := range r.Seqs {
-				if len(data) < 8 {
-					return r, fmt.Errorf("%w: svcChunkResult key %d", codec.ErrTruncated, i)
-				}
-				r.Keys[i] = binary.LittleEndian.Uint64(data)
-				if r.Seqs[i], data, err = readChunkSeq(data[8:]); err != nil {
-					return r, err
-				}
-				if len(data) < 8 {
-					return r, fmt.Errorf("%w: svcChunkResult score %d", codec.ErrTruncated, i)
-				}
-				r.Scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(data))
-				units, rest, err := codec.ReadUvarint(data[8:])
-				if err != nil {
-					return r, err
-				}
-				r.Units[i], data = int64(units), rest
-			}
-			if len(data) != 0 {
-				return r, fmt.Errorf("%w: svcChunkResult trailing bytes", codec.ErrMalformed)
-			}
-			return r, nil
 		})
 
 	codec.Register(kindSvcRegrant,
@@ -320,41 +214,6 @@ func init() {
 			a.Dropped = int(dropped)
 			return a, nil
 		})
-}
-
-// wireMaxChunk caps the items a decoded chunk or chunk result may carry,
-// and the candidate index of each. A chunk never holds more items than its
-// position has legal moves; the widest step of the bundled domains is
-// box-4 sudoku's first, at 4096.
-const wireMaxChunk = 1 << 16
-
-// readChunkCount decodes the item count of a chunk or chunk result and
-// bounds it by the cap and by the bytes that are actually there (each
-// item takes at least itemMin), so a lying count allocates nothing.
-func readChunkCount(data []byte, itemMin int) (int, []byte, error) {
-	n, data, err := codec.ReadUvarint(data)
-	if err != nil {
-		return 0, nil, err
-	}
-	if n > wireMaxChunk {
-		return 0, nil, fmt.Errorf("%w: chunk of %d items exceeds limit %d", codec.ErrMalformed, n, wireMaxChunk)
-	}
-	if n > uint64(len(data)/itemMin) {
-		return 0, nil, fmt.Errorf("%w: chunk of %d items in %d bytes", codec.ErrTruncated, n, len(data))
-	}
-	return int(n), data, nil
-}
-
-// readChunkSeq decodes one item's candidate index.
-func readChunkSeq(data []byte) (int, []byte, error) {
-	seq, data, err := codec.ReadUvarint(data)
-	if err != nil {
-		return 0, nil, err
-	}
-	if seq >= wireMaxChunk {
-		return 0, nil, fmt.Errorf("%w: chunk seq %d exceeds limit %d", codec.ErrMalformed, seq, wireMaxChunk)
-	}
-	return int(seq), data, nil
 }
 
 // wireMaxWorld caps the ranks a decoded worker blob may lay out: the

@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,25 +80,6 @@ func TestScalarPayloadRoundTrips(t *testing.T) {
 			v := svcSpecCancel{Slot: nonneg(slot), Epoch: epoch, Step: par(step), Keep: par(keep)}
 			return payloadTrip(t, v).(svcSpecCancel) == v
 		},
-		"svcChunkResult": func(keys []uint64, seq int, score float64, units int64) bool {
-			v := svcChunkResult{Keys: keys}
-			for i := range keys {
-				v.Seqs = append(v.Seqs, (nonneg(seq)+i)%wireMaxChunk)
-				v.Scores = append(v.Scores, score+float64(i))
-				v.Units = append(v.Units, int64(nonneg(int(units%(1<<40))))+int64(i))
-			}
-			got := payloadTrip(t, v).(svcChunkResult)
-			if len(got.Keys) != len(keys) || len(got.Seqs) != len(keys) || len(got.Scores) != len(keys) || len(got.Units) != len(keys) {
-				return false
-			}
-			for i := range keys {
-				if got.Keys[i] != v.Keys[i] || got.Seqs[i] != v.Seqs[i] || got.Units[i] != v.Units[i] ||
-					math.Float64bits(got.Scores[i]) != math.Float64bits(v.Scores[i]) {
-					return false
-				}
-			}
-			return true
-		},
 		"svcAbandonAck": func(epoch uint64, dropped int) bool {
 			v := svcAbandonAck{Epoch: epoch, Dropped: nonneg(dropped)}
 			return payloadTrip(t, v).(svcAbandonAck) == v
@@ -133,21 +113,6 @@ func TestStateCarryingPayloadRoundTrips(t *testing.T) {
 		t.Errorf("svcCandidate: %v", err)
 	}
 
-	// A chunk carries moves that are legal at its Base (the decoder checks).
-	legal := st.LegalMoves(nil)
-	if err := quick.Check(func(keys []uint64, seq, p int, slot int, epoch uint64, level int, seed uint64, mem bool, scale int64, root int) bool {
-		keys = keys[:min(len(keys), len(legal))]
-		v := svcChunk{Par: par(p), P: quickParams(slot, epoch, level, seed, mem, scale, root), Base: st, Keys: keys}
-		for i := range keys {
-			v.Moves = append(v.Moves, legal[i])
-			v.Seqs = append(v.Seqs, (nonneg(seq)+i)%wireMaxChunk)
-		}
-		g := payloadTrip(t, v).(svcChunk)
-		return g.Par == v.Par && g.P == v.P && g.Base.MovesPlayed() == 2 &&
-			slices.Equal(g.Moves, v.Moves) && slices.Equal(g.Keys, v.Keys) && slices.Equal(g.Seqs, v.Seqs)
-	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Errorf("svcChunk: %v", err)
-	}
 }
 
 // TestPerRunKindsAreUnknown pins the deletion of the per-run protocol's
@@ -155,7 +120,9 @@ func TestStateCarryingPayloadRoundTrips(t *testing.T) {
 // 64–67 (candidate, job, jobScore, stepScore) can only come from a
 // misbehaving worker socket, and the coordinator must refuse to decode it.
 // The same holds for kind 73, the worker-loss notice's: the pool only ever
-// injects it at its own scheduler.
+// injects it at its own scheduler; and for kinds 69 and 71, the rollout
+// chunk's and chunk result's: a median only hands them to clients of its
+// own process.
 func TestPerRunKindsAreUnknown(t *testing.T) {
 	good, err := codec.AppendFrame(nil, codec.Frame{From: 3, To: 0, Tag: int32(tagStepScore), Payload: svcRegrant{Epoch: 1, Count: 2}})
 	if err != nil {
@@ -165,91 +132,15 @@ func TestPerRunKindsAreUnknown(t *testing.T) {
 	if _, err := codec.DecodeFrame(body); err != nil {
 		t.Fatalf("control frame: %v", err)
 	}
-	for _, kind := range []uint16{64, 65, 66, 67, 73} {
+	for _, kind := range []uint16{64, 65, 66, 67, 69, 71, 73} {
 		binary.LittleEndian.PutUint16(body[13:], kind) // the payload kind follows the 13-byte header
 		if _, err := codec.DecodeFrame(body); !errors.Is(err, codec.ErrKind) {
 			t.Errorf("frame of kind %d: decode error %v, want ErrKind", kind, err)
 		}
 	}
-	for _, v := range []any{candidate{}, job{}, jobScore{}, stepScore{}, svcRanksLost{}} {
+	for _, v := range []any{candidate{}, job{}, jobScore{}, stepScore{}, svcRanksLost{}, svcChunk{}, svcChunkResult{}} {
 		if _, err := codec.EncodePayload(nil, v); !errors.Is(err, codec.ErrKind) {
 			t.Errorf("%T: encode error %v, want ErrKind", v, err)
-		}
-	}
-}
-
-// TestChunkDecodersRejectMalformed pins the hardening of the two chunk
-// decoders: every malformed shape a remote frame can take is an error —
-// never a panic, an unbounded allocation, or a chunk whose moves the
-// client's Play would panic on.
-func TestChunkDecodersRejectMalformed(t *testing.T) {
-	st := game.NewArmTree(3, 4, 9)
-	legal := st.LegalMoves(nil)
-	good := svcChunk{Par: -1, P: jobParams{Level: 2, Epoch: 1}, Base: st,
-		Moves: legal[:2], Keys: []uint64{7, 8}, Seqs: []int{0, 1}}
-	goodRes := svcChunkResult{Keys: []uint64{7, 8}, Seqs: []int{0, 1}, Scores: []float64{1, 2}, Units: []int64{3, 4}}
-
-	// Encoders refuse parallel slices of different lengths.
-	for name, v := range map[string]any{
-		"chunk keys short":   svcChunk{P: good.P, Base: st, Moves: legal[:2], Keys: []uint64{7}, Seqs: []int{0, 1}},
-		"chunk seqs short":   svcChunk{P: good.P, Base: st, Moves: legal[:2], Keys: []uint64{7, 8}, Seqs: []int{0}},
-		"result scores long": svcChunkResult{Keys: []uint64{7}, Seqs: []int{0}, Scores: []float64{1, 2}, Units: []int64{3}},
-		"result units short": svcChunkResult{Keys: []uint64{7}, Seqs: []int{0}, Scores: []float64{1}},
-	} {
-		if _, err := codec.EncodePayload(nil, v); err == nil {
-			t.Errorf("%s: encoded", name)
-		}
-	}
-
-	encode := func(v any) []byte {
-		buf, err := codec.EncodePayload(nil, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf
-	}
-	count := func(n uint64) []byte { return binary.AppendUvarint(nil, n) }
-	chunkHead := appendJobParams(appendPar(binary.LittleEndian.AppendUint16(nil, uint16(kindSvcChunk)), -1), good.P)
-	resHead := binary.LittleEndian.AppendUint16(nil, uint16(kindSvcChunkResult))
-	item := func(mv game.Move, seq uint64) []byte {
-		b := binary.AppendUvarint(nil, uint64(mv))
-		b = binary.LittleEndian.AppendUint64(b, 7)
-		return binary.AppendUvarint(b, seq)
-	}
-	base, err := codec.EncodeState(nil, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
-
-	full := encode(good)
-	fullRes := encode(goodRes)
-	cases := map[string][]byte{
-		"chunk count over cap":        cat(chunkHead, count(wireMaxChunk+1), base),
-		"chunk count beyond bytes":    cat(chunkHead, count(1000), item(legal[0], 0), base),
-		"chunk truncated item":        full[:len(chunkHead)+3],
-		"chunk seq out of range":      cat(chunkHead, count(1), item(legal[0], wireMaxChunk), base),
-		"chunk without base":          cat(chunkHead, count(1), item(legal[0], 0)),
-		"chunk undecodable base":      cat(chunkHead, count(1), item(legal[0], 0), []byte{0xff, 0xff, 1, 2}),
-		"chunk illegal move":          cat(chunkHead, count(1), item(game.Move(1<<40), 0), base),
-		"chunk more items than moves": cat(chunkHead, count(4), item(legal[0], 0), item(legal[0], 1), item(legal[1], 2), item(legal[2], 3), base),
-		"result count over cap":       cat(resHead, count(wireMaxChunk+1)),
-		"result count beyond bytes":   cat(resHead, count(3), fullRes[len(resHead)+1:]),
-		"result truncated":            fullRes[:len(fullRes)-1],
-		"result trailing bytes":       cat(fullRes, []byte{0}),
-		"result seq out of range": cat(resHead, count(1), binary.LittleEndian.AppendUint64(nil, 7),
-			binary.AppendUvarint(nil, wireMaxChunk), binary.LittleEndian.AppendUint64(nil, 0), []byte{0}),
-	}
-	for name, buf := range cases {
-		if v, err := codec.DecodePayload(buf); err == nil {
-			t.Errorf("%s: decoded as %+v", name, v)
-		}
-	}
-	// The well-formed twins of the cases above do decode.
-	for name, buf := range map[string][]byte{"chunk": full, "result": fullRes,
-		"handmade chunk": cat(chunkHead, count(1), item(legal[0], 0), base)} {
-		if _, err := codec.DecodePayload(buf); err != nil {
-			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

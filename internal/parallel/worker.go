@@ -33,7 +33,9 @@ type WorkerStats struct {
 // ServeWorker runs the pool ranks assigned to a dialed worker connection
 // until the coordinator broadcasts shutdown, and returns the worker's
 // service statistics. The hosted medians take the hosted clients from one
-// clientList, so no chunk leaves the process. It fails fast when the
+// clientList, so no chunk leaves the process; a worker that hosts no more
+// clients than medians has its medians play every rollout themselves
+// (clientList.inline). It fails fast when the
 // handshake blob does not decode, or the assigned range is not one of the
 // worker ranges of the layout the blob describes (the slots and scheduler
 // always live with the coordinator, and every range hosts both roles).

@@ -119,7 +119,11 @@ func TestDistributedServiceEquivalence(t *testing.T) {
 // through the HTTP-facing Manager surface: the job must complete with the
 // undisturbed result once a replacement rejoins, the churn must be
 // visible in the service metrics, and an authenticated coordinator must
-// have admitted only token-bearing workers along the way.
+// have admitted only token-bearing workers along the way. The kill lands
+// mid-job by the fault schedule, not by the clock: the doomed worker's
+// frames to the coordinator are held from before the submit until the
+// sever, so the first root step, which waits for that worker's median,
+// cannot finish before the kill takes the median's grant with it.
 func TestDistributedServiceWorkerChurn(t *testing.T) {
 	const token = "churn-secret"
 	m, err := New(Config{
@@ -165,32 +169,38 @@ func TestDistributedServiceWorkerChurn(t *testing.T) {
 	w2done := serve(w2)
 
 	spec := JobSpec{Domain: "samegame", Width: 6, Height: 6, Colors: 3, BoardSeed: 3, Level: 2, Seed: 5, Memorize: true}
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	netStats := func() mpi.NetStats { return *m.Metrics().Pool.Net }
+	waitFrames := func(what string, done func(mpi.NetStats) bool) {
+		for !done(netStats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout waiting for %s: %+v", what, netStats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Both medians' opening work requests are in: each median waits at the
+	// scheduler, so the first step's first two candidates go one to each.
+	waitFrames("the medians' opening work requests", func(n mpi.NetStats) bool { return n.FramesRecv >= 2 })
+	// From here on the proxied worker's median can take a grant but never
+	// report on it: its score and its next work request are held.
+	proxy.SetDelayDir(faultnet.Up, 5*time.Second, 0)
+	granted := netStats().FramesSent
 	id, err := m.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Kill the proxied worker once the job has visibly started, then
-	// bring in a replacement.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err := m.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Steps >= 1 {
-			break
-		}
-		if st.State.Terminal() {
-			t.Fatalf("job finished before the kill could land: %+v", st)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never made progress")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Every candidate of the first step has been granted, one of them to
+	// the held median: kill its worker, then bring in a replacement.
+	first := uint64(len(cfg.Root.LegalMoves(nil)))
+	waitFrames("the first step's grants", func(n mpi.NetStats) bool { return n.FramesSent >= granted+first })
 	proxy.Sever()
 	<-w1done
+	proxy.SetDelayDir(faultnet.Up, 0, 0)
 	var w3 *mpi.NetWorker
 	for {
 		w3, err = mpi.DialWorker(m.WorkerAddr(), token)
@@ -212,11 +222,11 @@ func TestDistributedServiceWorkerChurn(t *testing.T) {
 		t.Fatalf("churned job state %s (error %q)", st.State, st.Error)
 	}
 
-	// Bit-identical to the undisturbed solo run, churn and all.
-	cfg, err := spec.Config()
-	if err != nil {
-		t.Fatal(err)
+	if st.Regranted == 0 {
+		t.Fatal("the kill took no grant with it: the job was not mid-step")
 	}
+
+	// Bit-identical to the undisturbed solo run, churn and all.
 	solo, err := parallel.Reference(cfg)
 	if err != nil {
 		t.Fatal(err)
