@@ -21,9 +21,137 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/game"
 	"repro/internal/mpi"
 	"repro/internal/mpi/codec"
 )
+
+// svcCandidate is the slot→scheduler→median payload: one candidate
+// position of a root step, tagged with its logical coordinates and the
+// owning job. Par is the async scheduler's branch discriminator — the
+// parent move index the candidate's step assumes was played at the
+// previous step (see candidate.Par); the median echoes it in svcScore so
+// the slot can shed scores of speculative branches that lost the argmax.
+type svcCandidate struct {
+	Step  int
+	Cand  int
+	Par   int // parent move index at the previous root step (−1 = none)
+	P     jobParams
+	State game.State
+}
+
+// svcChunk is the median→client payload: up to chunkLimit rollouts of one
+// median step in one message. Item i is Base after Moves[i], rolled out
+// under rng key Keys[i] and answered as candidate First+i: a step's moves
+// go out in contiguous runs. Base and the slices are the median's own step
+// state, read by a client of its process while the median blocks on the
+// results; a chunk never leaves its median's process and has no codec kind.
+type svcChunk struct {
+	Par   int // branch discriminator of the owning game (see resultKey)
+	P     jobParams
+	Base  game.State
+	Moves []game.Move
+	Keys  []uint64
+	First int
+}
+
+// svcScore is the median→slot result: the final score of the Cand-th
+// candidate of the root step Step, plus the rollout accounting of the
+// candidate's whole level-(ℓ−1) game. Rollout counts ride the protocol
+// instead of a shared-memory collector so they survive process
+// boundaries: on the net transport the median that played the game lives
+// in another OS process. Step exists for worker churn: when a lost
+// median's score turns out to have survived the crash, the re-granted
+// duplicate finishes during some later root step, and without the step
+// echo its score — Epoch valid, Cand in range — would be accepted as that
+// later step's answer. Undisturbed runs never produce a cross-step score;
+// churn does. Par echoes the granted candidate's branch discriminator:
+// the async slot accepts a score only when both Step and Par match its
+// current gather, which is what sheds a losing speculative branch's
+// in-flight games without any per-score bookkeeping.
+type svcScore struct {
+	Epoch    uint64
+	Step     int
+	Cand     int
+	Par      int // branch discriminator echo (svcCandidate.Par)
+	Score    float64
+	Rollouts int64 // client rollouts executed for this candidate's game
+	Units    int64 // metered work units across those rollouts
+	Chunks   int64 // median→client messages that carried those rollouts
+}
+
+// svcChunkResult is the client→median answer to one svcChunk: per item,
+// the score of candidate First+i of the median's current step and the
+// rollout's metered work. Keys[i] is the item's identity echo (resultKey:
+// the rng key folded with the owning job's slot, epoch and branch
+// discriminator) — the median uses it to reject stale items: a duplicate,
+// or an item surviving from an earlier step, from another job at the same
+// logical coordinates, or from a cancelled speculative branch's aborted
+// game, must never be mistaken for a live one.
+type svcChunkResult struct {
+	First  int
+	Keys   []uint64
+	Scores []float64
+	Units  []int64
+}
+
+// svcRanksLost is the worker-loss notice the pool injects at its scheduler
+// when a worker process dies or is abandoned: the contiguous rank range
+// [Lo, Hi) the worker hosted. The scheduler re-queues the medians'
+// outstanding candidate grants. Nothing else needs telling: the worker's
+// medians took their clients with them, and no surviving median ever sent
+// the range a chunk. The scheduler is a coordinator rank and the notice an
+// Inject, so it never crosses the wire and has no codec kind.
+type svcRanksLost struct {
+	Lo, Hi mpi.Rank
+}
+
+// svcRegrant is the scheduler→slot notice that Count of the job's granted
+// candidates were lost with a worker and re-queued; the slot accumulates
+// it into Result.Regranted. Informational only: the re-granted candidates
+// re-enter the normal grant/score flow and change no score.
+type svcRegrant struct {
+	Epoch uint64
+	Count int
+}
+
+// svcAbandonAck is the scheduler→slot answer to an abandon: how many of
+// the abandoning step's candidates were still queued (and are now
+// dropped). Every queued candidate of the epoch is dropped — speculative
+// next-step ones included — but only the gathered step's count rides the
+// ack, because only those candidates figure in the slot's drain
+// arithmetic. The epoch lets a slot discard an ack that outlived its job.
+type svcAbandonAck struct {
+	Epoch   uint64
+	Dropped int
+}
+
+// svcAbandon is the slot→scheduler abandon order (offAbandon): drop every
+// queued candidate of the epoch, ack the count belonging to root step
+// Step. Slots and the scheduler are both coordinator ranks, so this never
+// crosses the wire and needs no codec kind.
+type svcAbandon struct {
+	Epoch uint64
+	Step  int
+}
+
+// svcSpecCancel is the speculation cancel order of the async scheduler.
+// The slot sends it on its offSpecCancel band when an argmax resolves
+// (Step = the speculated root step, Keep = the winning move index) or
+// when the job ends with speculation still in flight (Step = −1: every
+// speculative grant of the epoch is moot). The scheduler purges covered
+// queued candidates, remembers the latest cancel per slot — applied again
+// when a dead worker's grants are re-queued — and re-broadcasts the order
+// to the medians (tagSpecCancel), which skip covered buffered grants and
+// abort covered games mid-play without reporting a score. Fire-and-forget,
+// like tagJobFail: no ack, because a cancel that loses a race is harmless
+// — covered scores are shed by the slot's epoch/step/Par guards anyway.
+type svcSpecCancel struct {
+	Slot  int
+	Epoch uint64
+	Step  int // speculated root step the cancel covers; −1 = all steps
+	Keep  int // branch (parent move) to keep: the argmax winner; −1 = none
+}
 
 // Application payload kinds (64+ is the application band, see codec).
 // 64–67 were the per-run protocol's and stay unassigned, so the surviving
