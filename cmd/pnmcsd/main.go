@@ -397,9 +397,9 @@ func metricsText(m service.Metrics) string {
 	emit("pnmcs_jobs_running", "gauge", "jobs on a slot now", m.Running)
 	emit("pnmcs_jobs_queued", "gauge", "jobs waiting for a slot", m.Queued)
 	emit("pnmcs_slots", "gauge", "concurrent job capacity", m.Slots)
-	emit("pnmcs_pool_rollouts_total", "counter", "client rollouts executed", m.Pool.Jobs)
+	emit("pnmcs_pool_rollouts_total", "counter", "rollouts executed", m.Pool.Jobs)
 	emit("pnmcs_pool_work_units_total", "counter", "metered rollout work units", m.Pool.WorkUnits)
-	emit("pnmcs_pool_chunks_total", "counter", "median-to-client messages that carried the rollouts (rollouts/chunks = mean chunk size)", m.Pool.Chunks)
+	emit("pnmcs_pool_chunks_total", "counter", "median steps whose rollouts a helper joined", m.Pool.Chunks)
 	emit("pnmcs_pool_queue_depth_max", "gauge", "peak scheduler ready-queue depth", m.Pool.QueueDepthMax)
 	emit("pnmcs_pool_queue_depth_mean", "gauge", "mean scheduler ready-queue depth", m.Pool.QueueDepthMean)
 	// Async pipelined root: speculation economics and per-step latency.

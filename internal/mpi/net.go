@@ -41,8 +41,8 @@ package mpi
 // replacement process dialing in reclaims the same rank range and resumes
 // receiving frames, including everything queued for the slot while it was
 // down (rolling replacement). Liveness is probed with ping/pong control
-// frames; pong and goodbye frames carry worker telemetry (per-rank idle
-// counters) back to the coordinator. The hello may carry a shared-secret
+// frames; pong and goodbye frames carry worker telemetry (idle counters)
+// back to the coordinator. The hello may carry a shared-secret
 // token, compared in constant time at the coordinator.
 
 import (
@@ -110,8 +110,8 @@ const (
 	// detected within the heartbeat timeout instead of never.
 	ctrlPing Tag = 1
 	// ctrlPong answers a ping. Its payload, when non-nil, is the worker's
-	// telemetry: cumulative Recv-idle seconds per hosted rank ([]float64,
-	// index i = rank lo+i), delivered to NetConfig.OnWorkerStats.
+	// telemetry: cumulative idle seconds ([]float64, laid out by the
+	// embedding layer), delivered to NetConfig.OnWorkerStats.
 	ctrlPong Tag = 2
 )
 
@@ -312,8 +312,9 @@ type NetConfig struct {
 	// rolling replacement rather than a first join.
 	OnWorkerJoined func(worker int, lo, hi Rank, rejoin bool)
 	// OnWorkerStats, when non-nil, receives worker telemetry piggybacked
-	// on pong and goodbye control frames: cumulative Recv-idle seconds per
-	// hosted rank (index i = rank lo+i). Values are cumulative for one
+	// on pong and goodbye control frames: cumulative idle seconds, laid out
+	// by the embedding layer (the pool: the worker's medians, then its
+	// helpers), finite and non-negative. Values are cumulative for one
 	// connection's lifetime; a replacement worker restarts from zero.
 	OnWorkerStats func(worker int, lo Rank, idleSeconds []float64)
 	// OnWorkerAbandoned, when non-nil, is called when a lost worker slot
@@ -944,11 +945,7 @@ func (c *NetCluster) workerTelemetry(slot int, body []byte) {
 			return
 		}
 	}
-	lo, hi := c.bounds[slot], c.bounds[slot+1]
-	if len(idle) > int(hi-lo) {
-		idle = idle[:hi-lo]
-	}
-	c.cfg.OnWorkerStats(slot, lo, idle)
+	c.cfg.OnWorkerStats(slot, c.bounds[slot], idle)
 }
 
 // workerGone handles one worker connection ending, by goodbye or by
@@ -1124,8 +1121,8 @@ func (w *NetWorker) Close() error { return w.conn.c.Close() }
 // Blob returns the coordinator's opaque configuration blob.
 func (w *NetWorker) Blob() []byte { return w.blob }
 
-// SetTelemetry installs the sampler whose snapshot — cumulative Recv-idle
-// seconds per hosted rank, index i = rank lo+i — is piggybacked on every
+// SetTelemetry installs the sampler whose snapshot — cumulative idle
+// seconds, laid out by the embedding layer — is piggybacked on every
 // pong and on the goodbye frame. Must be called before Run; the sampler
 // is invoked from transport goroutines and must be safe for concurrent
 // use.

@@ -233,9 +233,9 @@ func TestPoolAsyncConcurrentJobs(t *testing.T) {
 
 // TestPoolAsyncCancelDrains cancels a speculating job mid-game and then
 // reuses the slot: the cancel must purge the scheduler's speculative
-// grants and un-park every median (an aborted branch game must not leave
-// a rank waiting on a dispatcher assignment), or the follow-up job would
-// hang or diverge.
+// grants and un-park every median (a cancelled branch's game must not
+// leave a median waiting for work that never comes), or the follow-up job
+// would hang or diverge.
 func TestPoolAsyncCancelDrains(t *testing.T) {
 	pool, err := NewPool(PoolConfig{Slots: 1, Medians: 2, Clients: 2})
 	if err != nil {

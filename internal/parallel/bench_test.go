@@ -130,12 +130,13 @@ func BenchmarkWallPull(b *testing.B) {
 }
 
 // BenchmarkPoolFineJob measures the serving pool at its finest grain: one
-// slot and one median, jobs whose client rollouts are single level-0
-// playouts. With one client the slot plays the job itself (no messages);
-// the chunked/ cases give it two clients, so the median↔client exchange is
-// most of the cost. allocs/op is the figure the gate watches (the pool's
-// own garbage per job on top of the domain's); rollouts/chunk is the mean
-// svcChunk size, reported where chunks are sent.
+// slot and one median, jobs whose rollouts are single level-0 playouts.
+// With one client the slot plays the job itself (no messages); the
+// chunked/ cases give it two clients, so two helpers share the median's
+// steps through the executor. allocs/op is the figure the gate watches
+// (the pool's own garbage per job on top of the domain's); rollouts/chunk
+// is the mean rollouts per step a helper joined, reported where helpers
+// join.
 func BenchmarkPoolFineJob(b *testing.B) {
 	cfgs := map[string]Config{
 		"sudoku3":   {Level: 2, Root: sudoku.New(3), Seed: 3},
@@ -177,8 +178,8 @@ func BenchmarkPoolFineJob(b *testing.B) {
 // dialed in over TCP loopback: the first move of a level-2 sudoku box 3.
 // frames/rollout counts the coordinator's frames sent and received per
 // rollout, relayed/rollout the share of them the hub forwarded from one
-// worker to another. Each worker hosts a median and a client, so each
-// median plays its steps' rollouts itself and sends no chunk: what the
+// worker to another. Each worker hosts a median and a client, so it starts
+// no helper and its median plays its steps' rollouts itself: what the
 // coordinator sees is grants, work requests and step scores, and allocs/op
 // does not depend on loopback timing, so the gate watches it.
 func BenchmarkNetPoolFineJob(b *testing.B) {
@@ -224,9 +225,9 @@ func BenchmarkNetPoolFineJob(b *testing.B) {
 }
 
 // BenchmarkPoolGuidedJob measures a guided job on the default pool shape
-// (4 slots × 4 medians × 8 clients): the first move of a level-2 sudoku
-// box 3 with the heuristic evaluator, so every client rollout calls the
-// evaluator once per playout step. allocs/op is the figure the gate
+// (4 slots × 4 medians × 8 clients, so eight helpers): the first move of
+// a level-2 sudoku box 3 with the heuristic evaluator, so every rollout
+// calls the evaluator once per playout step. allocs/op is the figure the gate
 // watches.
 func BenchmarkPoolGuidedJob(b *testing.B) {
 	cfg := Config{

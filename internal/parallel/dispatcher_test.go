@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -97,5 +99,90 @@ func TestDispatcherScripts(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scriptedPool is a wall cluster with a per-run rank layout in which the
+// test plays every rank except those given a real body: a scripted rank
+// forwards what it receives to its inbox, and the test sends in its name.
+type scriptedPool struct {
+	t     *testing.T
+	cl    *mpi.WallCluster
+	comm  []mpi.Comm
+	inbox []chan mpi.Msg
+}
+
+// newScripted starts a world of size ranks that runs the real bodies
+// given and scripts every other rank.
+func newScripted(t *testing.T, size int, real map[mpi.Rank]func(mpi.Comm)) *scriptedPool {
+	t.Helper()
+	sp := &scriptedPool{t: t, cl: mpi.NewWallCluster(size),
+		comm: make([]mpi.Comm, size), inbox: make([]chan mpi.Msg, size)}
+	var ready sync.WaitGroup
+	for r := mpi.Rank(0); int(r) < size; r++ {
+		if body, ok := real[r]; ok {
+			sp.cl.Start(r, body)
+			continue
+		}
+		// Sized to hold a whole script: a scripted rank never blocks on the test.
+		sp.inbox[r] = make(chan mpi.Msg, 64)
+		ready.Add(1)
+		sp.cl.Start(r, func(c mpi.Comm) {
+			sp.comm[c.Rank()] = c
+			ready.Done()
+			for {
+				msg := c.Recv(mpi.AnyRank, mpi.AnyTag)
+				if msg.Tag == tagShutdown {
+					return
+				}
+				sp.inbox[c.Rank()] <- msg
+			}
+		})
+	}
+	done := make(chan struct{})
+	go func() {
+		sp.cl.Run()
+		close(done)
+	}()
+	ready.Wait()
+	t.Cleanup(func() {
+		for r := 0; r < size; r++ {
+			sp.cl.Inject(mpi.Rank(r), tagShutdown, nil)
+		}
+		<-done
+	})
+	return sp
+}
+
+// send sends in the name of a scripted rank (a wall Comm's Send only
+// touches the receiver's mailbox, so the test goroutine may call it).
+func (sp *scriptedPool) send(from, to mpi.Rank, tag mpi.Tag, payload any) {
+	sp.comm[from].Send(to, tag, payload)
+}
+
+// expect returns the next message a scripted rank received, which must
+// carry tag.
+func (sp *scriptedPool) expect(rank mpi.Rank, tag mpi.Tag) mpi.Msg {
+	sp.t.Helper()
+	select {
+	case msg := <-sp.inbox[rank]:
+		if msg.Tag != tag {
+			sp.t.Fatalf("rank %d received tag %d from %d, want tag %d", rank, msg.Tag, msg.From, tag)
+		}
+		return msg
+	case <-time.After(10 * time.Second):
+		sp.t.Fatalf("rank %d: no message with tag %d", rank, tag)
+		panic("unreachable")
+	}
+}
+
+// quiet asserts a scripted rank has nothing waiting once the rank under
+// test has provably moved on (the caller sequences that).
+func (sp *scriptedPool) quiet(rank mpi.Rank) {
+	sp.t.Helper()
+	select {
+	case msg := <-sp.inbox[rank]:
+		sp.t.Fatalf("rank %d received unexpected tag %d from %d: %+v", rank, msg.Tag, msg.From, msg.Payload)
+	default:
 	}
 }

@@ -1,9 +1,9 @@
 package parallel
 
 // The pool's rank layout: each worker process hosts one contiguous range
-// of ranks holding an even share of the medians and of the clients, so
-// that at every worker count NewNetPool accepts, every worker hosts both
-// roles.
+// of median ranks, an even share of the medians, and runs an even share of
+// the clients as helpers, so that at every worker count NewNetPool
+// accepts, every worker hosts a median.
 
 import (
 	"fmt"
@@ -21,15 +21,16 @@ import (
 
 // TestPoolWorldLayout checks the layout rule at every shape of up to 24
 // medians and 24 clients and every worker count NewNetPool accepts: the
-// role lists partition the worker ranks, every role lookup agrees with
-// them, worker i's range holds exactly splitRanks(M, W)[i] medians and
-// splitRanks(C, W)[i] clients, and one worker lays the ranks out in the
-// interleave the single-process pool has always used.
+// medians are the worker ranks, in order; worker i's range holds exactly
+// splitRanks(M, W)[i] medians; it runs splitRanks(C, W)[i] helpers when
+// that is more than its medians and none otherwise; and its idle telemetry
+// maps onto its own medians and then its own clients, each series entry
+// fed by exactly one worker.
 func TestPoolWorldLayout(t *testing.T) {
 	const slots = 2
 	for m := 1; m <= 24; m++ {
 		for c := 1; c <= 24; c++ {
-			for workers := 1; workers <= min(m, c); workers++ {
+			for workers := 1; workers <= m; workers++ {
 				checkPoolWorld(t, PoolConfig{Slots: slots, Medians: m, Clients: c}, workers)
 			}
 		}
@@ -40,32 +41,21 @@ func TestPoolWorldLayout(t *testing.T) {
 func checkPoolWorld(t *testing.T, cfg PoolConfig, workers int) {
 	t.Helper()
 	w := newPoolWorld(cfg, workers)
-	n := cfg.Medians + cfg.Clients
 	first := w.firstWorker()
-	if first != mpi.Rank(cfg.Slots+1) || w.size() != cfg.Slots+1+n {
+	if first != mpi.Rank(cfg.Slots+1) || w.size() != cfg.Slots+1+cfg.Medians {
 		t.Fatalf("%+v on %d: first worker %d, size %d", cfg, workers, first, w.size())
 	}
-	if len(w.medians) != cfg.Medians || len(w.clients) != cfg.Clients {
-		t.Fatalf("%+v on %d: %d medians, %d clients", cfg, workers, len(w.medians), len(w.clients))
+	if len(w.medians) != cfg.Medians {
+		t.Fatalf("%+v on %d: %d medians", cfg, workers, len(w.medians))
 	}
-	all := slices.Sorted(slices.Values(append(slices.Clone(w.medians), w.clients...)))
-	for i, r := range all {
+	for i, r := range w.medians {
 		if r != first+mpi.Rank(i) {
-			t.Fatalf("%+v on %d: medians %v and clients %v do not partition the worker ranks", cfg, workers, w.medians, w.clients)
+			t.Fatalf("%+v on %d: medians %v are not the worker ranks", cfg, workers, w.medians)
 		}
 	}
 	for r := mpi.Rank(-1); int(r) <= w.size(); r++ {
-		mi, ci := slices.Index(w.medians, r), slices.Index(w.clients, r)
-		if isMedianRank(w, r) != (mi >= 0) || isClientRank(w, r) != (ci >= 0) {
-			t.Fatalf("%+v on %d: rank %d: isMedianRank %v, isClientRank %v, lists %d/%d",
-				cfg, workers, r, isMedianRank(w, r), isClientRank(w, r), mi, ci)
-		}
-		ro, ok := w.role(r)
-		switch {
-		case !ok && (mi >= 0 || ci >= 0):
-			t.Fatalf("%+v on %d: worker rank %d has no role", cfg, workers, r)
-		case ok && ro.median && ro.index != mi, ok && !ro.median && ro.index != ci:
-			t.Fatalf("%+v on %d: rank %d role %+v disagrees with the lists (%d, %d)", cfg, workers, r, ro, mi, ci)
+		if isMedianRank(w, r) != (slices.Index(w.medians, r) >= 0) {
+			t.Fatalf("%+v on %d: rank %d: isMedianRank %v", cfg, workers, r, isMedianRank(w, r))
 		}
 	}
 
@@ -73,40 +63,61 @@ func checkPoolWorld(t *testing.T, cfg PoolConfig, workers int) {
 	if len(w.ranks) != workers {
 		t.Fatalf("%+v on %d: %d worker ranges", cfg, workers, len(w.ranks))
 	}
-	lo := first
+	fed := make([]int, cfg.Medians+cfg.Clients)
+	lo, firstClient := first, 0
 	for i, size := range w.ranks {
 		hi := lo + mpi.Rank(size)
-		m := 0
-		for r := lo; r < hi; r++ {
-			if isMedianRank(w, r) {
-				m++
-			}
+		if size != medians[i] {
+			t.Fatalf("%+v on %d: worker %d [%d, %d) hosts %d medians, want %d", cfg, workers, i, lo, hi, size, medians[i])
 		}
-		if m != medians[i] || size-m != clients[i] {
-			t.Fatalf("%+v on %d: worker %d [%d, %d) hosts %d medians and %d clients, want %d and %d",
-				cfg, workers, i, lo, hi, m, size-m, medians[i], clients[i])
+		if p, ok := w.process(lo); !ok || p != i {
+			t.Fatalf("%+v on %d: process(%d) = %d, %v, want %d", cfg, workers, lo, p, ok, i)
 		}
 		if !w.isRange(lo, hi) || w.isRange(lo, hi+1) || (size > 1 && w.isRange(lo+1, hi)) {
 			t.Fatalf("%+v on %d: isRange disagrees with worker %d's range [%d, %d)", cfg, workers, i, lo, hi)
 		}
-		lo = hi
-	}
-
-	if workers == 1 {
-		// The interleave rule over all n worker ranks: rank k is a median
-		// iff ⌊(k+1)·M/n⌋ > ⌊k·M/n⌋.
-		for k := range n {
-			want := (k+1)*cfg.Medians/n > k*cfg.Medians/n
-			if isMedianRank(w, first+mpi.Rank(k)) != want {
-				t.Fatalf("%+v on one worker: rank %d median %v, want %v", cfg, first+mpi.Rank(k), !want, want)
+		n, fc := w.helpers(i)
+		if want := clients[i] * btoi(clients[i] > medians[i]); n != want || fc != firstClient {
+			t.Fatalf("%+v on %d: worker %d runs %d helpers from client %d, want %d from %d", cfg, workers, i, n, fc, want, firstClient)
+		}
+		for k := 0; ; k++ {
+			j, ok := w.idleIndex(lo, k)
+			if !ok {
+				if k != size+clients[i] {
+					t.Fatalf("%+v on %d: worker %d's telemetry maps %d entries, want %d", cfg, workers, i, k, size+clients[i])
+				}
+				break
 			}
+			want := int(lo-first) + k
+			if k >= size {
+				want = cfg.Medians + firstClient + k - size
+			}
+			if j != want {
+				t.Fatalf("%+v on %d: worker %d's telemetry entry %d maps to %d, want %d", cfg, workers, i, k, j, want)
+			}
+			fed[j]++
+		}
+		lo, firstClient = hi, firstClient+clients[i]
+	}
+	for j, n := range fed {
+		if n != 1 {
+			t.Fatalf("%+v on %d: idle series entry %d fed by %d workers", cfg, workers, j, n)
 		}
 	}
 }
 
+// btoi is 1 for true, 0 for false.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // TestNetPoolRefusesWorkersWithoutBothRoles asks NewNetPool for one worker
-// more than min(medians, clients): some worker would host no median or no
-// client, and the pool must refuse, naming the bound, before it listens.
+// more than medians: some worker would host no median, and the pool must
+// refuse, naming the bound, before it listens. A worker needs no client:
+// one worker more than clients is accepted.
 func TestNetPoolRefusesWorkersWithoutBothRoles(t *testing.T) {
 	// Hold the port the pool would bind: a pool that listened first would
 	// fail with an address-in-use error instead of the bound.
@@ -116,22 +127,27 @@ func TestNetPoolRefusesWorkersWithoutBothRoles(t *testing.T) {
 	}
 	defer taken.Close()
 	for _, cfg := range []PoolConfig{{Medians: 2, Clients: 5}, {Medians: 4, Clients: 3}, {Medians: 1, Clients: 1}} {
-		bound := min(cfg.Medians, cfg.Clients)
+		bound := cfg.Medians
 		pool, err := NewNetPool(cfg, NetPoolConfig{Listen: taken.Addr().String(), Workers: bound + 1})
 		if err == nil {
 			pool.Shutdown()
 			t.Fatalf("%d medians, %d clients: %d workers accepted", cfg.Medians, cfg.Clients, bound+1)
 		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("min(medians, clients) = %d", bound)) {
+		if !strings.Contains(err.Error(), fmt.Sprintf("medians = %d", bound)) {
 			t.Fatalf("%d medians, %d clients, %d workers: error %q does not name the bound", cfg.Medians, cfg.Clients, bound+1, err)
 		}
 	}
+	pool, err := NewNetPool(PoolConfig{Medians: 3, Clients: 2}, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 3})
+	if err != nil {
+		t.Fatalf("3 workers for 3 medians and 2 clients: %v", err)
+	}
+	pool.Shutdown()
 }
 
 // TestNetPoolWorkersHostBothRoles runs a job at net_loopback's shape — two
 // slots, two medians, two clients, two workers — and checks that each
-// worker hosted one median and one client, and that the job matched the
-// reference.
+// worker hosted one median and, with no more clients than medians, ran no
+// helper, and that the job matched the reference.
 func TestNetPoolWorkersHostBothRoles(t *testing.T) {
 	pool, err := NewNetPool(
 		PoolConfig{Slots: 2, Medians: 2, Clients: 2},
@@ -170,8 +186,8 @@ func TestNetPoolWorkersHostBothRoles(t *testing.T) {
 	}
 	assertSameResult(t, "net pool at net_loopback's shape", res, solo)
 	for i, s := range stats {
-		if s.Medians != 1 || s.Clients != 1 {
-			t.Fatalf("worker %d hosted %d medians and %d clients, want 1 and 1", i, s.Medians, s.Clients)
+		if s.Medians != 1 || s.Clients != 0 {
+			t.Fatalf("worker %d hosted %d medians and ran %d helpers, want 1 and 0", i, s.Medians, s.Clients)
 		}
 	}
 }
@@ -250,15 +266,11 @@ func TestNetPoolDropsBadIdleTelemetry(t *testing.T) {
 }
 
 // TestNetPoolChunksStayInProcess runs a sudoku box-3 level-2 game on two
-// workers that each host a median and two clients (c c m | c c m): each
-// worker dispatches its own clients, so no chunk or chunk result reaches
-// the coordinator. The job must match the reference, the hub must relay
-// nothing, and what the coordinator sees — grants, work requests, step
-// scores — must stay under half a frame per rollout. (A coordinator
-// dispatcher costs three frames per chunk: the request, the assignment and
-// the free notice.) Each median reaches two clients, so it ships every
-// step in halves, in as many chunks as an in-process 1-median × 2-client
-// pool.
+// workers that each host a median and run two helpers: each worker shares
+// its steps in its own memory, so no rollout reaches the coordinator. The
+// job must match the reference, helpers must join steps, the hub must
+// relay nothing, and what the coordinator sees — grants, work requests,
+// step scores — must stay under half a frame per rollout.
 func TestNetPoolChunksStayInProcess(t *testing.T) {
 	noGoroutineLeak(t)
 	pool, err := NewNetPool(
@@ -281,19 +293,9 @@ func TestNetPoolChunksStayInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "net pool with local dispatch", res, solo)
-	one, err := NewPool(PoolConfig{Slots: 1, Medians: 1, Clients: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = one.RunJob(0, cfg, nil)
-	whole := one.Metrics().Chunks
-	one.Shutdown()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunks == 0 || chunks != whole {
-		t.Fatalf("%d chunks for %d rollouts, want %d: two per step of two moves or more", chunks, res.Jobs, whole)
+	assertSameResult(t, "net pool with helpers", res, solo)
+	if chunks == 0 {
+		t.Fatalf("no helper joined a step of %d rollouts", res.Jobs)
 	}
 	if st.Relayed != 0 {
 		t.Fatalf("the hub relayed %d frames", st.Relayed)

@@ -47,7 +47,9 @@ import (
 	"repro/internal/vtime"
 )
 
-// Algorithm selects the dispatcher policy.
+// Algorithm selects the dispatcher policy of the per-run engine. A Pool
+// applies the same order to the median steps its helpers join
+// (PoolConfig.Algo).
 type Algorithm int
 
 const (

@@ -20,27 +20,28 @@ package parallel
 //     candidates on their slot's tag band (mpi.TagSpace), idle medians
 //     pull with work requests, and grants are served round-robin across
 //     jobs so one wide job cannot starve the others.
-//   - Medians take clients from a free list shared in memory by the
-//     medians and clients of their process (clientList): the demand-driven
-//     dispatcher without its rank, pending requests served
-//     longest-expected-first under LastMinute. Every process that hosts
-//     worker ranks hosts both roles (newPoolWorld), so a chunk never leaves
-//     its median's process. In a process with no more clients than
-//     medians, a client would buy its median no width, so the medians play
-//     their steps' rollouts themselves and take no client at all.
-//   - M median ranks and C client ranks are built once and reused across
-//     every job: their StatePools, searchers and move buffers stay warm,
-//     and per-job parameters (level, seed, memorization) travel with the
-//     candidates instead of living in a per-run Config.
+//   - Each process that hosts medians runs one rollout executor
+//     (executor): a median posts each step of its game — position, moves,
+//     rollout keys — and claims the step's rollouts from one atomic
+//     counter together with the process's helper goroutines, one per
+//     client the process hosts. A free helper joins the posted step
+//     LastMinute or RoundRobin orders first. In a process with no more
+//     clients than medians a helper would buy its medians no width, so the
+//     process starts none and its medians claim every rollout themselves.
+//   - M median ranks and the C clients' helpers are built once and reused
+//     across every job: their StatePools, searchers and move buffers stay
+//     warm, and per-job parameters (level, seed, memorization) travel with
+//     the candidates instead of living in a per-run Config.
 //
 // The pool is transport-blind: NewPool hosts every rank as a goroutine of
 // this process (mpi.WallCluster), NewNetPool hosts only the control ranks
-// here and serves the medians and clients from external pnmcs-worker
-// processes over TCP (mpi.NetCluster) — the deployment shape of the
-// paper's MPI cluster, with the coordinator in the server role. The rank
-// bodies are identical either way; everything a worker needs (job
+// here and serves the medians, with their helpers, from external
+// pnmcs-worker processes over TCP (mpi.NetCluster) — the deployment shape
+// of the paper's MPI cluster, with the coordinator in the server role. The
+// rank bodies are identical either way; everything a worker needs (job
 // parameters, positions, scores, rollout accounting) travels in the
-// protocol messages, never through shared memory.
+// protocol messages. Only a step's rollouts are shared through memory, and
+// only inside the median's own process.
 //
 // Determinism: rollouts are keyed by their logical job coordinates
 // (rng.Fold over root step, root candidate, median step, median
@@ -58,7 +59,7 @@ import (
 )
 
 // Service protocol tags, kept clear of the per-run protocol's flat tags.
-// Messages addressed to a specific slot, median or client rank use these;
+// Messages addressed to a specific slot or median rank use these;
 // messages multiplexed onto the shared scheduler use the per-slot tag
 // bands of Pool.space.
 const (
@@ -88,7 +89,7 @@ const (
 const tagBandBase mpi.Tag = 128
 
 // jobParams are the per-job knobs that travel with every candidate and
-// every client job, replacing the per-run Config the workers can no
+// every posted step, replacing the per-run Config the workers can no
 // longer close over.
 type jobParams struct {
 	Slot      int
@@ -111,19 +112,22 @@ type PoolConfig struct {
 	// Medians is the number of shared median workers. Default 4. With one
 	// median and one client, NewPool's slots play their jobs themselves.
 	Medians int
-	// Clients is the number of shared rollout workers. Default 8. Clients
-	// add width only in a process that hosts more of them than medians:
-	// elsewhere the medians play their steps' rollouts themselves and the
-	// clients stand idle.
+	// Clients is the number of shared rollout workers. Default 8. A
+	// client is a helper goroutine of its process's rollout executor, which
+	// claims rollouts of the steps the process's medians post. Clients add
+	// width only in a process that hosts more of them than medians:
+	// elsewhere the process starts no helper and the medians play their
+	// steps' rollouts themselves.
 	Clients int
-	// Algo orders the medians waiting for a client (LastMinute serves the
-	// longest-expected job first). A pool-level policy: jobs share the
-	// pool's clients, and scheduling never changes scores (see package doc).
+	// Algo orders the posted steps a free helper joins (LastMinute: the
+	// step with the fewest moves played, the longest expected game;
+	// RoundRobin: the earliest posted). A pool-level policy: jobs share the
+	// pool's helpers, and scheduling never changes scores (see package doc).
 	Algo Algorithm
 	// CacheMB bounds the process's shared transposition cache in
-	// megabytes. One cache serves every slot, job and client the process
-	// hosts (a remote pnmcs-worker builds its own from the same figure,
-	// carried by the handshake blob); jobs opt in per job via
+	// megabytes. One cache serves every slot, job, median and helper the
+	// process hosts (a remote pnmcs-worker builds its own from the same
+	// figure, carried by the handshake blob); jobs opt in per job via
 	// Config.Cache. Default 64.
 	CacheMB int
 	// CacheVerify recomputes every cache hit and panics on mismatch
@@ -174,21 +178,21 @@ func (c *PoolConfig) check() error {
 // queue-depth instrumentation PR 2 added to Result, accumulated across
 // every job the pool has served.
 type PoolMetrics struct {
-	// Jobs is the number of client rollouts executed.
+	// Jobs is the number of rollouts executed.
 	Jobs int64
-	// WorkUnits is the total metered CPU work across client rollouts.
+	// WorkUnits is the total metered CPU work across those rollouts.
 	WorkUnits int64
-	// Chunks is the number of median→client messages that carried those
-	// rollouts; Jobs / Chunks is the mean chunk size. Zero where no process
-	// hosts more clients than medians: there the medians (or, on a NewPool
+	// Chunks is the number of median steps whose rollouts a helper joined
+	// (played at least one of). Zero where no process hosts more clients
+	// than medians: there no helper runs, and the medians (or, on a NewPool
 	// of one median and one client, the slots) play every rollout
 	// themselves.
 	Chunks int64
-	// MedianIdle / ClientIdle map each worker to its cumulative
-	// Recv-blocked time — waiting for a grant, an assignment or a result.
-	// Only workers co-resident with the coordinator report here; a worker
-	// hosted by a remote pnmcs-worker process keeps its idle counters in
-	// its own process (its entry stays zero).
+	// MedianIdle maps each median to its cumulative Recv-blocked time,
+	// waiting for a grant. ClientIdle maps each client to its helper's
+	// cumulative time blocked waiting for a posted step, metered once per
+	// wait; a client whose process starts no helper stays zero. Medians and
+	// helpers of a remote pnmcs-worker report through its pong telemetry.
 	MedianIdle []time.Duration
 	ClientIdle []time.Duration
 	// QueueDepthMax / QueueDepthMean profile the scheduler's ready queue
@@ -249,9 +253,9 @@ type PoolMetrics struct {
 // poolCollector is the coordinator-side store of the pool's lifetime
 // instrumentation. Rollout counts arrive through the protocol (svcScore)
 // and are recorded by the slot ranks, which always live in the
-// coordinator process; only the idle times of co-resident workers are
-// written directly (a remote worker's idle time stays in its own
-// process — see PoolMetrics).
+// coordinator process; only the idle times of co-resident medians and
+// helpers are written directly (a remote worker's arrive with its
+// telemetry — see PoolMetrics).
 type poolCollector struct {
 	mu           sync.Mutex
 	jobs         int64
@@ -280,9 +284,9 @@ type poolCollector struct {
 	// Remote workers push cumulative idle counters with every pong and
 	// goodbye (piggybacked telemetry); each connection reports from zero,
 	// so on a loss the connection's last report folds into the base and
-	// the exported series stays monotonic across replacements.
-	remoteMedianBase, remoteMedianCur []time.Duration
-	remoteClientBase, remoteClientCur []time.Duration
+	// the exported series stays monotonic across replacements. Indexed as
+	// poolWorld.idleIndex: the medians, then the clients.
+	remoteBase, remoteCur []time.Duration
 }
 
 func (co *poolCollector) addRollouts(jobs, units, chunks int64) {
@@ -357,14 +361,14 @@ func (co *poolCollector) addStepLatency(d time.Duration) {
 }
 
 // setRemoteIdle records one worker's telemetry snapshot: cumulative idle
-// per hosted rank since that worker connected. w maps ranks onto
-// median/client indexes.
+// since that worker connected, of its medians and then its helpers. w maps
+// the entries onto the pool's series; entries past the worker's layout are
+// dropped.
 func (co *poolCollector) setRemoteIdle(w *poolWorld, lo mpi.Rank, idleSeconds []float64) {
 	co.mu.Lock()
-	for i, sec := range idleSeconds {
-		if ro, ok := w.role(lo + mpi.Rank(i)); ok {
-			_, cur := co.remoteIdle(ro)
-			*cur = time.Duration(sec * float64(time.Second))
+	for k, sec := range idleSeconds {
+		if i, ok := w.idleIndex(lo, k); ok {
+			co.remoteCur[i] = time.Duration(sec * float64(time.Second))
 		}
 	}
 	co.mu.Unlock()
@@ -373,43 +377,33 @@ func (co *poolCollector) setRemoteIdle(w *poolWorld, lo mpi.Rank, idleSeconds []
 // foldRemoteIdle retires a lost worker's connection: its last-reported
 // idle folds into the base so the replacement's from-zero reports don't
 // rewind the exported counters.
-func (co *poolCollector) foldRemoteIdle(w *poolWorld, lo, hi mpi.Rank) {
+func (co *poolCollector) foldRemoteIdle(w *poolWorld, lo mpi.Rank) {
 	co.mu.Lock()
-	for r := lo; r < hi; r++ {
-		if ro, ok := w.role(r); ok {
-			base, cur := co.remoteIdle(ro)
-			*base += *cur
-			*cur = 0
+	for k := 0; ; k++ {
+		i, ok := w.idleIndex(lo, k)
+		if !ok {
+			break
 		}
+		co.remoteBase[i] += co.remoteCur[i]
+		co.remoteCur[i] = 0
 	}
 	co.mu.Unlock()
-}
-
-// remoteIdle returns the base and current remote idle counters of a
-// worker rank's role. Caller holds co.mu.
-func (co *poolCollector) remoteIdle(ro rankRole) (base, cur *time.Duration) {
-	if ro.median {
-		return &co.remoteMedianBase[ro.index], &co.remoteMedianCur[ro.index]
-	}
-	return &co.remoteClientBase[ro.index], &co.remoteClientCur[ro.index]
 }
 
 // newPoolCollector sizes the pool's lifetime-instrumentation store.
 func newPoolCollector(cfg PoolConfig) *poolCollector {
 	return &poolCollector{
-		medianIdle:       make([]time.Duration, cfg.Medians),
-		clientIdle:       make([]time.Duration, cfg.Clients),
-		remoteMedianBase: make([]time.Duration, cfg.Medians),
-		remoteMedianCur:  make([]time.Duration, cfg.Medians),
-		remoteClientBase: make([]time.Duration, cfg.Clients),
-		remoteClientCur:  make([]time.Duration, cfg.Clients),
+		medianIdle: make([]time.Duration, cfg.Medians),
+		clientIdle: make([]time.Duration, cfg.Clients),
+		remoteBase: make([]time.Duration, cfg.Medians+cfg.Clients),
+		remoteCur:  make([]time.Duration, cfg.Medians+cfg.Clients),
 	}
 }
 
-// Metrics snapshots the pool's lifetime instrumentation. Each per-rank
-// idle entry merges the co-resident worker's direct accounting with the
-// telemetry a remote worker pushes on its pong/goodbye frames (a rank is
-// only ever one of the two).
+// Metrics snapshots the pool's lifetime instrumentation. Each idle entry
+// merges the co-resident median's or helper's direct accounting with the
+// telemetry a remote worker pushes on its pong/goodbye frames (an entry is
+// only ever fed by one of the two).
 func (p *Pool) Metrics() PoolMetrics {
 	co := p.coll
 	co.mu.Lock()
@@ -431,10 +425,11 @@ func (p *Pool) Metrics() PoolMetrics {
 		StepLatencyMax:   co.stepMax,
 	}
 	for i := range m.MedianIdle {
-		m.MedianIdle[i] += co.remoteMedianBase[i] + co.remoteMedianCur[i]
+		m.MedianIdle[i] += co.remoteBase[i] + co.remoteCur[i]
 	}
 	for i := range m.ClientIdle {
-		m.ClientIdle[i] += co.remoteClientBase[i] + co.remoteClientCur[i]
+		j := len(m.MedianIdle) + i
+		m.ClientIdle[i] += co.remoteBase[j] + co.remoteCur[j]
 	}
 	if co.depthSamples > 0 {
 		m.QueueDepthMean = float64(co.depthSum) / float64(co.depthSamples)

@@ -35,7 +35,7 @@ type Pool struct {
 	net     *mpi.NetCluster // nil for in-process pools
 	netCfg  NetPoolConfig   // normalized; zero value for in-process pools
 	coll    *poolCollector
-	cache   *cache.Cache // coordinator-resident clients' transposition cache
+	cache   *cache.Cache // the coordinator process's transposition cache
 	inline  bool         // in process, 1 median × 1 client: slots play their jobs (playInline)
 
 	runDone chan struct{}
@@ -74,16 +74,15 @@ var ErrPoolClosed = fmt.Errorf("parallel: pool is shut down")
 // returns.
 var ErrDegraded = fmt.Errorf("parallel: pool degraded below its worker floor")
 
-// NewPool builds the worker cluster — slots, scheduler, medians, clients
-// — as goroutines of this process and starts it running. One clientList
-// holds every client. The pool idles until jobs are submitted with RunJob.
+// NewPool builds the worker cluster — slots, scheduler, medians, and the
+// clients as helpers of one executor — as goroutines of this process and
+// starts it running. The pool idles until jobs are submitted with RunJob.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	world := newPoolWorld(cfg, 1)
-	world.list = newClientList(world, world.firstWorker(), mpi.Rank(world.size()))
 	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg))
 }
 
@@ -93,10 +92,10 @@ type NetPoolConfig struct {
 	// binds an ephemeral port (read it back with Pool.WorkerAddr).
 	Listen string
 	// Workers is the number of pnmcs-worker processes expected, at most
-	// min(Medians, Clients). Each hosts one contiguous range of worker
-	// ranks holding an even share of the medians and of the clients
-	// (newPoolWorld), so every worker hosts both roles and its medians
-	// take clients from the worker's own free list.
+	// Medians. Each hosts one contiguous range of median ranks, an even
+	// share of the medians, and runs an even share of the clients as the
+	// helpers of its own rollout executor (newPoolWorld): a worker with no
+	// more clients than medians starts no helper.
 	Workers int
 	// Token, when non-empty, is the shared secret every worker must
 	// present at handshake (constant-time compared by the coordinator).
@@ -135,12 +134,11 @@ type NetPoolConfig struct {
 }
 
 // NewNetPool builds a distributed pool: the control ranks — job slots
-// and scheduler — run in this process (the coordinator), and the median
-// and client ranks are hosted by Workers external processes running
-// cmd/pnmcs-worker (or parallel.ServeWorker), each with a share of both
-// roles. Workers must not exceed min(Medians, Clients): past it some
-// worker would host medians with no client to take, or clients no median
-// can reach. The pool accepts jobs immediately; until workers
+// and scheduler — run in this process (the coordinator), and the medians
+// are hosted by Workers external processes running cmd/pnmcs-worker (or
+// parallel.ServeWorker), each with its share of the clients as helpers.
+// Workers must not exceed Medians: past it some worker would host no
+// median. The pool accepts jobs immediately; until workers
 // dial in, candidates simply wait in the scheduler's queues. Results are
 // bit-identical to Reference's answer for the same Config: rollout
 // streams are keyed by logical job coordinates, never by where a rollout
@@ -149,13 +147,14 @@ type NetPoolConfig struct {
 // The pool survives worker churn (DESIGN.md §8): when a worker's stream
 // dies — crash, reset, or missed heartbeat — the candidates granted to
 // its medians are re-queued at the head of their jobs' queues and
-// re-granted to surviving medians. The worker took its clients, and every
-// chunk its medians had in flight, with it, so there is nothing more to
+// re-granted to surviving medians. The worker took its helpers, and every
+// rollout its medians had posted, with it, so there is nothing more to
 // repair. A replacement worker dialing in reclaims the lost slot's rank
 // range mid-job and starts serving immediately, receiving everything
-// queued for the slot while it was down. Results stay bit-identical through all of it: re-executed work
-// replays the same coordinate-keyed rollout streams and duplicates are
-// shed by key/epoch guards at every consumer.
+// queued for the slot while it was down. Results stay bit-identical
+// through all of it: re-executed work replays the same coordinate-keyed
+// rollout streams and duplicates are shed by epoch/step guards at the
+// slot.
 func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.check(); err != nil {
@@ -164,9 +163,9 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 	if net.Workers < 1 {
 		return nil, fmt.Errorf("parallel: net pool needs at least one worker process")
 	}
-	if bound := min(cfg.Medians, cfg.Clients); net.Workers > bound {
-		return nil, fmt.Errorf("parallel: %d workers for %d medians and %d clients: every worker must host both, so at most min(medians, clients) = %d",
-			net.Workers, cfg.Medians, cfg.Clients, bound)
+	if net.Workers > cfg.Medians {
+		return nil, fmt.Errorf("parallel: %d workers for %d medians: every worker must host a median, so at most medians = %d",
+			net.Workers, cfg.Medians, cfg.Medians)
 	}
 	world := newPoolWorld(cfg, net.Workers)
 	coll := newPoolCollector(cfg)
@@ -216,7 +215,7 @@ func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 		PendingLimit:     pendingLimit,
 		OnWorkerLost: func(_ int, lo, hi mpi.Rank) {
 			coll.addWorkerLost()
-			coll.foldRemoteIdle(world, lo, hi)
+			coll.foldRemoteIdle(world, lo)
 			// Injected before the transport reopens the slot, so the
 			// scheduler's repair is ordered ahead of anything a
 			// replacement worker says.
@@ -275,8 +274,8 @@ func (p *Pool) handleAbandoned(worker int, lo, hi mpi.Rank) {
 
 // handleJoined reverses an abandonment when a replacement turns up after
 // all: the revived ranks rejoin the world and a failed pool may recover
-// its floor. The replacement's medians and clients boot idle with their
-// own free list, so no rank needs telling.
+// its floor. The replacement's medians and helpers boot idle with their
+// own executor, so no rank needs telling.
 func (p *Pool) handleJoined(worker int, lo, hi mpi.Rank) {
 	p.deg.mu.Lock()
 	_, wasAbandoned := p.deg.abandoned[worker]
@@ -292,10 +291,9 @@ func (p *Pool) handleJoined(worker int, lo, hi mpi.Rank) {
 }
 
 // recomputeFailedLocked re-derives the fail-fast condition from the
-// abandoned set. Caller holds p.deg.mu. Every worker hosts a median and a
-// client (NewNetPool), so a surviving worker is a live median with a
-// client to take, and a floor of at least one surviving worker is also
-// the floor a job needs to finish.
+// abandoned set. Caller holds p.deg.mu. Every worker hosts a median
+// (NewNetPool), which can play its steps without a helper, so a floor of
+// at least one surviving worker is also the floor a job needs to finish.
 func (p *Pool) recomputeFailedLocked() {
 	surviving := p.netCfg.Workers - len(p.deg.abandoned)
 	floor := p.netCfg.MinWorkers
@@ -342,9 +340,10 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		slotEpoch: make([]uint64, cfg.Slots),
 		slotStop:  make([]atomic.Uint64, cfg.Slots),
 		inline:    nc == nil && cfg.Medians == 1 && cfg.Clients == 1,
-		// One cache shared by every client rank this process hosts; a net
-		// coordinator hosts none, so its cache sits empty and each
-		// pnmcs-worker builds its own from the handshake blob.
+		// One cache shared by every slot, median and helper this process
+		// hosts; a net coordinator's slots use it on a width-one pool only,
+		// so it sits empty and each pnmcs-worker builds its own from the
+		// handshake blob.
 		cache: cache.New(int64(cfg.CacheMB) << 20),
 	}
 	p.idle = sync.NewCond(&p.mu)
@@ -354,34 +353,32 @@ func newPoolOn(world *poolWorld, cl poolCluster, nc *mpi.NetCluster, coll *poolC
 		p.cluster.Start(mpi.Rank(slot), func(c mpi.Comm) { p.runSlot(c, slot) })
 	}
 	p.cluster.Start(world.sched, func(c mpi.Comm) { p.runScheduler(c) })
-	startPoolWorkers(p.cluster, world, p.cache, cfg.CacheVerify, p.coll.addMedianIdle, p.coll.addClientIdle)
+	// A net coordinator hosts no median, so its executor starts no helper.
+	ex := newExecutor(cfg, p.cache)
+	if nc == nil {
+		n, _ := world.helpers(0)
+		ex.start(n, p.coll.addClientIdle)
+	}
+	startPoolWorkers(p.cluster, world, ex, p.coll.addMedianIdle)
 
 	go func() {
 		p.cluster.Run()
+		ex.close()
 		close(p.runDone)
 	}()
 	return p, nil
 }
 
-// startPoolWorkers starts the median and client bodies on cl, reporting
-// each worker's Recv-blocked intervals to the given sinks. Used by the
-// pool itself (collector-backed sinks) and by ServeWorker in a remote
-// worker process (worker-local sinks) — the bodies are identical on both
-// sides of the wire, and a cluster hosting only some of the ranks ignores
-// the Start calls for the others. tc is the hosted ranks' shared
-// transposition cache (consulted only on jobs whose params ask for it)
-// and cacheVerify turns every hit into a recompute-and-compare assertion.
-func startPoolWorkers(cl mpi.Cluster, world *poolWorld, tc *cache.Cache, cacheVerify bool, medianIdle, clientIdle func(i int, d time.Duration)) {
-	for i := 0; i < world.cfg.Medians; i++ {
-		i := i
-		cl.Start(world.medians[i], func(c mpi.Comm) {
-			runPoolMedian(c, world, tc, cacheVerify, func(d time.Duration) { medianIdle(i, d) })
-		})
-	}
-	for i := 0; i < world.cfg.Clients; i++ {
-		i := i
-		cl.Start(world.clients[i], func(c mpi.Comm) {
-			runPoolClient(c, world, tc, cacheVerify, func(d time.Duration) { clientIdle(i, d) })
+// startPoolWorkers starts the median bodies on cl, sharing the process's
+// executor ex, and reports each median's Recv-blocked intervals to
+// medianIdle. Used by the pool itself (a collector-backed sink) and by
+// ServeWorker in a remote worker process (a worker-local sink) — the
+// bodies are identical on both sides of the wire, and a cluster hosting
+// only some of the ranks ignores the Start calls for the others.
+func startPoolWorkers(cl mpi.Cluster, world *poolWorld, ex *executor, medianIdle func(i int, d time.Duration)) {
+	for i, r := range world.medians {
+		cl.Start(r, func(c mpi.Comm) {
+			runPoolMedian(c, world, ex, func(d time.Duration) { medianIdle(i, d) })
 		})
 	}
 }

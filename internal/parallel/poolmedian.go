@@ -5,66 +5,25 @@ package parallel
 import (
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/game"
 	"repro/internal/mpi"
 	"repro/internal/rng"
 )
 
-// chunkLimit is the number of rollouts a median packs into one svcChunk:
-// a step's moves spread evenly over the clients the median can reach
-// (poolWorld.reach). Read from the layout so that no grain has to be
-// tuned — one client takes a whole step in one message, and with at least
-// as many clients as moves every rollout travels alone, which is the
-// paper's protocol.
-func chunkLimit(moves, clients int) int {
-	return (moves + clients - 1) / clients
-}
-
-// resultKey folds a rollout's rng key with its job's identity. The rng
-// key alone is unique only within one job's coordinate grid (step,
-// candidate, median step, median candidate); folding slot and epoch in
-// distinguishes same-coordinate rollouts of different jobs, and folding
-// the branch discriminator par distinguishes a speculative branch's game
-// from the real game at the same coordinates — a cancelled loser branch
-// (same Step and Cand, different Par) aborts mid-play with rollouts still
-// on clients, and a stale result must not be mistaken for the real game's
-// rollout under the identical rng key (it was computed from a different
-// position, so accepting it corrupts the score and the work accounting).
-// Par is NOT part of the rng key itself: the winning branch must draw the
-// exact rollout streams the synchronous root would, so only the identity
-// echo discriminates. Computed independently by the issuing median and
-// the executing client from fields that travel in svcChunk.
-func resultKey(p jobParams, par int, rngKey uint64) uint64 {
-	return rng.Fold(uint64(p.Slot), p.Epoch, rngKey, uint64(par+1))
-}
-
-// medianComm is the event-driven heart of runPoolMedian: every Recv is a
-// wildcard, dispatched by tag. Messages that belong to a later phase (a
-// prefetched grant mid-game) are buffered; stale ones (an assign answering
-// an aborted game's request, a result from a superseded step) are
-// absorbed without corrupting state.
+// medianComm is runPoolMedian's mailbox, read only between games: every
+// Recv is a wildcard, dispatched by tag. A grant that arrives while the
+// median waits for another message is buffered.
 type medianComm struct {
 	c    mpi.Comm
 	w    *poolWorld
 	idle func(time.Duration)
 
-	grants []svcCandidate // prefetched/stale grants awaiting play
-	// clients holds the clients taken or assigned but not yet spent on a
-	// chunk, in arrival order. An assign answering a request an aborted
-	// game left behind adds a surplus, which is spent on the next outgoing
-	// chunks — or handed back when the median goes idle — so the reserved
-	// client is never stranded.
-	clients []mpi.Rank
-	// reqs counts our own unanswered client requests: at most one, waiting
-	// at the process's clientList.
-	reqs int
-	shut bool // shutdown broadcast seen; unwind without new work
+	grants []svcCandidate // prefetched grants awaiting play
+	shut   bool           // shutdown broadcast seen; unwind without new work
 	// cancels holds the latest speculation cancel per slot (nil until the
 	// first async job cancels a branch — lockstep pools never pay for the
-	// map). Consulted before playing a buffered grant and after every recv
-	// during a game, so a losing branch's grant is skipped or its game
-	// aborted instead of played to completion for a score nobody wants.
+	// map). Consulted before playing a buffered grant, so a losing
+	// branch's grant is skipped instead of played for a score nobody
+	// wants.
 	cancels map[int]svcSpecCancel
 }
 
@@ -77,8 +36,8 @@ func (mc *medianComm) covered(cand svcCandidate) bool {
 }
 
 // recv is the single blocking wait: it meters idle time and handles the
-// messages every phase treats identically.
-func (mc *medianComm) recv() mpi.Msg {
+// messages a median reads.
+func (mc *medianComm) recv() {
 	t0 := mc.c.Now()
 	msg := mc.c.Recv(mpi.AnyRank, mpi.AnyTag)
 	mc.idle(mc.c.Now() - t0)
@@ -91,15 +50,6 @@ func (mc *medianComm) recv() mpi.Msg {
 		if cand, ok := msg.Payload.(svcCandidate); ok && msg.From == mc.w.sched {
 			mc.grants = append(mc.grants, cand)
 		}
-	case tagAssign:
-		// From the rank of this process that freed the client — never
-		// across the wire.
-		if client, ok := msg.Payload.(mpi.Rank); ok && mc.w.list.hosts(msg.From) && mc.w.list.hosts(client) {
-			mc.clients = append(mc.clients, client)
-			if mc.reqs > 0 {
-				mc.reqs--
-			}
-		}
 	case tagSpecCancel:
 		// Only the scheduler cancels speculation; latest per slot wins (a
 		// new cancel supersedes the old one's step).
@@ -110,31 +60,6 @@ func (mc *medianComm) recv() mpi.Msg {
 			mc.cancels[cn.Slot] = cn
 		}
 	}
-	return msg
-}
-
-// ask requests a client for a position with moves played from the
-// process's clientList, which hands one over at once when one is free. It
-// reports whether a client is now in hand; otherwise an assign answers
-// later.
-func (mc *medianComm) ask(moves int) bool {
-	if client, ok := mc.w.list.take(mc.c.Rank(), moves); ok {
-		mc.clients = append(mc.clients, client)
-		return true
-	}
-	mc.reqs++
-	return false
-}
-
-// handBack returns the clients an idle median holds — the answer to a
-// request an aborted game left behind — to the list. A client held here
-// is reserved while other medians may be waiting for one, and with few
-// clients the grant this median waits for can depend on it.
-func (mc *medianComm) handBack() {
-	for _, client := range mc.clients {
-		mc.w.list.release(mc.c, client)
-	}
-	mc.clients = mc.clients[:0]
 }
 
 // runPoolMedian is the persistent form of the per-run median process:
@@ -145,47 +70,27 @@ func (mc *medianComm) handBack() {
 // the next grant travels during computation. The median's move buffers
 // persist across jobs and domains.
 //
-// Who plays a step's rollouts is the layout's call (clientList.inline).
-// In a process with no more clients than medians the median plays every
-// step itself, with the client's rollout body (poolRollouts), and reads its
-// mailbox only between games: a speculation cancel or a shutdown that
-// arrives mid-game takes effect when the game ends, and the slot sheds the
-// cancelled game's score. Otherwise rollouts travel in chunks (svcChunk):
-// every client the median takes from its process's clientList takes up to
-// chunkLimit of the step's unsent moves together with the step position,
-// so a step costs one chunk/result exchange per client (plus an
-// assignment when the median had to wait for a client).
+// Each step's rollouts go through the process's executor: the median
+// posts the step and claims its rollouts beside any helper that joins, so
+// it never sleeps through its own step. The median reads its mailbox only
+// between games: a speculation cancel or a shutdown that arrives mid-game
+// takes effect when the game ends, and the slot sheds the cancelled game's
+// score.
 //
 // The body is written against mpi.Comm and the poolWorld layout only, so
 // the identical function runs as a coordinator goroutine (wall pool) or
-// inside a pnmcs-worker process (net pool). tc and cacheVerify are the
-// process's transposition cache and its verify mode, for inline rollouts;
-// idle receives each Recv-blocked interval; a remote worker passes its
-// own sink.
-//
-// Fault tolerance: a median's clients live in its process, so a worker
-// loss takes a median's in-flight chunks down with the median, and the
-// scheduler re-grants its candidate (runScheduler). Each result item is
-// checked against the key issued for its candidate in the current step: a
-// duplicate, a stale step's or game's item, or a forged one is shed item
-// by item.
-func runPoolMedian(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, idle func(time.Duration)) {
-	// Sent chunks alias moves and keys, which clients of this process read
-	// until their results are in: an aborted game drops both instead of
-	// reusing them.
-	var moves []game.Move
-	var keys []uint64 // per-candidate rollout rng key
-	var scores []float64
-	var scored []bool // per-candidate received flag, guards duplicate items
-	var ro *poolRollouts
-	if w.list.inline() {
-		ro = &poolRollouts{tc: tc, verify: cacheVerify}
-	}
+// inside a pnmcs-worker process (net pool); idle receives each
+// Recv-blocked interval. A worker loss takes the median and its process's
+// helpers down together, and the scheduler re-grants its candidate
+// (runScheduler).
+func runPoolMedian(c mpi.Comm, w *poolWorld, ex *executor, idle func(time.Duration)) {
+	ro := ex.rollouts()
+	s := &execStep{wake: make(chan struct{}, 1)}
 	mc := &medianComm{c: c, w: w, idle: idle}
 
 	c.Send(w.sched, tagWorkReq, nil)
 	for {
-		// Take the next grant: buffered from a previous phase, or awaited.
+		// Take the next grant: buffered from a previous wait, or awaited.
 		var cand svcCandidate
 		for {
 			if mc.shut {
@@ -196,7 +101,6 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, 
 				mc.grants = mc.grants[:copy(mc.grants, mc.grants[1:])]
 				break
 			}
-			mc.handBack()
 			mc.recv()
 		}
 		// Prefetch: ask for the next candidate before playing this one.
@@ -212,92 +116,27 @@ func runPoolMedian(c mpi.Comm, w *poolWorld, tc *cache.Cache, cacheVerify bool, 
 
 		st := cand.State
 		var acct rolloutAcct
-		if ro != nil {
-			ro.use(cand.P)
-		}
-		aborted := false
-	game:
+		ro.use(cand.P)
+		s.base, s.p = st, cand.P
 		for t := 0; ; t++ {
-			moves = st.LegalMoves(moves[:0])
-			if len(moves) == 0 {
+			s.moves = st.LegalMoves(s.moves[:0])
+			if len(s.moves) == 0 {
 				break
 			}
-			scores, scored, keys = scores[:0], scored[:0], keys[:0]
-			for j := range moves {
-				scores = append(scores, 0)
-				scored = append(scored, false)
-				keys = append(keys, rng.Fold(uint64(cand.Step), uint64(cand.Cand), uint64(t), uint64(j)))
+			s.keys = s.keys[:0]
+			for j := range s.moves {
+				s.keys = append(s.keys, rng.Fold(uint64(cand.Step), uint64(cand.Cand), uint64(t), uint64(j)))
 			}
-
-			if ro != nil {
-				units := int64(0)
-				for j, mv := range moves {
-					var u int64
-					scores[j], u = ro.play(st, mv, keys[j])
-					units += u
-				}
-				acct.add(rolloutAcct{rollouts: int64(len(moves)), units: units})
-				c.Work(units * cand.P.JobScale)
-			} else {
-				limit := chunkLimit(len(moves), w.reach())
-				for head, got := 0, 0; got < len(moves); {
-					// Spend clients in hand on unsent rollouts and ask for more
-					// while any remain; when none is free, one request stays in
-					// flight until an assign answers it.
-					for head < len(moves) && (len(mc.clients) > 0 || mc.reqs == 0 && mc.ask(st.MovesPlayed()+1)) {
-						client := mc.clients[0]
-						mc.clients = mc.clients[:copy(mc.clients, mc.clients[1:])]
-						end := min(head+limit, len(moves))
-						c.Send(client, tagJob, svcChunk{Par: cand.Par, P: cand.P, Base: st,
-							Moves: moves[head:end], Keys: keys[head:end], First: head})
-						head = end
-						acct.chunks++
-					}
-
-					msg := mc.recv()
-					if mc.shut {
-						return
-					}
-					if mc.covered(cand) {
-						// The branch this game belongs to just lost its argmax
-						// (or its job ended): abort without scoring. In-flight
-						// chunks on clients resolve harmlessly — their results
-						// are shed by the next game's key guard — and the step
-						// buffers they alias are left to the garbage collector
-						// (a client may still be reading them).
-						aborted = true
-						moves, keys = nil, nil
-						break game
-					}
-					if msg.Tag == tagResult {
-						res, ok := msg.Payload.(svcChunkResult)
-						if !ok || !isClientRank(w, msg.From) ||
-							len(res.Scores) != len(res.Keys) || len(res.Units) != len(res.Keys) {
-							continue // wrong-typed or malformed result
-						}
-						for i, key := range res.Keys {
-							seq := res.First + i
-							if seq < 0 || seq >= len(scores) || scored[seq] ||
-								key != resultKey(cand.P, cand.Par, keys[seq]) {
-								continue // forged, stale or duplicated item
-							}
-							scored[seq] = true
-							scores[seq] = res.Scores[i]
-							acct.add(rolloutAcct{rollouts: 1, units: res.Units[i]})
-							got++
-						}
-					}
-				}
+			units, helped := ex.play(ro, s)
+			acct.add(rolloutAcct{rollouts: int64(len(s.moves)), units: units})
+			if helped {
+				acct.chunks++
 			}
-			st.Play(moves[argmax(scores)])
+			c.Work(units * cand.P.JobScale)
+			st.Play(s.moves[argmax(s.scores)])
 			c.Work(1)
 		}
-		if ro != nil {
-			ro.done()
-		}
-		if aborted {
-			continue
-		}
+		ro.done()
 		c.Send(cand.P.Root, tagStepScore, svcScore{
 			Epoch: cand.P.Epoch, Step: cand.Step, Cand: cand.Cand, Par: cand.Par,
 			Score: st.Score(), Rollouts: acct.rollouts, Units: acct.units, Chunks: acct.chunks,

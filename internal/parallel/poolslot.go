@@ -29,9 +29,10 @@ type Progress struct {
 
 // jobStart is the payload injected at a slot rank to begin a job. done
 // and progress are ordinary Go callbacks: slot ranks always live in the
-// coordinator process (only medians and clients are ever remote), so the
-// boundary between the rank world and the caller is a function call, not
-// a wire format — jobStart never crosses the wire and has no codec kind.
+// coordinator process (only medians and their helpers are ever remote), so
+// the boundary between the rank world and the caller is a function call,
+// not a wire format — jobStart never crosses the wire and has no codec
+// kind.
 type jobStart struct {
 	epoch    uint64
 	cfg      Config
@@ -228,8 +229,9 @@ func (p *Pool) playInline(c mpi.Comm, slot int, js jobStart, env refEnv) Result 
 // With an effective Speculate width k > 0 the gather pipelines step
 // boundaries; at resolution the winner's branch is adopted wholesale and
 // the losers are cancelled — queued candidates purged at the scheduler,
-// in-flight games aborted at the medians via svcSpecCancel, stray scores
-// shed by the gather's step/Par guards.
+// buffered grants skipped at the medians via svcSpecCancel, stray scores
+// (of games the cancel reached mid-play) shed by the gather's step/Par
+// guards.
 func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, movebuf *[]game.Move) (Result, error) {
 	cfg := js.cfg
 	res := Result{}

@@ -1,7 +1,7 @@
 package parallel
 
-// The pool's rank topology: which rank plays which role, in which worker
-// process, and which ranks a degraded pool has lost.
+// The pool's rank topology: which process hosts which medians and how
+// many clients, and which ranks a degraded pool has lost.
 
 import (
 	"sync"
@@ -11,30 +11,25 @@ import (
 )
 
 // poolWorld is the pool's rank topology, a pure function of PoolConfig and
-// the number of processes hosting its worker ranks: slots first, then the
-// scheduler, then each worker process's contiguous range of medians and
-// clients (newPoolWorld). The coordinator derives it when building the
-// pool and a pnmcs-worker process derives the identical layout from the
-// PoolConfig and worker count in its handshake blob, so both sides agree
-// on every rank and tag without exchanging anything beyond the two.
+// the number of processes hosting its medians: slots first, then the
+// scheduler, then each worker process's contiguous range of medians
+// (newPoolWorld). Clients are not ranks: each process runs its share of
+// them as helper goroutines of its rollout executor (helpers). The
+// coordinator derives the world when building the pool and a pnmcs-worker
+// process derives the identical layout from the PoolConfig and worker
+// count in its handshake blob, so both sides agree on every rank and tag
+// without exchanging anything beyond the two.
 type poolWorld struct {
 	cfg     PoolConfig
 	sched   mpi.Rank
 	medians []mpi.Rank
-	clients []mpi.Rank
-	roles   []rankRole // indexed rank - firstWorker()
-	ranks   []int      // rank count of each worker process's range, in rank order
+	ranks   []int // median count of each worker process's range, in rank order
+	clients []int // client count of each worker process, in the same order
 	space   mpi.TagSpace
-	// list is the free list the medians and clients of this process share
-	// (clientList): every worker rank of an in-process pool, or a worker
-	// process's own range. nil in a net pool's coordinator, which hosts no
-	// median or client.
-	list *clientList
 
-	// Degraded layout: which worker ranks have been abandoned (their
+	// Degraded layout: which median ranks have been abandoned (their
 	// process lost for good, no replacement). Only the coordinator's world
-	// tracks it, for Result.Degraded: a median only ever hands work to the
-	// clients of its own process. degEpoch counts dead-set
+	// tracks it, for Result.Degraded. degEpoch counts dead-set
 	// transitions; it stays zero for the whole life of a healthy pool (and
 	// always for wall pools), so the healthy check is one atomic load, no
 	// lock.
@@ -43,15 +38,11 @@ type poolWorld struct {
 	degDead  []bool // indexed rank - firstWorker(); nil until first abandonment
 }
 
-// reach is the number of clients a median of this process can be given:
-// its clientList's.
-func (w *poolWorld) reach() int { return w.list.clients }
-
 // markDead records [lo, hi) as abandoned.
 func (w *poolWorld) markDead(lo, hi mpi.Rank) {
 	w.degMu.Lock()
 	if w.degDead == nil {
-		w.degDead = make([]bool, w.cfg.Medians+w.cfg.Clients)
+		w.degDead = make([]bool, w.cfg.Medians)
 	}
 	for r := lo; r < hi; r++ {
 		if i := int(r - w.firstWorker()); i >= 0 && i < len(w.degDead) {
@@ -89,75 +80,85 @@ func (w *poolWorld) anyDead() bool {
 	return false
 }
 
-// rankRole is a worker rank's role and its index in poolWorld.medians
-// (median) or poolWorld.clients (otherwise).
-type rankRole struct {
-	median bool
-	index  int
-}
-
 // newPoolWorld lays out the world of a pool with the given (defaulted)
-// config, whose worker ranks are hosted by workers processes (1 for an
+// config, whose medians are hosted by workers processes (1 for an
 // in-process pool). Worker process i hosts splitRanks(M, workers)[i]
-// medians and splitRanks(C, workers)[i] clients in one contiguous range,
-// so whenever workers ≤ min(M, C) every process hosts both roles and a
-// median's clients live in its process. Inside a range of n ranks holding
-// m medians, its rank k (0-based) is a median iff ⌊(k+1)·m/n⌋ > ⌊k·m/n⌋,
-// a client otherwise: the roles interleave evenly.
+// medians in one contiguous range and splitRanks(C, workers)[i] clients.
 func newPoolWorld(cfg PoolConfig, workers int) *poolWorld {
 	w := &poolWorld{
-		cfg:   cfg,
-		sched: mpi.Rank(cfg.Slots),
-		roles: make([]rankRole, 0, cfg.Medians+cfg.Clients),
-		space: mpi.TagSpace{Base: tagBandBase, Width: numOffsets, Bands: cfg.Slots},
+		cfg:     cfg,
+		sched:   mpi.Rank(cfg.Slots),
+		ranks:   splitRanks(cfg.Medians, workers),
+		clients: splitRanks(cfg.Clients, workers),
+		space:   mpi.TagSpace{Base: tagBandBase, Width: numOffsets, Bands: cfg.Slots},
 	}
-	clients := splitRanks(cfg.Clients, workers)
-	for i, m := range splitRanks(cfg.Medians, workers) {
-		n := m + clients[i]
-		w.ranks = append(w.ranks, n)
-		for k := range n {
-			r := w.firstWorker() + mpi.Rank(len(w.roles))
-			if (k+1)*m/n > k*m/n {
-				w.roles = append(w.roles, rankRole{median: true, index: len(w.medians)})
-				w.medians = append(w.medians, r)
-			} else {
-				w.roles = append(w.roles, rankRole{index: len(w.clients)})
-				w.clients = append(w.clients, r)
-			}
-		}
+	for i := range cfg.Medians {
+		w.medians = append(w.medians, w.firstWorker()+mpi.Rank(i))
 	}
 	return w
 }
 
-// isRange reports whether [lo, hi) is one worker process's range.
-func (w *poolWorld) isRange(lo, hi mpi.Rank) bool {
+// process returns the index of the worker process whose range starts at
+// lo.
+func (w *poolWorld) process(lo mpi.Rank) (int, bool) {
 	r := w.firstWorker()
-	for _, n := range w.ranks {
-		if lo == r && hi == r+mpi.Rank(n) {
-			return true
+	for i, n := range w.ranks {
+		if lo == r {
+			return i, true
 		}
 		r += mpi.Rank(n)
 	}
-	return false
+	return 0, false
 }
 
-// role returns worker rank r's role; ok is false for control ranks and
-// ranks outside the world.
-func (w *poolWorld) role(r mpi.Rank) (ro rankRole, ok bool) {
-	i := int(r - w.firstWorker())
-	if i < 0 || i >= len(w.roles) {
-		return rankRole{}, false
+// isRange reports whether [lo, hi) is one worker process's range.
+func (w *poolWorld) isRange(lo, hi mpi.Rank) bool {
+	i, ok := w.process(lo)
+	return ok && hi == lo+mpi.Rank(w.ranks[i])
+}
+
+// helpers returns how many helper goroutines worker process i starts, and
+// the client index of its first. A process with no more clients than
+// medians starts none: a helper would buy its medians no width, so they
+// claim every rollout of their steps themselves. The rule reads the layout
+// only.
+func (w *poolWorld) helpers(i int) (n, first int) {
+	for _, c := range w.clients[:i] {
+		first += c
 	}
-	return w.roles[i], true
+	if w.clients[i] > w.ranks[i] {
+		n = w.clients[i]
+	}
+	return n, first
 }
 
-// size returns the world size: slots + scheduler + workers.
+// idleIndex maps entry k of the idle telemetry of the worker process
+// whose range starts at lo — its medians' idle, then its clients' (its
+// helpers', when it runs them) — onto the pool's idle series: a median
+// index, or Medians plus a client index. ok is false past the process's
+// layout.
+func (w *poolWorld) idleIndex(lo mpi.Rank, k int) (int, bool) {
+	i, ok := w.process(lo)
+	if !ok || k < 0 {
+		return 0, false
+	}
+	if k < w.ranks[i] {
+		return int(lo-w.firstWorker()) + k, true
+	}
+	if k -= w.ranks[i]; k < w.clients[i] {
+		_, first := w.helpers(i)
+		return w.cfg.Medians + first + k, true
+	}
+	return 0, false
+}
+
+// size returns the world size: slots + scheduler + medians.
 func (w *poolWorld) size() int {
-	return w.cfg.Slots + 1 + w.cfg.Medians + w.cfg.Clients
+	return w.cfg.Slots + 1 + w.cfg.Medians
 }
 
-// firstWorker is the first worker (median or client) rank — every rank
-// at or beyond it may be hosted by a remote worker process.
+// firstWorker is the first median rank — every rank at or beyond it may
+// be hosted by a remote worker process.
 func (w *poolWorld) firstWorker() mpi.Rank { return mpi.Rank(w.cfg.Slots + 1) }
 
 // splitRanks splits n ranks of one role over w worker processes, as
@@ -176,12 +177,5 @@ func splitRanks(n, w int) []int {
 
 // isMedianRank reports whether r is one of the world's median ranks.
 func isMedianRank(w *poolWorld, r mpi.Rank) bool {
-	ro, ok := w.role(r)
-	return ok && ro.median
-}
-
-// isClientRank reports whether r is one of the world's client ranks.
-func isClientRank(w *poolWorld, r mpi.Rank) bool {
-	ro, ok := w.role(r)
-	return ok && !ro.median
+	return r >= w.firstWorker() && int(r) < w.size()
 }

@@ -8,8 +8,8 @@ package parallel
 // (candidate, job, jobScore, stepScore) has no encodings: Execute only
 // ever runs on the virtual and wall transports, so no frame of those kinds
 // was ever sent, and a kind the coordinator can decode is a kind a worker
-// socket can make it decode. The same holds for rollout chunks and their
-// results: a median only hands them to clients of its own process.
+// socket can make it decode. A median step's rollouts never travel at
+// all: the median shares them with its own process's helpers in memory.
 //
 // Encodings follow the codec conventions: fixed-width little-endian
 // scalars via encoding/binary, uvarints for small counts, and a nested
@@ -40,21 +40,6 @@ type svcCandidate struct {
 	State game.State
 }
 
-// svcChunk is the median→client payload: up to chunkLimit rollouts of one
-// median step in one message. Item i is Base after Moves[i], rolled out
-// under rng key Keys[i] and answered as candidate First+i: a step's moves
-// go out in contiguous runs. Base and the slices are the median's own step
-// state, read by a client of its process while the median blocks on the
-// results; a chunk never leaves its median's process and has no codec kind.
-type svcChunk struct {
-	Par   int // branch discriminator of the owning game (see resultKey)
-	P     jobParams
-	Base  game.State
-	Moves []game.Move
-	Keys  []uint64
-	First int
-}
-
 // svcScore is the median→slot result: the final score of the Cand-th
 // candidate of the root step Step, plus the rollout accounting of the
 // candidate's whole level-(ℓ−1) game. Rollout counts ride the protocol
@@ -75,33 +60,18 @@ type svcScore struct {
 	Cand     int
 	Par      int // branch discriminator echo (svcCandidate.Par)
 	Score    float64
-	Rollouts int64 // client rollouts executed for this candidate's game
+	Rollouts int64 // rollouts executed for this candidate's game
 	Units    int64 // metered work units across those rollouts
-	Chunks   int64 // median→client messages that carried those rollouts
-}
-
-// svcChunkResult is the client→median answer to one svcChunk: per item,
-// the score of candidate First+i of the median's current step and the
-// rollout's metered work. Keys[i] is the item's identity echo (resultKey:
-// the rng key folded with the owning job's slot, epoch and branch
-// discriminator) — the median uses it to reject stale items: a duplicate,
-// or an item surviving from an earlier step, from another job at the same
-// logical coordinates, or from a cancelled speculative branch's aborted
-// game, must never be mistaken for a live one.
-type svcChunkResult struct {
-	First  int
-	Keys   []uint64
-	Scores []float64
-	Units  []int64
+	Chunks   int64 // steps of the game whose rollouts a helper joined
 }
 
 // svcRanksLost is the worker-loss notice the pool injects at its scheduler
 // when a worker process dies or is abandoned: the contiguous rank range
 // [Lo, Hi) the worker hosted. The scheduler re-queues the medians'
 // outstanding candidate grants. Nothing else needs telling: the worker's
-// medians took their clients with them, and no surviving median ever sent
-// the range a chunk. The scheduler is a coordinator rank and the notice an
-// Inject, so it never crosses the wire and has no codec kind.
+// medians took their helpers and posted steps with them. The scheduler is
+// a coordinator rank and the notice an Inject, so it never crosses the
+// wire and has no codec kind.
 type svcRanksLost struct {
 	Lo, Hi mpi.Rank
 }
@@ -155,10 +125,9 @@ type svcSpecCancel struct {
 
 // Application payload kinds (64+ is the application band, see codec).
 // 64–67 were the per-run protocol's and stay unassigned, so the surviving
-// kinds keep their wire values. So do 69 and 71, the rollout chunk's and
-// chunk result's, which never leave their median's process, and 73, the
-// worker-loss notice's: it is only ever injected at the coordinator's own
-// scheduler.
+// kinds keep their wire values. So do 69 and 71, the retired rollout
+// chunk's and chunk result's, and 73, the worker-loss notice's: it is only
+// ever injected at the coordinator's own scheduler.
 const (
 	kindSvcCandidate  codec.Kind = 68 + iota // pool slot -> scheduler -> median
 	_                                        // 69: unassigned (see above)
@@ -344,8 +313,9 @@ func init() {
 		})
 }
 
-// wireMaxWorld caps the ranks a decoded worker blob may lay out: the
-// worker builds every rank of the world before it serves its own range.
+// wireMaxWorld caps the ranks and clients a decoded worker blob may lay
+// out: the worker builds every rank of the world before it serves its own
+// range, and starts its share of the clients as goroutines.
 const wireMaxWorld = 1 << 16
 
 // wireMaxEvalName caps the evaluator-name bytes a decoded job frame may
@@ -392,8 +362,7 @@ func readPar(data []byte) (int, []byte, error) {
 	return int(v) - 1, data, nil
 }
 
-// appendJobParams encodes the per-job knobs that ride every candidate and
-// client job.
+// appendJobParams encodes the per-job knobs that ride every candidate.
 func appendJobParams(buf []byte, p jobParams) []byte {
 	buf = binary.AppendUvarint(buf, uint64(p.Slot))
 	buf = binary.LittleEndian.AppendUint64(buf, p.Epoch)
@@ -492,10 +461,12 @@ func readJobParams(data []byte) (jobParams, []byte, error) {
 // 3 added the transposition-cache shape (CacheMB, CacheVerify flag);
 // 4 added the async-root speculation default (Speculate); 5 carried a
 // local-dispatch flag in the first reserved v2 field; 6 carries the worker
-// count there instead, and drops the dispatcher rank from the world. A v5
-// worker must not join a v6 coordinator: it would lay the world out one
-// rank off.
-const workerBlobVersion = 6
+// count there instead, and drops the dispatcher rank from the world; 7
+// keeps the fields and drops the client ranks: a worker's range holds its
+// medians only, and its clients run as helpers. A v5 worker must not join
+// a v6 coordinator, nor a v6 worker a v7 one: each would lay the rank
+// ranges out differently.
+const workerBlobVersion = 7
 
 // appendWorkerBlob encodes the PoolConfig and worker count a pnmcs-worker
 // needs to derive the identical poolWorld the coordinator built — and,
@@ -507,7 +478,7 @@ func appendWorkerBlob(buf []byte, cfg PoolConfig, workers int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(cfg.Medians))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Clients))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Algo))
-	buf = binary.AppendUvarint(buf, uint64(workers)) // v6: in the first reserved v2 field
+	buf = binary.AppendUvarint(buf, uint64(workers)) // since v6: in the first reserved v2 field
 	buf = append(buf, 0)                             // the second reserved v2 field
 	buf = binary.AppendUvarint(buf, uint64(cfg.CacheMB))
 	verify := uint64(0)
@@ -530,7 +501,7 @@ func decodeWorkerBlob(data []byte) (cfg PoolConfig, workers int, err error) {
 	}
 	data = data[1:]
 	fields := []*int{&cfg.Slots, &cfg.Medians, &cfg.Clients}
-	world := uint64(1) // the scheduler
+	world := uint64(1) // the scheduler; clients count too (see wireMaxWorld)
 	for _, f := range fields {
 		v, rest, err := codec.ReadUvarint(data)
 		if err != nil {
@@ -584,11 +555,11 @@ func decodeWorkerBlob(data []byte) (cfg PoolConfig, workers int, err error) {
 		return cfg, 0, fmt.Errorf("parallel: worker blob: degenerate pool %d/%d/%d",
 			cfg.Slots, cfg.Medians, cfg.Clients)
 	}
-	// NewNetPool's bound: a worker count past min(medians, clients) would
-	// lay out a worker without one of the roles.
-	if w < 1 || w > uint64(min(cfg.Medians, cfg.Clients)) {
-		return cfg, 0, fmt.Errorf("parallel: worker blob: %d workers for %d medians and %d clients",
-			w, cfg.Medians, cfg.Clients)
+	// NewNetPool's bound: a worker count past medians would lay out a
+	// worker without a median. Clients still count against wireMaxWorld
+	// above: each is a helper goroutine a worker starts on this input.
+	if w < 1 || w > uint64(cfg.Medians) {
+		return cfg, 0, fmt.Errorf("parallel: worker blob: %d workers for %d medians", w, cfg.Medians)
 	}
 	return cfg, int(w), nil
 }

@@ -120,9 +120,9 @@ func TestStateCarryingPayloadRoundTrips(t *testing.T) {
 // 64–67 (candidate, job, jobScore, stepScore) can only come from a
 // misbehaving worker socket, and the coordinator must refuse to decode it.
 // The same holds for kind 73, the worker-loss notice's: the pool only ever
-// injects it at its own scheduler; and for kinds 69 and 71, the rollout
-// chunk's and chunk result's: a median only hands them to clients of its
-// own process.
+// injects it at its own scheduler; and for kinds 69 and 71, the retired
+// rollout chunk's and chunk result's: a median step's rollouts never leave
+// its process.
 func TestPerRunKindsAreUnknown(t *testing.T) {
 	good, err := codec.AppendFrame(nil, codec.Frame{From: 3, To: 0, Tag: int32(tagStepScore), Payload: svcRegrant{Epoch: 1, Count: 2}})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestPerRunKindsAreUnknown(t *testing.T) {
 			t.Errorf("frame of kind %d: decode error %v, want ErrKind", kind, err)
 		}
 	}
-	for _, v := range []any{candidate{}, job{}, jobScore{}, stepScore{}, svcRanksLost{}, svcChunk{}, svcChunkResult{}} {
+	for _, v := range []any{candidate{}, job{}, jobScore{}, stepScore{}, svcRanksLost{}} {
 		if _, err := codec.EncodePayload(nil, v); !errors.Is(err, codec.ErrKind) {
 			t.Errorf("%T: encode error %v, want ErrKind", v, err)
 		}
@@ -202,18 +202,30 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 			t.Fatalf("blob round trip: %+v on %d workers != %+v on %d", got, gotWorkers, cfg, workers)
 		}
 	}
-	// A worker count of zero, or past min(medians, clients), lays out a
-	// world NewNetPool refuses: some worker would lack a role.
+	// A worker count of zero, or past medians, lays out a world NewNetPool
+	// refuses: some worker would host no median. Past clients is fine.
 	for _, workers := range []int{0, 6} {
 		if _, _, err := decodeWorkerBlob(appendWorkerBlob(nil, cfg, workers)); err == nil {
 			t.Fatalf("blob of %d workers for 5 medians and 9 clients accepted", workers)
 		}
 	}
-	// net_loopback's pool, byte for byte (the committed fuzz seed
-	// valid_workers): the worker count is the first reserved v2 field.
+	few := PoolConfig{Slots: 1, Medians: 3, Clients: 2}
+	if got, gotWorkers, err := decodeWorkerBlob(appendWorkerBlob(nil, few, 3)); err != nil || got != few || gotWorkers != 3 {
+		t.Fatalf("blob of 3 workers for 3 medians and 2 clients: %+v on %d, %v", got, gotWorkers, err)
+	}
+	// net_loopback's pool, byte for byte: the worker count is the first
+	// reserved v2 field.
 	loopback := PoolConfig{Slots: 2, Medians: 2, Clients: 2, Algo: LastMinute, CacheMB: 64}
-	if got := appendWorkerBlob(nil, loopback, 2); string(got) != "\x06\x02\x02\x02\x01\x02\x00@\x00\x00" {
-		t.Fatalf("v6 blob of net_loopback's pool is %q", got)
+	if got := appendWorkerBlob(nil, loopback, 2); string(got) != "\x07\x02\x02\x02\x01\x02\x00@\x00\x00" {
+		t.Fatalf("v7 blob of net_loopback's pool is %q", got)
+	}
+	// A version-6 blob is refused: its fields lay the worker ranges out
+	// with client ranks this coordinator does not have. So is the
+	// committed v6 fuzz seed valid_workers.
+	v6 := appendWorkerBlob(nil, loopback, 2)
+	v6[0] = 6
+	if _, _, err := decodeWorkerBlob(v6); err == nil {
+		t.Fatal("version-6 blob accepted")
 	}
 	// A version-5 blob is refused: it lays the world out with a dispatcher
 	// rank this coordinator does not have.
@@ -270,7 +282,7 @@ func TestServeWorkerRejectsForeignWorld(t *testing.T) {
 		Listen:      "127.0.0.1:0",
 		LocalRanks:  3,
 		WorkerRanks: []int{2},
-		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 3, Clients: 1}, 1),
+		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 4, Clients: 1}, 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,16 +300,15 @@ func TestServeWorkerRejectsForeignWorld(t *testing.T) {
 	nc.Run()
 }
 
-// TestServeWorkerRejectsForeignRange hands the first of two workers of a
-// 1 slot × 2 medians × 2 clients pool the rank range [2, 3) — one client —
-// where the blob's layout has two ranges of a median and a client each:
-// ServeWorker must refuse it rather than serve a client no median of its
-// process will ask.
+// TestServeWorkerRejectsForeignRange hands a worker of a 1 slot × 2
+// medians × 2 clients pool the rank range [2, 4) — both medians — where
+// the blob's layout has two ranges of one median each: ServeWorker must
+// refuse it rather than serve medians another worker also serves.
 func TestServeWorkerRejectsForeignRange(t *testing.T) {
 	nc, err := mpi.ListenNet(mpi.NetConfig{
 		Listen:      "127.0.0.1:0",
 		LocalRanks:  2,
-		WorkerRanks: []int{1, 3},
+		WorkerRanks: []int{2},
 		Blob:        appendWorkerBlob(nil, PoolConfig{Slots: 1, Medians: 2, Clients: 2}, 2),
 	})
 	if err != nil {
@@ -308,7 +319,7 @@ func TestServeWorkerRejectsForeignRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ServeWorker(w); err == nil {
-		t.Fatal("a range of one client served")
+		t.Fatal("a range of both medians served")
 	}
 	for r := 0; r < 2; r++ {
 		nc.Start(mpi.Rank(r), func(mpi.Comm) {})

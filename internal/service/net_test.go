@@ -9,6 +9,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,22 +20,52 @@ import (
 	"repro/internal/parallel"
 )
 
+// noGoroutineLeak fails the test if goroutines started during it outlive
+// it by more than a grace period: the workers' medians and helpers, the
+// transport's readers and the manager's own goroutines must all stop at
+// shutdown, churn and retry included.
+func noGoroutineLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines before the test, %d after:\n%s",
+					before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
 // TestNewRefusesWorkersWithoutBothRoles configures a distributed manager
 // the way pnmcsd -workers 3 -medians 2 -clients 4 does: every worker must
-// host a median and a client, so New must fail and name the bound, which
-// is the message pnmcsd exits with.
+// host a median, so New must fail and name the bound, which is the message
+// pnmcsd exits with. A worker needs no client: 3 workers for 3 medians and
+// 2 clients are accepted.
 func TestNewRefusesWorkersWithoutBothRoles(t *testing.T) {
+	noGoroutineLeak(t)
 	m, err := New(Config{Slots: 1, Medians: 2, Clients: 4, Workers: 3, WorkerListen: "127.0.0.1:0"})
 	if err == nil {
 		m.Shutdown(context.Background()) //nolint:errcheck // already failing
 		t.Fatal("3 workers for 2 medians accepted")
 	}
-	if !strings.Contains(err.Error(), "min(medians, clients) = 2") {
+	if !strings.Contains(err.Error(), "medians = 2") {
 		t.Fatalf("error %q does not name the bound", err)
+	}
+	m, err = New(Config{Slots: 1, Medians: 3, Clients: 2, Workers: 3, WorkerListen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("3 workers for 3 medians and 2 clients: %v", err)
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestDistributedServiceEquivalence(t *testing.T) {
+	noGoroutineLeak(t)
 	m, err := New(Config{
 		Slots: 2, Medians: 2, Clients: 2,
 		Workers: 2, WorkerListen: "127.0.0.1:0",
@@ -125,6 +156,7 @@ func TestDistributedServiceEquivalence(t *testing.T) {
 // sever, so the first root step, which waits for that worker's median,
 // cannot finish before the kill takes the median's grant with it.
 func TestDistributedServiceWorkerChurn(t *testing.T) {
+	noGoroutineLeak(t)
 	const token = "churn-secret"
 	m, err := New(Config{
 		Slots: 1, Medians: 2, Clients: 3,
@@ -265,6 +297,7 @@ func TestDistributedServiceWorkerChurn(t *testing.T) {
 // job this small would finish between a mid-run kill and the end of the
 // grace window, since each worker dispatches its own clients.
 func TestDistributedServiceRetryToSuccess(t *testing.T) {
+	noGoroutineLeak(t)
 	m, err := New(Config{
 		Slots: 1, Medians: 2, Clients: 3,
 		Workers: 2, WorkerListen: "127.0.0.1:0",

@@ -79,12 +79,13 @@ type Config struct {
 	// Validated by New.
 	Evaluator string
 
-	// Workers, when positive, serves the pool's median and client ranks
-	// from that many external pnmcs-worker processes instead of
-	// goroutines: the manager becomes the coordinator of a distributed
-	// rank world (parallel.NewNetPool) and listens on WorkerListen for
-	// the workers to dial in. Job results are bit-identical either way.
-	// At most min(Medians, Clients): every worker hosts both roles.
+	// Workers, when positive, serves the pool's medians, and its clients
+	// as their helpers, from that many external pnmcs-worker processes
+	// instead of goroutines: the manager becomes the coordinator of a
+	// distributed rank world (parallel.NewNetPool) and listens on
+	// WorkerListen for the workers to dial in. Job results are
+	// bit-identical either way. At most Medians: every worker hosts a
+	// median.
 	Workers int
 	// WorkerListen is the TCP address workers dial; ":0" binds an
 	// ephemeral port (read it back with Manager.WorkerAddr). Only used

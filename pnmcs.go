@@ -131,7 +131,9 @@ type (
 	ParallelConfig = parallel.Config
 	// ParallelResult is the outcome of a parallel run.
 	ParallelResult = parallel.Result
-	// Algorithm selects the dispatcher: RoundRobin or LastMinute.
+	// Algorithm selects the dispatch order, RoundRobin or LastMinute: of
+	// pending rollouts at the per-run engine's dispatcher, of posted
+	// median steps a free helper joins in a pool.
 	Algorithm = parallel.Algorithm
 	// VirtualOptions tune the simulated cluster transport.
 	VirtualOptions = parallel.VirtualOptions
@@ -210,8 +212,9 @@ var (
 //	)
 //
 // Adding WithWorkers(n) makes the service the coordinator of a
-// distributed rank world whose median and client ranks are hosted by
-// external worker processes (cmd/pnmcs-worker, or ServeWorker below).
+// distributed rank world whose medians, with the clients as their
+// helpers, are hosted by external worker processes (cmd/pnmcs-worker, or
+// ServeWorker below).
 func New(opts ...Option) (*Service, error) {
 	var cfg ServiceConfig
 	for _, o := range opts {
@@ -278,9 +281,10 @@ func WithTenantQPS(qps float64, burst int) Option {
 // (default 1024); negative evicts terminal jobs immediately.
 func WithRetain(n int) Option { return func(c *ServiceConfig) { c.Retain = n } }
 
-// WithAlgorithm selects the dispatcher policy ordering pending rollouts,
-// RoundRobin or LastMinute (the default, the paper's best). Scheduling
-// never changes job results.
+// WithAlgorithm selects the order in which a free helper joins the
+// posted median steps, RoundRobin (earliest posted) or LastMinute (fewest
+// moves played; the default, the paper's best). Scheduling never changes
+// job results.
 func WithAlgorithm(a Algorithm) Option { return func(c *ServiceConfig) { c.Algo = a } }
 
 // WithEvaluator sets the default rollout evaluator — a registered
@@ -290,10 +294,10 @@ func WithAlgorithm(a Algorithm) Option { return func(c *ServiceConfig) { c.Algo 
 // sentinel EvaluatorUniform.
 func WithEvaluator(name string) Option { return func(c *ServiceConfig) { c.Evaluator = name } }
 
-// WithWorkers serves the pool's median and client ranks from n external
-// worker processes instead of goroutines, n at most min(medians, clients)
-// so that every worker hosts both roles. Job results are bit-identical
-// either way.
+// WithWorkers serves the pool's medians, and its clients as their
+// helpers, from n external worker processes instead of goroutines, n at
+// most medians so that every worker hosts a median. Job results are
+// bit-identical either way.
 func WithWorkers(n int) Option { return func(c *ServiceConfig) { c.Workers = n } }
 
 // WithWorkerListen sets the TCP address workers dial (default loopback,
@@ -329,14 +333,15 @@ func WithRetry(max int, backoff time.Duration) Option {
 	return func(c *ServiceConfig) { c.Retry = service.RetryPolicy{Max: max, Backoff: backoff} }
 }
 
-// WorkerStats summarizes one worker process's service: hosted ranks,
-// cumulative idle time, transport counters.
+// WorkerStats summarizes one worker process's service: hosted medians,
+// helpers run, cumulative idle time, transport counters.
 type WorkerStats = parallel.WorkerStats
 
 // ServeWorker dials a distributed service's coordinator — presenting the
 // shared-secret token when the coordinator requires one (empty otherwise)
-// — and hosts the assigned median and client ranks until the coordinator
-// shuts down. cmd/pnmcs-worker is a thin wrapper around this call.
+// — and hosts the assigned median ranks, with its share of the clients as
+// their helpers, until the coordinator shuts down. cmd/pnmcs-worker is a
+// thin wrapper around this call.
 func ServeWorker(addr, token string) (WorkerStats, error) {
 	w, err := mpi.DialWorker(addr, token)
 	if err != nil {
