@@ -1,6 +1,7 @@
-// Command pnmcs-worker hosts median and client ranks of a distributed
-// pnmcsd: the worker-node binary of the paper's MPI deployment, one
-// process per machine (or per core group).
+// Command pnmcs-worker hosts median ranks of a distributed pnmcsd, with
+// its share of the clients as helper goroutines: the worker-node binary
+// of the paper's MPI deployment, one process per machine (or per core
+// group).
 //
 // Start a coordinator that expects two workers, then dial in:
 //

@@ -120,7 +120,8 @@ func TestInlineShutdownDrains(t *testing.T) {
 
 // TestInlineProgressAndMetrics runs one job on a 1×1 pool (inline) and on
 // a 1×2 pool (messages and helpers): both fire progress once per root
-// step, and their counters equal their Results'.
+// step, their counters equal their Results', and only the helpers join
+// steps.
 func TestInlineProgressAndMetrics(t *testing.T) {
 	noGoroutineLeak(t)
 	cfg := Config{Level: 2, Root: sudoku.New(2), Seed: 7}
@@ -140,10 +141,7 @@ func TestInlineProgressAndMetrics(t *testing.T) {
 			t.Fatalf("1×%d pool: metrics %+v disagree with result jobs=%d units=%d steps=%d",
 				clients, m, res.Jobs, res.WorkUnits, res.Steps)
 		}
-		// The inline pool has no helper to join a step. (The 1×2 pool's two
-		// helpers may join none: its steps here last microseconds, and the
-		// median claims them whole before a helper wakes.)
-		if clients == 1 && m.Chunks != 0 {
+		if inline := clients == 1; inline != (m.Chunks == 0) {
 			t.Fatalf("1×%d pool: helpers joined %d steps", clients, m.Chunks)
 		}
 	}

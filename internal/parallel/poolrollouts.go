@@ -114,13 +114,13 @@ type execStep struct {
 	p      jobParams
 	scores []float64
 	units  []int64
-	next   atomic.Int64 // the next unclaimed index
+	next   atomic.Int64  // the next unclaimed index
+	wake   chan struct{} // the last helper to leave a withdrawn step signals its median
 
 	// Guarded by executor.mu.
 	joined    int  // helpers on the step
 	helped    bool // a helper claimed an index
-	withdrawn bool
-	wake      chan struct{} // the median's; the last helper to leave a withdrawn step signals it
+	withdrawn bool // the median found no index left and waits for the helpers on it
 }
 
 // newExecutor builds the executor of a process whose rollouts consult tc.
@@ -250,7 +250,10 @@ func (ex *executor) runHelper(idle func(time.Duration)) {
 			}
 			t0 := time.Now()
 			ex.posted.Wait()
-			idle(time.Since(t0))
+			d := time.Since(t0)
+			ex.mu.Unlock()
+			idle(d)
+			ex.mu.Lock()
 			continue
 		}
 		s.joined++
@@ -264,7 +267,7 @@ func (ex *executor) runHelper(idle func(time.Duration)) {
 		s.joined--
 		s.helped = s.helped || played
 		if s.joined == 0 && s.withdrawn {
-			s.wake <- struct{}{}
+			s.wake <- struct{}{} // never blocks: one send per wait, into a buffer of one
 		}
 	}
 }
