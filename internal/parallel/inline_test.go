@@ -120,8 +120,7 @@ func TestInlineShutdownDrains(t *testing.T) {
 
 // TestInlineProgressAndMetrics runs one job on a 1×1 pool (inline) and on
 // a 1×2 pool (messages and helpers): both fire progress once per root
-// step, their counters equal their Results', and only the helpers join
-// steps.
+// step, and their counters equal their Results'.
 func TestInlineProgressAndMetrics(t *testing.T) {
 	noGoroutineLeak(t)
 	cfg := Config{Level: 2, Root: sudoku.New(2), Seed: 7}
@@ -141,7 +140,10 @@ func TestInlineProgressAndMetrics(t *testing.T) {
 			t.Fatalf("1×%d pool: metrics %+v disagree with result jobs=%d units=%d steps=%d",
 				clients, m, res.Jobs, res.WorkUnits, res.Steps)
 		}
-		if inline := clients == 1; inline != (m.Chunks == 0) {
+		// The inline pool has no helper to join a step. Whether the 1×2
+		// pool's helpers join one is timing: this job's steps last
+		// microseconds, and under load the median can claim them all.
+		if clients == 1 && m.Chunks != 0 {
 			t.Fatalf("1×%d pool: helpers joined %d steps", clients, m.Chunks)
 		}
 	}
@@ -184,9 +186,9 @@ func TestNetPoolNeverInline(t *testing.T) {
 // 3 × 1 and 2 × 3 and on net pools of two workers hosting a median and a
 // client each (c m | c m), two clients and one (c c m | c m), and of three
 // workers for three medians and two clients (c m | c m | m), uniform,
-// guided, cached and speculating jobs all return Reference's answer, and
-// helpers join steps exactly where some process runs them: on the mixed
-// net pool, worker 0 (c c m) is the only one that does.
+// guided, cached, speculating and coarse jobs all return Reference's
+// answer, and helpers join steps exactly where some process runs them: on
+// the mixed net pool, worker 0 (c c m) is the only one that does.
 func TestMedianInlineRule(t *testing.T) {
 	noGoroutineLeak(t)
 	samegame6 := samegame.NewRandom(6, 6, 3, 3)
@@ -195,6 +197,9 @@ func TestMedianInlineRule(t *testing.T) {
 		"guided":    {Level: 2, Root: samegame6, Seed: 3, Memorize: true, Evaluator: game.HeuristicEvaluatorName},
 		"cached":    {Level: 3, Root: sudoku.New(2), Seed: 4, Memorize: true, Cache: true, CacheVerify: true},
 		"speculate": {Level: 2, Root: samegame6, Seed: 7, Memorize: true, Speculate: 2},
+		// Steps long enough that a helper wakes before the median has
+		// claimed them whole, however loaded the machine.
+		"coarse": {Level: 2, Root: lateGame(sudoku.New(3), 55, 3), Seed: 17, Memorize: true},
 	}
 	solo := map[string]Result{}
 	for name, cfg := range jobs {

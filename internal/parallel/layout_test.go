@@ -77,8 +77,12 @@ func checkPoolWorld(t *testing.T, cfg PoolConfig, workers int) {
 			t.Fatalf("%+v on %d: isRange disagrees with worker %d's range [%d, %d)", cfg, workers, i, lo, hi)
 		}
 		n, fc := w.helpers(i)
-		if want := clients[i] * btoi(clients[i] > medians[i]); n != want || fc != firstClient {
-			t.Fatalf("%+v on %d: worker %d runs %d helpers from client %d, want %d from %d", cfg, workers, i, n, fc, want, firstClient)
+		helpers := 0
+		if clients[i] > medians[i] {
+			helpers = clients[i]
+		}
+		if n != helpers || fc != firstClient {
+			t.Fatalf("%+v on %d: worker %d runs %d helpers from client %d, want %d from %d", cfg, workers, i, n, fc, helpers, firstClient)
 		}
 		for k := 0; ; k++ {
 			j, ok := w.idleIndex(lo, k)
@@ -104,14 +108,6 @@ func checkPoolWorld(t *testing.T, cfg PoolConfig, workers int) {
 			t.Fatalf("%+v on %d: idle series entry %d fed by %d workers", cfg, workers, j, n)
 		}
 	}
-}
-
-// btoi is 1 for true, 0 for false.
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestNetPoolRefusesWorkersWithoutBothRoles asks NewNetPool for one worker
