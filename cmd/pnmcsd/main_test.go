@@ -199,8 +199,9 @@ func TestUnknownJobIs404(t *testing.T) {
 
 func TestHealthAndMetrics(t *testing.T) {
 	// More clients than medians: helpers join the medians' steps (with no
-	// more, the medians play the steps themselves). A sudoku box-3 job's
-	// steps outlast a helper's wake-up however loaded the machine.
+	// more, the medians play the steps themselves). A level-3 sudoku box-3
+	// job (a few hundred milliseconds) outlasts a helper's wake-up however
+	// loaded the machine.
 	mux := newTestServer(t, service.Config{Slots: 2, Medians: 2, Clients: 3})
 	rec := do(mux, "GET", "/healthz", "")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ok"`) {
@@ -214,7 +215,7 @@ func TestHealthAndMetrics(t *testing.T) {
 
 	// Run one job so the counters move.
 	id := decodeStatus(t, do(mux, "POST", "/v1/jobs",
-		`{"domain":"sudoku","box":3,"level":2,"seed":1,"memorize":true}`)).ID
+		`{"domain":"sudoku","box":3,"level":3,"seed":1,"memorize":true}`)).ID
 	deadline := time.Now().Add(30 * time.Second)
 	for !decodeStatus(t, do(mux, "GET", "/v1/jobs/"+id, "")).State.Terminal() {
 		if time.Now().After(deadline) {

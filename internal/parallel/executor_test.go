@@ -38,6 +38,13 @@ func lateGame(root game.State, left int, seed uint64) game.State {
 	return st
 }
 
+// coarseJob is a sudoku endgame at level 3: its median steps play level-1
+// rollouts, so a whole job (tens of milliseconds) outlasts a woken
+// helper's wait for a processor even on a loaded machine.
+func coarseJob() Config {
+	return Config{Level: 3, Root: lateGame(sudoku.New(3), 55, 3), Seed: 17, Memorize: true}
+}
+
 // TestChunkShapeEquivalence is the executor-shape table: 2 medians with 1,
 // 2, 4 and 16 clients × three domains × level 2 and 3 × the lockstep and
 // the speculating root, on the wall pool and on a net pool of two workers,

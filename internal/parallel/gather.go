@@ -9,8 +9,8 @@ import (
 )
 
 // rolloutAcct is the rollout accounting that rides a pool score (svcScore):
-// client rollouts, their metered work and the chunks that carried them. The
-// per-run protocol meters rollouts through its collector and files zeros.
+// rollouts, their metered work and the steps a helper joined. The per-run
+// protocol meters rollouts through its collector and files zeros.
 type rolloutAcct struct {
 	rollouts, units, chunks int64
 }

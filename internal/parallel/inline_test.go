@@ -120,10 +120,11 @@ func TestInlineShutdownDrains(t *testing.T) {
 
 // TestInlineProgressAndMetrics runs one job on a 1×1 pool (inline) and on
 // a 1×2 pool (messages and helpers): both fire progress once per root
-// step, and their counters equal their Results'.
+// step, their counters equal their Results', and only the 1×2 pool's
+// helpers join steps. The job's steps outlast a helper's wake-up.
 func TestInlineProgressAndMetrics(t *testing.T) {
 	noGoroutineLeak(t)
-	cfg := Config{Level: 2, Root: sudoku.New(2), Seed: 7}
+	cfg := coarseJob()
 	counts := map[int]int{}
 	for _, clients := range []int{1, 2} {
 		pool := newTestPool(t, PoolConfig{Slots: 1, Medians: 1, Clients: clients})
@@ -140,10 +141,7 @@ func TestInlineProgressAndMetrics(t *testing.T) {
 			t.Fatalf("1×%d pool: metrics %+v disagree with result jobs=%d units=%d steps=%d",
 				clients, m, res.Jobs, res.WorkUnits, res.Steps)
 		}
-		// The inline pool has no helper to join a step. Whether the 1×2
-		// pool's helpers join one is timing: this job's steps last
-		// microseconds, and under load the median can claim them all.
-		if clients == 1 && m.Chunks != 0 {
+		if inline := clients == 1; inline != (m.Chunks == 0) {
 			t.Fatalf("1×%d pool: helpers joined %d steps", clients, m.Chunks)
 		}
 	}
@@ -197,9 +195,7 @@ func TestMedianInlineRule(t *testing.T) {
 		"guided":    {Level: 2, Root: samegame6, Seed: 3, Memorize: true, Evaluator: game.HeuristicEvaluatorName},
 		"cached":    {Level: 3, Root: sudoku.New(2), Seed: 4, Memorize: true, Cache: true, CacheVerify: true},
 		"speculate": {Level: 2, Root: samegame6, Seed: 7, Memorize: true, Speculate: 2},
-		// Steps long enough that a helper wakes before the median has
-		// claimed them whole, however loaded the machine.
-		"coarse": {Level: 2, Root: lateGame(sudoku.New(3), 55, 3), Seed: 17, Memorize: true},
+		"coarse":    coarseJob(),
 	}
 	solo := map[string]Result{}
 	for name, cfg := range jobs {
