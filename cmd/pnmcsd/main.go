@@ -57,7 +57,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/parallel"
 	"repro/internal/service"
 )
 
@@ -92,7 +91,6 @@ func main() {
 		Pools:        *pools,
 		TenantQPS:    *tenantQPS,
 		TenantBurst:  *tenantBurst,
-		Algo:         parallel.LastMinute,
 		Evaluator:    *evaluator,
 		Workers:      *workers,
 		WorkerListen: *workerListen,
@@ -436,7 +434,6 @@ func metricsText(m service.Metrics) string {
 		emit("pnmcs_net_bytes_recv_total", "counter", "frame bytes received from workers", n.BytesRecv)
 		emit("pnmcs_net_encode_seconds_total", "counter", "codec time spent encoding frames", float64(n.EncodeNs)/1e9)
 		emit("pnmcs_net_decode_seconds_total", "counter", "codec time spent decoding frames", float64(n.DecodeNs)/1e9)
-		emit("pnmcs_net_relayed_frames_total", "counter", "worker-to-worker frames forwarded by the coordinator hub", n.Relayed)
 	}
 	return b.String()
 }

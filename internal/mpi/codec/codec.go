@@ -50,8 +50,10 @@ import (
 // payload, worker blob gained the pool speculation default); 5 = chunked
 // pool rollouts (the per-rollout svcJob/svcResult payloads gave way to
 // svcChunk/svcChunkResult, svcScore gained Chunks, the never-used
-// evaluation batch payloads of 3 are gone, application kinds renumbered).
-const Version = 5
+// evaluation batch payloads of 3 are gone, application kinds renumbered);
+// 6 = job params lost Speculate (the speculation width is read only by
+// the slot, which never leaves the coordinator).
+const Version = 6
 
 // MaxFrame bounds the body length a reader will accept. A corrupt or
 // hostile length prefix must not make a worker allocate gigabytes; the
@@ -207,9 +209,10 @@ func AppendFrame(buf []byte, f Frame) ([]byte, error) {
 }
 
 // PeekEnvelope reads a frame body's (from, to, tag) envelope without
-// decoding the payload. A relay hop uses it to route a frame verbatim —
-// forwarding must not pay (or depend on) payload decoding. ok is false
-// for a truncated header or a foreign version.
+// decoding the payload. The coordinator's hub uses it to route control
+// frames and to drop a frame a worker may not send before paying (or
+// trusting) payload decoding. ok is false for a truncated header or a
+// foreign version.
 func PeekEnvelope(body []byte) (from, to, tag int32, ok bool) {
 	if len(body) < frameHeader || body[0] != Version {
 		return 0, 0, 0, false

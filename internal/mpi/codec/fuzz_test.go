@@ -26,11 +26,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Seed with a couple of well-formed frames and classic corruptions;
 	// the committed corpus in testdata/fuzz adds control (ping/pong/bye)
 	// and fault-protocol (ranks-lost, regrant) frames and an eval-carrying
-	// candidate, stamped v2 and v3 — they pin version rejection — and the
-	// current version's chunk and chunk-result frames, one well-formed and
-	// one malformed each (an illegal move, an item count that lies), whose
-	// kinds are retired: chunks never leave their median's process, so
-	// these now pin that the decoder refuses the kind.
+	// candidate, stamped v2 and v3, and v5 chunk and chunk-result frames,
+	// one well-formed and one malformed each (an illegal move, an item
+	// count that lies), whose kinds are retired besides. Every one of them
+	// now pins version rejection. The pool payloads at the current version
+	// are internal/parallel's FuzzDecodePoolFrame seeds.
 	for _, fr := range []codec.Frame{
 		{From: 0, To: 1, Tag: 2, Payload: nil},
 		{From: -2, To: 3, Tag: 64, Payload: uint64(99)},

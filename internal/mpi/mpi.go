@@ -21,6 +21,9 @@
 //     processes each hosting a rank range — with every message encoded as
 //     a typed, versioned, length-prefixed frame (internal/mpi/codec). The
 //     closest analogue of the paper's actual deployment; see net.go.
+//     Unlike MPI, a worker rank reaches only the coordinator's ranks and
+//     its own process's ranks: the coordinator drops a frame one worker
+//     addresses to another worker's rank.
 //
 // The parallel algorithms in internal/parallel are written once against
 // Comm and run unchanged on any transport.

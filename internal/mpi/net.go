@@ -9,12 +9,13 @@ package mpi
 // remaining ranks (medians, clients).
 //
 // Topology is a star: every worker holds one TCP connection to the
-// coordinator, and frames between two workers are forwarded through the
-// coordinator (hub routing). This keeps the deployment story identical to
-// the paper's — the server hosts root, medians' control traffic and the
-// dispatcher; client PCs only ever talk to the server — and preserves MPI
-// pairwise FIFO ordering: any (sender, receiver) pair has exactly one
-// path, so messages arrive in send order.
+// coordinator, and a worker rank reaches the coordinator's ranks and its
+// own process's ranks, nothing else. The hub drops a worker frame
+// addressed to another worker's rank, as it drops one with a forged From:
+// the embedding layer keeps each conversation between the coordinator and
+// one worker, so no worker ever steers the coordinator into writing to
+// another worker's socket. Each (sender, receiver) pair has exactly one
+// path, so messages arrive in send order, as under MPI.
 //
 // Wire format and handshake are owned by internal/mpi/codec: every
 // message is a typed, versioned, length-prefixed frame; the handshake
@@ -130,11 +131,6 @@ type NetStats struct {
 	BytesRecv  uint64 `json:"bytes_recv"`
 	EncodeNs   uint64 `json:"encode_ns"`
 	DecodeNs   uint64 `json:"decode_ns"`
-	// Relayed counts frames the coordinator hub received from one worker
-	// for a rank another worker hosts (coordinator side; zero on
-	// workers): the worker-to-worker traffic rank placement failed to
-	// keep inside one process.
-	Relayed uint64 `json:"relayed"`
 	// Workers is the number of worker connections currently established
 	// (coordinator side; zero on workers).
 	Workers int `json:"workers,omitempty"`
@@ -145,7 +141,6 @@ type netCounters struct {
 	framesSent, framesRecv atomic.Uint64
 	bytesSent, bytesRecv   atomic.Uint64
 	encodeNs, decodeNs     atomic.Uint64
-	relayed                atomic.Uint64
 }
 
 func (nc *netCounters) snapshot() NetStats {
@@ -156,7 +151,6 @@ func (nc *netCounters) snapshot() NetStats {
 		BytesRecv:  nc.bytesRecv.Load(),
 		EncodeNs:   nc.encodeNs.Load(),
 		DecodeNs:   nc.decodeNs.Load(),
-		Relayed:    nc.relayed.Load(),
 	}
 }
 
@@ -219,23 +213,12 @@ func (nc *netConn) write(frame []byte) error {
 	return err
 }
 
-// writeParts writes a frame given as separate prefix and body under one
-// lock acquisition, so the relay path forwards a received body without
-// concatenating it into a fresh buffer.
-func (nc *netConn) writeParts(prefix, body []byte) error {
-	nc.wmu.Lock()
-	defer nc.wmu.Unlock()
-	bufs := net.Buffers{prefix, body}
-	_, err := bufs.WriteTo(nc.c)
-	return err
-}
-
 // netWorld is the routing core shared by the coordinator and the worker
 // endpoint: local delivery into mailboxes, remote delivery over frames.
 type netWorld interface {
 	size() int
 	now() time.Duration
-	// route delivers (or forwards) a message. from may be External.
+	// route delivers (or sends) a message. from may be External.
 	route(from, to Rank, tag Tag, payload any)
 }
 
@@ -531,38 +514,6 @@ func (c *NetCluster) route(from, to Rank, tag Tag, payload any) {
 		panic(fmt.Sprintf("mpi: unencodable payload for rank %d: %v", to, err))
 	}
 	c.sendWorker(w, frame)
-}
-
-// relayWorker forwards a received frame body to a worker slot without
-// re-encoding: the length prefix is written separately so the body slice
-// goes out as-is. Only the (rare) pending path concatenates.
-func (c *NetCluster) relayWorker(w int, body []byte) {
-	c.counters.relayed.Add(1)
-	c.mu.Lock()
-	conn := c.conns[w]
-	if conn == nil {
-		// Not connected — never joined, or lost and awaiting a
-		// replacement: queue, so the frame reaches whichever process next
-		// claims the slot. Teardown and abandonment drop frames.
-		if !c.closed && !c.abandoned[w] {
-			frame := make([]byte, 0, 4+len(body))
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
-			c.pending[w] = append(c.pending[w], append(frame, body...))
-			if overflow, gen := c.pendingOverLimit(w); overflow {
-				c.mu.Unlock()
-				c.abandonSlot(w, gen)
-				return
-			}
-		}
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	var prefix [4]byte
-	binary.LittleEndian.PutUint32(prefix[:], uint32(len(body)))
-	if conn.writeParts(prefix[:], body) == nil {
-		c.counters.countSent(4 + len(body))
-	}
 }
 
 // sendWorker ships an already-encoded frame to a worker slot — queued
@@ -863,18 +814,16 @@ func tokenOK(want string, got []byte) bool {
 	return subtle.ConstantTimeCompare([]byte(want), got) == 1
 }
 
-// read pumps one worker's inbound frames: local delivery, hub forwarding
-// to other workers, and the control frames (goodbye, pong). A read error
-// (worker crash, connection reset, heartbeat-triggered close) runs the
-// loss path: Run stops waiting for the worker during teardown, and before
-// teardown the slot reopens for a rolling replacement after OnWorkerLost
-// has fired.
+// read pumps one worker's inbound frames: local delivery and the control
+// frames (goodbye, pong). A read error (worker crash, connection reset,
+// heartbeat-triggered close) runs the loss path: Run stops waiting for
+// the worker during teardown, and before teardown the slot reopens for a
+// rolling replacement after OnWorkerLost has fired.
 //
-// Only frames for coordinator-hosted ranks are decoded; worker-to-worker
-// frames are relayed verbatim from the envelope peek — the hub never
-// pays (or trusts) payload decoding for traffic that is just passing
-// through. The envelope is remote-controlled, so every field is bounds-
-// checked and a malformed frame is dropped, never allowed to panic.
+// The envelope is remote-controlled, so every field is checked from the
+// peek before any payload is decoded: a malformed frame, a forged From
+// and a frame addressed to another worker's rank are dropped, never
+// allowed to panic or to reach a socket.
 func (c *NetCluster) read(slot int, nc *netConn) {
 	r := bufio.NewReader(nc.c)
 	for {
@@ -899,19 +848,15 @@ func (c *NetCluster) read(slot int, nc *netConn) {
 			}
 			continue
 		}
-		if to < 0 || int(to) >= c.Size() {
-			continue
-		}
-		// A worker may only speak as the ranks it hosts: the From field is
-		// echoed into Send targets by the scheduler and dispatcher, so a
+		// A worker reaches only the coordinator's ranks (its own it
+		// delivers locally), and may only speak as the ranks it hosts: the
+		// From field is echoed into Send targets by the scheduler, so a
 		// forged one (External, another worker's rank, out of world) must
 		// be dropped here, not trusted into the protocol.
-		if from < int32(c.bounds[slot]) || from >= int32(c.bounds[slot+1]) {
+		if to < 0 || to >= int32(c.bounds[0]) {
 			continue
 		}
-		if w := c.workerOf(Rank(to)); w >= 0 {
-			// Hub relay: re-prefix the body and forward the bytes as-is.
-			c.relayWorker(w, body)
+		if from < int32(c.bounds[slot]) || from >= int32(c.bounds[slot+1]) {
 			continue
 		}
 		f, err := c.counters.decodeBody(body)
@@ -1194,8 +1139,8 @@ func (w *NetWorker) size() int          { return w.size_ }
 func (w *NetWorker) now() time.Duration { return time.Since(w.start) }
 
 // route implements netWorld: locally hosted ranks get mailbox delivery,
-// everything else goes to the coordinator (which forwards worker-to-worker
-// frames).
+// everything else goes to the coordinator, whose hub drops a frame for
+// another worker's rank.
 func (w *NetWorker) route(from, to Rank, tag Tag, payload any) {
 	if to >= w.lo && to < w.hi {
 		w.local[to-w.lo].mb.push(Msg{From: from, Tag: tag, Payload: payload})
@@ -1283,9 +1228,7 @@ func (w *NetWorker) Run() time.Duration {
 
 // read pumps inbound frames into the hosted ranks' mailboxes. Only I/O
 // errors are fatal (the coordinator is gone); a frame that fails to peek
-// or decode is dropped — the hub relays worker-to-worker frames without
-// decoding them, so another worker's malformed payload can arrive here
-// and must not kill this process.
+// or decode is dropped, never allowed to kill this process.
 func (w *NetWorker) read() {
 	r := bufio.NewReader(w.conn.c)
 	for {

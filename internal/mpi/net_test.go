@@ -35,9 +35,8 @@ func startWorker(t *testing.T, addr string, body func(Comm), wg *sync.WaitGroup)
 }
 
 // TestNetClusterPingPong runs a 4-rank world — coordinator hosting ranks
-// 0–1, two single-rank workers — and checks point-to-point messages in
-// every direction, including worker-to-worker frames that must be
-// forwarded through the coordinator hub.
+// 0–1, two single-rank workers — and checks point-to-point messages
+// between the coordinator and each worker, both ways.
 func TestNetClusterPingPong(t *testing.T) {
 	const shutdown Tag = 99
 	nc, err := ListenNet(NetConfig{
@@ -53,7 +52,7 @@ func TestNetClusterPingPong(t *testing.T) {
 		t.Fatalf("size %d, want 4", nc.Size())
 	}
 
-	results := make(chan string, 4)
+	results := make(chan string, 1)
 	nc.Start(0, func(c Comm) {
 		// Round trip with each remote rank.
 		c.Send(2, 1, 41)
@@ -62,14 +61,6 @@ func TestNetClusterPingPong(t *testing.T) {
 		b := c.Recv(3, 2).Payload.(int)
 		if a != 42 || b != 59 {
 			results <- "bad replies"
-		} else {
-			results <- "ok"
-		}
-		// Ask worker rank 2 to ping its peer rank 3 (hub forwarding).
-		c.Send(2, 3, 3)
-		relayed := c.Recv(3, 4).Payload.(int)
-		if relayed != 1042 {
-			results <- "bad relay"
 		} else {
 			results <- "ok"
 		}
@@ -97,15 +88,6 @@ func TestNetClusterPingPong(t *testing.T) {
 				return
 			case 1: // from coordinator: increment and answer
 				c.Send(m.From, 2, m.Payload.(int)+1)
-			case 3: // relay request: ping the other worker rank
-				other := Rank(5 - int(c.Rank())) // 2<->3
-				c.Send(other, 5, 1000)
-			case 5: // relayed ping: report to rank 0 with the sender echoed
-				if m.From != Rank(5-int(c.Rank())) {
-					c.Send(0, 4, -1)
-				} else {
-					c.Send(0, 4, m.Payload.(int)+42)
-				}
 			}
 		}
 	}
@@ -120,10 +102,8 @@ func TestNetClusterPingPong(t *testing.T) {
 		t.Fatalf("blob %q", w1.Blob())
 	}
 
-	for i := 0; i < 2; i++ {
-		if got := <-results; got != "ok" {
-			t.Fatal(got)
-		}
+	if got := <-results; got != "ok" {
+		t.Fatal(got)
 	}
 	select {
 	case <-runDone:
@@ -143,6 +123,63 @@ func TestNetClusterPingPong(t *testing.T) {
 	if ws.FramesSent == 0 || ws.FramesRecv == 0 {
 		t.Fatalf("worker counters empty: %+v", ws)
 	}
+}
+
+// TestNetHubDropsWorkerToWorker pins the worker's reach: a worker rank
+// talks to the coordinator's ranks and its own process's ranks only, so
+// the hub drops a frame one worker addresses to another worker's rank.
+// Worker rank 1 sends to rank 2 and then tells rank 0; the hub reads the
+// two frames in that order, so rank 0's probe to rank 2 follows the
+// dropped frame on every path, and rank 2 reports the first tag it sees.
+func TestNetHubDropsWorkerToWorker(t *testing.T) {
+	const (
+		peer     Tag = 5 // worker 1 -> worker 2: must never arrive
+		sent     Tag = 6 // worker 1 -> rank 0: the peer frame is sent
+		probe    Tag = 7 // rank 0 -> worker 2
+		first    Tag = 8 // worker 2 -> rank 0: the first tag it received
+		shutdown Tag = 99
+	)
+	nc, err := ListenNet(NetConfig{
+		Listen:      "127.0.0.1:0",
+		LocalRanks:  1,
+		WorkerRanks: []int{1, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan Tag, 1)
+	nc.Start(0, func(c Comm) {
+		c.Recv(1, sent)
+		c.Send(2, probe, nil)
+		got <- Tag(c.Recv(2, first).Payload.(int))
+		c.Send(1, shutdown, nil)
+		c.Send(2, shutdown, nil)
+	})
+	runDone := make(chan time.Duration, 1)
+	go func() { runDone <- nc.Run() }()
+
+	body := func(c Comm) {
+		if c.Rank() == 1 {
+			c.Send(2, peer, 1)
+			c.Send(0, sent, nil)
+		} else {
+			c.Send(0, first, int(c.Recv(AnyRank, AnyTag).Tag))
+		}
+		c.Recv(0, shutdown)
+	}
+	var wg sync.WaitGroup
+	startWorker(t, nc.Addr(), body, &wg)
+	startWorker(t, nc.Addr(), body, &wg)
+
+	if tag := <-got; tag != probe {
+		t.Fatalf("worker rank 2 first received tag %d, want the probe %d: the hub forwarded a worker-to-worker frame", tag, probe)
+	}
+	select {
+	case <-runDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator Run did not return")
+	}
+	wg.Wait()
 }
 
 // TestNetClusterInjectAndLateJoin checks External injection to a remote
@@ -191,8 +228,9 @@ func TestNetClusterInjectAndLateJoin(t *testing.T) {
 }
 
 // TestNetHandshakeVersionReject pins version negotiation: a dialer
-// speaking a different protocol version is refused at handshake with an
-// explicit status, and DialWorker surfaces codec.ErrVersion.
+// speaking a different protocol version — the previous one or a later
+// one — is refused at handshake with an explicit status, and DialWorker
+// surfaces codec.ErrVersion.
 func TestNetHandshakeVersionReject(t *testing.T) {
 	nc, err := ListenNet(NetConfig{
 		Listen:      "127.0.0.1:0",
@@ -205,22 +243,24 @@ func TestNetHandshakeVersionReject(t *testing.T) {
 	stop := make(chan struct{})
 	nc.Start(0, func(c Comm) { <-stop })
 
-	// Raw dial with a foreign version byte.
-	conn, err := net.Dial("tcp", nc.Addr())
-	if err != nil {
-		t.Fatal(err)
+	// Raw dials with foreign version bytes.
+	for _, v := range []byte{codec.Version - 1, codec.Version + 1} {
+		conn, err := net.Dial("tcp", nc.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(append([]byte(helloMagic), v)); err != nil {
+			t.Fatal(err)
+		}
+		head := make([]byte, 2)
+		if _, err := readFull(conn, head); err != nil {
+			t.Fatalf("version %d: read rejection: %v", v, err)
+		}
+		if head[0] != hsBadVersion || head[1] != codec.Version {
+			t.Fatalf("version %d: rejection %v, want [%d %d]", v, head, hsBadVersion, codec.Version)
+		}
+		conn.Close()
 	}
-	if _, err := conn.Write(append([]byte(helloMagic), codec.Version+1)); err != nil {
-		t.Fatal(err)
-	}
-	head := make([]byte, 2)
-	if _, err := readFull(conn, head); err != nil {
-		t.Fatalf("read rejection: %v", err)
-	}
-	if head[0] != hsBadVersion || head[1] != codec.Version {
-		t.Fatalf("rejection %v, want [%d %d]", head, hsBadVersion, codec.Version)
-	}
-	conn.Close()
 
 	// A well-versioned worker still gets the slot afterwards.
 	w, err := DialWorker(nc.Addr(), "")

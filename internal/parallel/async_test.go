@@ -305,40 +305,6 @@ func TestChaosKillMidSpeculation(t *testing.T) {
 	}
 }
 
-// TestPoolSpeculateDefault pins the config plumbing: a pool-wide
-// PoolConfig.Speculate default applies to jobs that leave
-// Config.Speculate zero, and a job's negative Speculate opts back out.
-func TestPoolSpeculateDefault(t *testing.T) {
-	pool, err := NewPool(PoolConfig{Slots: 1, Medians: 2, Clients: 2, Speculate: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Shutdown()
-
-	cfg := Config{Level: 2, Root: sudoku.New(2), Seed: 7}
-	inherit, err := pool.RunJob(0, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inherit.Speculated == 0 {
-		t.Fatal("job did not inherit the pool's speculation default")
-	}
-	cfg.Speculate = -1
-	forced, err := pool.RunJob(0, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Speculated != 0 {
-		t.Fatalf("Speculate=-1 job still speculated %d times", forced.Speculated)
-	}
-	solo, err := Reference(Config{Level: 2, Root: sudoku.New(2), Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "inherited speculation vs solo", inherit, solo)
-	assertSameResult(t, "opted-out job vs solo", forced, solo)
-}
-
 // TestAsyncStepLatencyRecorded pins the satellite metric on the
 // synchronous path too: every scheduler records one latency per root
 // step, and the pool accumulates them.

@@ -177,8 +177,7 @@ func BenchmarkPoolFineJob(b *testing.B) {
 // — 2 slots, 2 medians, 2 clients — hosted by two ServeWorker goroutines
 // dialed in over TCP loopback: the first move of a level-2 sudoku box 3.
 // frames/rollout counts the coordinator's frames sent and received per
-// rollout, relayed/rollout the share of them the hub forwarded from one
-// worker to another. Each worker hosts a median and a client, so it starts
+// rollout. Each worker hosts a median and a client, so it starts
 // no helper and its median plays its steps' rollouts itself: what the
 // coordinator sees is grants, work requests and step scores, and allocs/op
 // does not depend on loopback timing, so the gate watches it.
@@ -221,7 +220,6 @@ func BenchmarkNetPoolFineJob(b *testing.B) {
 	n := pool.net.Stats()
 	rollouts := float64(pool.Metrics().Jobs - warm.Jobs)
 	b.ReportMetric(float64(n.FramesSent+n.FramesRecv-warmNet.FramesSent-warmNet.FramesRecv)/rollouts, "frames/rollout")
-	b.ReportMetric(float64(n.Relayed-warmNet.Relayed)/rollouts, "relayed/rollout")
 }
 
 // BenchmarkPoolGuidedJob measures a guided job on the default pool shape

@@ -264,9 +264,9 @@ func TestNetPoolDropsBadIdleTelemetry(t *testing.T) {
 // TestNetPoolChunksStayInProcess runs a sudoku box-3 level-2 game on two
 // workers that each host a median and run two helpers: each worker shares
 // its steps in its own memory, so no rollout reaches the coordinator. The
-// job must match the reference, helpers must join steps, the hub must
-// relay nothing, and what the coordinator sees — grants, work requests,
-// step scores — must stay under half a frame per rollout.
+// job must match the reference, helpers must join steps, and what the
+// coordinator sees — grants, work requests, step scores — must stay under
+// half a frame per rollout.
 func TestNetPoolChunksStayInProcess(t *testing.T) {
 	noGoroutineLeak(t)
 	pool, err := NewNetPool(
@@ -292,9 +292,6 @@ func TestNetPoolChunksStayInProcess(t *testing.T) {
 	assertSameResult(t, "net pool with helpers", res, solo)
 	if chunks == 0 {
 		t.Fatalf("no helper joined a step of %d rollouts", res.Jobs)
-	}
-	if st.Relayed != 0 {
-		t.Fatalf("the hub relayed %d frames", st.Relayed)
 	}
 	if perRollout := float64(st.FramesSent+st.FramesRecv) / float64(res.Jobs); perRollout > 0.5 {
 		t.Fatalf("%d frames sent and %d received for %d rollouts: %.2f per rollout",

@@ -12,10 +12,13 @@ package parallel
 // (examples/distributed).
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/game"
 	"repro/internal/morpion"
 	"repro/internal/mpi"
@@ -43,6 +46,111 @@ func startNetWorkers(t *testing.T, addr string, n int) func() {
 		}()
 	}
 	return wg.Wait
+}
+
+// chattyCluster hosts a worker's medians as ServeWorker does, with each
+// median's endpoint wrapped in a chattyComm.
+type chattyCluster struct {
+	*mpi.NetWorker
+	sched        mpi.Rank
+	peer         mpi.Rank // a median another worker hosts
+	sent, leaked *atomic.Int64
+}
+
+func (cl chattyCluster) Start(r mpi.Rank, body func(mpi.Comm)) {
+	cl.NetWorker.Start(r, func(c mpi.Comm) { body(chattyComm{c, cl}) })
+}
+
+// chattyComm sends a copy of each step score to cl.peer before the real
+// one, and counts every frame it receives from a worker's rank: the
+// scheduler and the slots are the only coordinator ranks a median hears.
+type chattyComm struct {
+	mpi.Comm
+	cl chattyCluster
+}
+
+func (c chattyComm) Send(to mpi.Rank, tag mpi.Tag, payload any) {
+	if tag == tagStepScore {
+		c.Comm.Send(c.cl.peer, tag, payload)
+		c.cl.sent.Add(1)
+	}
+	c.Comm.Send(to, tag, payload)
+}
+
+func (c chattyComm) Recv(from mpi.Rank, tag mpi.Tag) mpi.Msg {
+	m := c.Comm.Recv(from, tag)
+	if m.From > c.cl.sched {
+		c.cl.leaked.Add(1)
+	}
+	return m
+}
+
+// serveChatty serves a dialed worker as ServeWorker does, through a
+// chattyCluster.
+func serveChatty(w *mpi.NetWorker, sent, leaked *atomic.Int64) error {
+	cfg, workers, err := decodeWorkerBlob(w.Blob())
+	if err != nil {
+		return err
+	}
+	world := newPoolWorld(cfg.withDefaults(), workers)
+	lo, hi := w.RankRange()
+	peer := world.medians[slices.IndexFunc(world.medians, func(r mpi.Rank) bool { return r < lo || r >= hi })]
+	process, _ := world.process(lo)
+	helpers, _ := world.helpers(process)
+	ex := newExecutor(world.cfg, cache.New(int64(world.cfg.CacheMB)<<20))
+	ex.start(helpers, func(int, time.Duration) {})
+	startPoolWorkers(chattyCluster{w, world.sched, peer, sent, leaked}, world, ex, func(int, time.Duration) {})
+	w.Run()
+	ex.close()
+	return nil
+}
+
+// TestNetPoolDropsWorkerToWorker has each worker's median send every step
+// score to the other worker's median too, mid-job, before the real one.
+// The hub drops those frames: no median hears a worker's rank, and the
+// job still returns Reference's answer.
+func TestNetPoolDropsWorkerToWorker(t *testing.T) {
+	noGoroutineLeak(t)
+	pool, err := NewNetPool(
+		PoolConfig{Slots: 1, Medians: 2, Clients: 4},
+		NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent, leaked atomic.Int64
+	var wg sync.WaitGroup
+	for range 2 {
+		w, err := mpi.DialWorker(pool.WorkerAddr(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := serveChatty(w, &sent, &leaked); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	cfg := Config{Level: 2, Root: sudoku.New(3), Seed: 3}
+	res, err := pool.RunJob(0, cfg, nil)
+	pool.Shutdown()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := Reference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "net pool with worker-to-worker frames", res, solo)
+	if sent.Load() == 0 {
+		t.Fatal("no median sent a frame to the other worker")
+	}
+	if n := leaked.Load(); n != 0 {
+		t.Fatalf("medians received %d of %d frames sent by the other worker", n, sent.Load())
+	}
 }
 
 // assertSameResult compares every deterministic Result field.
@@ -235,24 +343,11 @@ func TestNetPoolCancellation(t *testing.T) {
 }
 
 // TestNetPoolRejectsUnservableJobs holds submission to the wire's bounds.
-// A worker's decoder drops a job frame whose level or speculation width
-// is past MaxLevel / MaxSpeculate, so such a job must fail at RunJob
-// rather than wait forever for rollouts that never come; a pool default
-// past MaxSpeculate must fail at construction, since every worker would
-// refuse its handshake blob.
+// A worker's decoder drops a job frame whose level is past MaxLevel, and
+// the slot would size its branch tables by a speculation width past
+// MaxSpeculate, so such a job must fail at RunJob rather than wait
+// forever for rollouts that never come.
 func TestNetPoolRejectsUnservableJobs(t *testing.T) {
-	for _, mk := range []func(PoolConfig) (*Pool, error){
-		NewPool,
-		func(cfg PoolConfig) (*Pool, error) {
-			return NewNetPool(cfg, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 1})
-		},
-	} {
-		if p, err := mk(PoolConfig{Speculate: MaxSpeculate + 1}); err == nil {
-			p.Shutdown()
-			t.Fatal("pool speculation default past the wire bound accepted")
-		}
-	}
-
 	pool, err := NewNetPool(
 		PoolConfig{Slots: 1, Medians: 2, Clients: 2},
 		NetPoolConfig{Listen: "127.0.0.1:0", Workers: 2},

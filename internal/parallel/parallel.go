@@ -47,9 +47,8 @@ import (
 	"repro/internal/vtime"
 )
 
-// Algorithm selects the dispatcher policy of the per-run engine. A Pool
-// applies the same order to the median steps its helpers join
-// (PoolConfig.Algo).
+// Algorithm selects the dispatcher policy of the per-run engine. A Pool's
+// helpers always join the median steps in LastMinute order.
 type Algorithm int
 
 const (
@@ -413,13 +412,14 @@ func (cfg *Config) trace(kind string, from, to mpi.Rank, at time.Duration) {
 	}
 }
 
-// MaxLevel and MaxSpeculate bound Config.Level and Config.Speculate (and
-// PoolConfig.Speculate). Jobs cross process boundaries on net pools, and
-// a worker's decoder drops a frame carrying a value past either bound: an
-// unbounded level would drive unbounded recursion in the client's nested
-// search, an unbounded width huge branch tables at the root. Submission
-// refuses such a job on every transport, so it cannot wait forever for
-// answers its workers never send.
+// MaxLevel and MaxSpeculate bound Config.Level and Config.Speculate, and
+// submission refuses a job past either on every engine. The level crosses
+// process boundaries with a net pool's candidates, and a worker's decoder
+// drops a frame carrying a level past MaxLevel — an unbounded level would
+// drive unbounded recursion in the worker's nested search — so the job
+// cannot wait forever for answers its workers never send. The width never
+// leaves the root (a pool's slot), but sizes its branch tables: an
+// unbounded one would allocate without bound.
 const (
 	MaxLevel     = 64
 	MaxSpeculate = 1 << 16

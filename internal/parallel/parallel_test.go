@@ -265,15 +265,6 @@ func TestExecuteValidation(t *testing.T) {
 			t.Errorf("static=%v: algorithm 7 accepted", static)
 		}
 	}
-	// The pools reject it too; they would otherwise serve arrival order.
-	if p, err := NewPool(PoolConfig{Algo: 7}); err == nil {
-		p.Shutdown()
-		t.Error("pool accepted algorithm 7")
-	}
-	if p, err := NewNetPool(PoolConfig{Algo: 7}, NetPoolConfig{Listen: "127.0.0.1:0", Workers: 1}); err == nil {
-		p.Shutdown()
-		t.Error("net pool accepted algorithm 7")
-	}
 
 	lay := spec.Layout(2)
 	wrong := mpi.NewVirtualCluster(mpi.VirtualConfig{Speeds: []float64{1, 1}})

@@ -24,8 +24,8 @@ package parallel
 //     (executor): a median posts each step of its game — position, moves,
 //     rollout keys — and claims the step's rollouts from one atomic
 //     counter together with the process's helper goroutines, one per
-//     client the process hosts. A free helper joins the posted step
-//     LastMinute or RoundRobin orders first. In a process with no more
+//     client the process hosts. A free helper joins the posted step with
+//     the fewest moves played (Last-Minute). In a process with no more
 //     clients than medians a helper would buy its medians no width, so the
 //     process starts none and its medians claim every rollout themselves.
 //   - M median ranks and the C clients' helpers are built once and reused
@@ -51,7 +51,6 @@ package parallel
 // pool or where its rollouts execute. The equivalence tests pin this.
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -92,16 +91,15 @@ const tagBandBase mpi.Tag = 128
 // every posted step, replacing the per-run Config the workers can no
 // longer close over.
 type jobParams struct {
-	Slot      int
-	Epoch     uint64
-	Level     int
-	Seed      uint64
-	Memorize  bool
-	JobScale  int64
-	Root      mpi.Rank // the slot rank that owns the job
-	Eval      string   // registered evaluator name; "" = uniform playouts
-	Cache     bool     // consult the pool's shared transposition cache
-	Speculate int      // effective async speculation width of the job (0 = off)
+	Slot     int
+	Epoch    uint64
+	Level    int
+	Seed     uint64
+	Memorize bool
+	JobScale int64
+	Root     mpi.Rank // the slot rank that owns the job
+	Eval     string   // registered evaluator name; "" = uniform playouts
+	Cache    bool     // consult the pool's shared transposition cache
 }
 
 // PoolConfig sizes a Pool.
@@ -119,11 +117,6 @@ type PoolConfig struct {
 	// elsewhere the process starts no helper and the medians play their
 	// steps' rollouts themselves.
 	Clients int
-	// Algo orders the posted steps a free helper joins (LastMinute: the
-	// step with the fewest moves played, the longest expected game;
-	// RoundRobin: the earliest posted). A pool-level policy: jobs share the
-	// pool's helpers, and scheduling never changes scores (see package doc).
-	Algo Algorithm
 	// CacheMB bounds the process's shared transposition cache in
 	// megabytes. One cache serves every slot, job, median and helper the
 	// process hosts (a remote pnmcs-worker builds its own from the same
@@ -134,14 +127,6 @@ type PoolConfig struct {
 	// (core.Options.CacheVerify) on every searcher of the process,
 	// including remote workers. Test/debug mode.
 	CacheVerify bool
-	// Speculate is the pool-level default for Config.Speculate: a job
-	// submitted with Speculate == 0 inherits it (a negative job value
-	// forces speculation off). It rides the worker handshake blob (v4)
-	// like every other pool-shape knob, so remote workers can see the
-	// pool's default even though the effective per-job width always
-	// travels with the job's candidates (jobParams.Speculate). Default 0:
-	// jobs run the lockstep gather unless they opt in.
-	Speculate int
 }
 
 func (c *PoolConfig) withDefaults() PoolConfig {
@@ -159,19 +144,6 @@ func (c *PoolConfig) withDefaults() PoolConfig {
 		out.CacheMB = 64
 	}
 	return out
-}
-
-// check rejects a PoolConfig NewPool and NewNetPool cannot serve. A
-// Speculate past MaxSpeculate would make every remote worker refuse the
-// handshake blob, so no worker could ever join.
-func (c *PoolConfig) check() error {
-	if c.Algo != RoundRobin && c.Algo != LastMinute {
-		return fmt.Errorf("parallel: unknown algorithm %v", c.Algo)
-	}
-	if c.Speculate > MaxSpeculate {
-		return fmt.Errorf("parallel: pool speculate %d exceeds limit %d", c.Speculate, MaxSpeculate)
-	}
-	return nil
 }
 
 // PoolMetrics aggregates the pool's lifetime counters: the idle and

@@ -15,7 +15,7 @@ import (
 // the shared pool returns bit-identical score and sequence to Reference's
 // answer for the same Config, for every domain.
 func TestPoolMatchesRunWall(t *testing.T) {
-	pool, err := NewPool(PoolConfig{Slots: 2, Medians: 3, Clients: 4, Algo: LastMinute})
+	pool, err := NewPool(PoolConfig{Slots: 2, Medians: 3, Clients: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,6 @@ var ErrDegraded = fmt.Errorf("parallel: pool degraded below its worker floor")
 // starts it running. The pool idles until jobs are submitted with RunJob.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.check(); err != nil {
-		return nil, err
-	}
 	world := newPoolWorld(cfg, 1)
 	return newPoolOn(world, mpi.NewWallCluster(world.size()), nil, newPoolCollector(cfg))
 }
@@ -157,9 +154,6 @@ type NetPoolConfig struct {
 // slot.
 func NewNetPool(cfg PoolConfig, net NetPoolConfig) (*Pool, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.check(); err != nil {
-		return nil, err
-	}
 	if net.Workers < 1 {
 		return nil, fmt.Errorf("parallel: net pool needs at least one worker process")
 	}

@@ -90,10 +90,9 @@ func (r *poolRollouts) done() { r.s.SetCache(nil, 0, false) }
 // nothing. A median never waits for a helper that has not joined, so
 // helpers can stop at any time (close) without stranding a median.
 type executor struct {
-	tc           *cache.Cache
-	verify       bool
-	longestFirst bool // Last-Minute: a free helper joins the step with the fewest moves played
-	started      int  // helpers started; 0 means nothing is ever posted
+	tc      *cache.Cache
+	verify  bool
+	started int // helpers started; 0 means nothing is ever posted
 
 	mu     sync.Mutex
 	posted *sync.Cond  // signalled when a step is posted or the executor closes
@@ -125,7 +124,7 @@ type execStep struct {
 
 // newExecutor builds the executor of a process whose rollouts consult tc.
 func newExecutor(cfg PoolConfig, tc *cache.Cache) *executor {
-	ex := &executor{tc: tc, verify: cfg.CacheVerify, longestFirst: cfg.Algo == LastMinute}
+	ex := &executor{tc: tc, verify: cfg.CacheVerify}
 	ex.posted = sync.NewCond(&ex.mu)
 	return ex
 }
@@ -221,12 +220,13 @@ func (ex *executor) unpost(i int) {
 	ex.order = slices.Delete(ex.order, i, i+1)
 }
 
-// pick returns the posted step a free helper joins next, in the pool's
-// Algo order, dropping steps with no index left on the way; nil when none
-// is claimable. Caller holds ex.mu.
+// pick returns the posted step a free helper joins next, in the paper's
+// Last-Minute order — the step with the fewest moves played, the longest
+// expected game — dropping steps with no index left on the way; nil when
+// none is claimable. Caller holds ex.mu.
 func (ex *executor) pick() *execStep {
 	for len(ex.steps) > 0 {
-		i := nextPending(ex.order, ex.longestFirst)
+		i := nextPending(ex.order, true)
 		if s := ex.steps[i]; s.next.Load() < int64(len(s.moves)) {
 			return s
 		}

@@ -233,7 +233,8 @@ func (p *Pool) runScheduler(c mpi.Comm) {
 			total -= removed
 			p.coll.sampleDepth(total)
 			// Re-broadcast so every median can skip covered buffered grants
-			// and abort covered games mid-play. Sent to all medians: a lost
+			// (a median reads its mailbox only between games, so a covered
+			// game already in play finishes). Sent to all medians: a lost
 			// worker's copy queues for its replacement, an abandoned one's
 			// is dropped by the transport. No ack — see svcSpecCancel.
 			for _, m := range p.world.medians {

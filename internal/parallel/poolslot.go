@@ -230,33 +230,29 @@ func (p *Pool) playInline(c mpi.Comm, slot int, js jobStart, env refEnv) Result 
 // boundaries; at resolution the winner's branch is adopted wholesale and
 // the losers are cancelled — queued candidates purged at the scheduler,
 // buffered grants skipped at the medians via svcSpecCancel, stray scores
-// (of games the cancel reached mid-play) shed by the gather's step/Par
-// guards.
+// (of games already in play when the cancel came) shed by the gather's
+// step/Par guards.
 func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, movebuf *[]game.Move) (Result, error) {
 	cfg := js.cfg
 	res := Result{}
 	start := c.Now()
-	// Effective speculation width: the job's own ask, defaulted from the
-	// pool. FirstMoveOnly jobs never speculate — speculation pipelines
-	// step boundaries, and a one-step job has none.
+	// Effective speculation width: the job's own ask, off when negative.
+	// FirstMoveOnly jobs never speculate — speculation pipelines step
+	// boundaries, and a one-step job has none.
 	k := cfg.Speculate
-	if k == 0 {
-		k = p.cfg.Speculate
-	}
 	if k < 0 || cfg.FirstMoveOnly {
 		k = 0
 	}
 	params := jobParams{
-		Slot:      slot,
-		Epoch:     js.epoch,
-		Level:     cfg.Level,
-		Seed:      cfg.Seed,
-		Memorize:  cfg.Memorize,
-		JobScale:  cfg.jobScale(),
-		Root:      c.Rank(),
-		Eval:      cfg.Evaluator,
-		Cache:     cfg.Cache,
-		Speculate: k,
+		Slot:     slot,
+		Epoch:    js.epoch,
+		Level:    cfg.Level,
+		Seed:     cfg.Seed,
+		Memorize: cfg.Memorize,
+		JobScale: cfg.jobScale(),
+		Root:     c.Rank(),
+		Eval:     cfg.Evaluator,
+		Cache:    cfg.Cache,
 	}
 	deadline := deadlineFunc(c, start, cfg.StopAfter)
 	toSched := func(off mpi.Tag, payload any) {
@@ -393,7 +389,7 @@ func (p *Pool) playJob(c mpi.Comm, slot int, js jobStart, pool *core.StatePool, 
 	}
 
 	// Whatever speculation is still pending is moot: charge it and tell the
-	// scheduler and medians to drop and abort it. The slot never waits for
+	// scheduler and medians to drop it. The slot never waits for
 	// speculative scores, so nothing here blocks; strays are shed by the
 	// next job's epoch guard.
 	if wasted := g.pending(); wasted > 0 {

@@ -112,10 +112,11 @@ type svcAbandon struct {
 // speculative grant of the epoch is moot). The scheduler purges covered
 // queued candidates, remembers the latest cancel per slot — applied again
 // when a dead worker's grants are re-queued — and re-broadcasts the order
-// to the medians (tagSpecCancel), which skip covered buffered grants and
-// abort covered games mid-play without reporting a score. Fire-and-forget,
-// like tagJobFail: no ack, because a cancel that loses a race is harmless
-// — covered scores are shed by the slot's epoch/step/Par guards anyway.
+// to the medians (tagSpecCancel), which skip covered buffered grants. A
+// median reads its mailbox only between games, so a covered game already
+// in play finishes, and its score is shed by the slot's epoch/step/Par
+// guards. Fire-and-forget, like tagJobFail: no ack, because a cancel that
+// loses a race is harmless for the same reason.
 type svcSpecCancel struct {
 	Slot  int
 	Epoch uint64
@@ -380,10 +381,7 @@ func appendJobParams(buf []byte, p jobParams) []byte {
 	if p.Cache {
 		flags |= 1
 	}
-	buf = append(buf, flags)
-	// Speculate is normalized before shipping (playJob clamps it to ≥0),
-	// so a plain uvarint suffices.
-	return binary.AppendUvarint(buf, uint64(p.Speculate))
+	return append(buf, flags)
 }
 
 // readJobParams decodes appendJobParams' encoding and returns the
@@ -432,25 +430,17 @@ func readJobParams(data []byte) (jobParams, []byte, error) {
 	if flags > 1 {
 		return p, nil, fmt.Errorf("%w: job params flags %#x", codec.ErrMalformed, flags)
 	}
-	spec, data, err := codec.ReadUvarint(data[1:])
-	if err != nil {
-		return p, nil, err
-	}
-	if spec > MaxSpeculate {
-		return p, nil, fmt.Errorf("%w: job speculate %d exceeds limit %d", codec.ErrMalformed, spec, MaxSpeculate)
-	}
 	return jobParams{
-		Slot:      int(slot),
-		Epoch:     epoch,
-		Level:     int(level),
-		Seed:      seed,
-		Memorize:  memorize == 1,
-		JobScale:  int64(scale),
-		Root:      mpi.Rank(root),
-		Eval:      eval,
-		Cache:     flags&1 != 0,
-		Speculate: int(spec),
-	}, data, nil
+		Slot:     int(slot),
+		Epoch:    epoch,
+		Level:    int(level),
+		Seed:     seed,
+		Memorize: memorize == 1,
+		JobScale: int64(scale),
+		Root:     mpi.Rank(root),
+		Eval:     eval,
+		Cache:    flags&1 != 0,
+	}, data[1:], nil
 }
 
 // workerBlobVersion guards the handshake blob layout independently of the
@@ -465,8 +455,10 @@ func readJobParams(data []byte) (jobParams, []byte, error) {
 // keeps the fields and drops the client ranks: a worker's range holds its
 // medians only, and its clients run as helpers. A v5 worker must not join
 // a v6 coordinator, nor a v6 worker a v7 one: each would lay the rank
-// ranges out differently.
-const workerBlobVersion = 7
+// ranges out differently. 8 drops what no worker reads — the helper join
+// order (Algo), the reserved v2 field and the speculation default — and
+// keeps six fields: slots, medians, clients, workers, CacheMB, CacheVerify.
+const workerBlobVersion = 8
 
 // appendWorkerBlob encodes the PoolConfig and worker count a pnmcs-worker
 // needs to derive the identical poolWorld the coordinator built — and,
@@ -477,18 +469,13 @@ func appendWorkerBlob(buf []byte, cfg PoolConfig, workers int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(cfg.Slots))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Medians))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Clients))
-	buf = binary.AppendUvarint(buf, uint64(cfg.Algo))
-	buf = binary.AppendUvarint(buf, uint64(workers)) // since v6: in the first reserved v2 field
-	buf = append(buf, 0)                             // the second reserved v2 field
+	buf = binary.AppendUvarint(buf, uint64(workers))
 	buf = binary.AppendUvarint(buf, uint64(cfg.CacheMB))
 	verify := uint64(0)
 	if cfg.CacheVerify {
 		verify = 1
 	}
-	buf = binary.AppendUvarint(buf, verify)
-	// v4: the pool-wide speculation default. Negative configs mean "off"
-	// everywhere they are consulted, so they ship as 0.
-	return binary.AppendUvarint(buf, uint64(max(0, cfg.Speculate)))
+	return binary.AppendUvarint(buf, verify)
 }
 
 // decodeWorkerBlob reverses appendWorkerBlob.
@@ -512,16 +499,8 @@ func decodeWorkerBlob(data []byte) (cfg PoolConfig, workers int, err error) {
 		}
 		*f, data = int(v), rest
 	}
-	algo, data, err := codec.ReadUvarint(data)
-	if err != nil {
-		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
-	}
-	cfg.Algo = Algorithm(algo)
 	w, data, err := codec.ReadUvarint(data)
 	if err != nil {
-		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
-	}
-	if _, data, err = codec.ReadUvarint(data); err != nil { // reserved v2 field
 		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	cacheMB, data, err := codec.ReadUvarint(data)
@@ -529,7 +508,7 @@ func decodeWorkerBlob(data []byte) (cfg PoolConfig, workers int, err error) {
 		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 	}
 	cfg.CacheMB = int(cacheMB)
-	verify, data, err := codec.ReadUvarint(data)
+	verify, rest, err := codec.ReadUvarint(data)
 	if err != nil {
 		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
 	}
@@ -537,14 +516,6 @@ func decodeWorkerBlob(data []byte) (cfg PoolConfig, workers int, err error) {
 		return cfg, 0, fmt.Errorf("parallel: worker blob: cache-verify flag %d", verify)
 	}
 	cfg.CacheVerify = verify == 1
-	spec, rest, err := codec.ReadUvarint(data)
-	if err != nil {
-		return cfg, 0, fmt.Errorf("parallel: worker blob: %w", err)
-	}
-	if spec > MaxSpeculate {
-		return cfg, 0, fmt.Errorf("parallel: worker blob: speculate %d exceeds limit %d", spec, MaxSpeculate)
-	}
-	cfg.Speculate = int(spec)
 	if len(rest) != 0 {
 		// Trailing bytes mean version skew (a field added without bumping
 		// workerBlobVersion): fail loudly — a misparsed blob would

@@ -51,14 +51,13 @@ func quickParams(slot int, epoch uint64, level int, seed uint64, memorize bool, 
 		scale = -(scale + 1)
 	}
 	return jobParams{
-		Slot:      nonneg(slot),
-		Epoch:     epoch,
-		Level:     nonneg(level) % (MaxLevel + 1), // decoders reject levels beyond the cap
-		Seed:      seed,
-		Memorize:  memorize,
-		JobScale:  scale,
-		Root:      mpi.Rank(nonneg(root)),
-		Speculate: nonneg(slot) % (MaxSpeculate + 1), // decoders reject widths beyond the cap
+		Slot:     nonneg(slot),
+		Epoch:    epoch,
+		Level:    nonneg(level) % (MaxLevel + 1), // decoders reject levels beyond the cap
+		Seed:     seed,
+		Memorize: memorize,
+		JobScale: scale,
+		Root:     mpi.Rank(nonneg(root)),
 	}
 }
 
@@ -167,12 +166,12 @@ func TestEvalNameLimits(t *testing.T) {
 }
 
 // TestJobParamsEvalRoundTrip pins the evaluator name riding every pool
-// candidate and client job (the codec v3 jobParams extension) and the
-// speculation width behind it (the codec v4 extension).
+// candidate (the codec v3 jobParams extension) and the cache flag behind
+// it, the last field since codec v6 dropped the speculation width.
 func TestJobParamsEvalRoundTrip(t *testing.T) {
 	p := jobParams{
 		Slot: 2, Epoch: 9, Level: 3, Seed: 41, Memorize: true,
-		JobScale: 1 << 20, Root: mpi.Rank(1), Eval: "heuristic", Speculate: 4,
+		JobScale: 1 << 20, Root: mpi.Rank(1), Eval: "heuristic", Cache: true,
 	}
 	got, rest, err := readJobParams(appendJobParams(nil, p))
 	if err != nil {
@@ -181,18 +180,10 @@ func TestJobParamsEvalRoundTrip(t *testing.T) {
 	if got != p || len(rest) != 0 {
 		t.Fatalf("job params round trip: %+v, %d rest", got, len(rest))
 	}
-	// A speculation width beyond the remote-controlled-size cap is
-	// malformed, not allocated for.
-	p.Speculate = MaxSpeculate + 1
-	if _, _, err := readJobParams(appendJobParams(nil, p)); err == nil {
-		t.Fatal("oversized speculation width accepted")
-	}
 }
 
 func TestWorkerBlobRoundTrip(t *testing.T) {
-	cfg := PoolConfig{
-		Slots: 3, Medians: 5, Clients: 9, Algo: LastMinute, Speculate: 2,
-	}
+	cfg := PoolConfig{Slots: 3, Medians: 5, Clients: 9}
 	for _, workers := range []int{1, 2, 5} {
 		got, gotWorkers, err := decodeWorkerBlob(appendWorkerBlob(nil, cfg, workers))
 		if err != nil {
@@ -213,11 +204,16 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 	if got, gotWorkers, err := decodeWorkerBlob(appendWorkerBlob(nil, few, 3)); err != nil || got != few || gotWorkers != 3 {
 		t.Fatalf("blob of 3 workers for 3 medians and 2 clients: %+v on %d, %v", got, gotWorkers, err)
 	}
-	// net_loopback's pool, byte for byte: the worker count is the first
-	// reserved v2 field.
-	loopback := PoolConfig{Slots: 2, Medians: 2, Clients: 2, Algo: LastMinute, CacheMB: 64}
-	if got := appendWorkerBlob(nil, loopback, 2); string(got) != "\x07\x02\x02\x02\x01\x02\x00@\x00\x00" {
-		t.Fatalf("v7 blob of net_loopback's pool is %q", got)
+	// net_loopback's pool, byte for byte: slots, medians, clients,
+	// workers, CacheMB, CacheVerify.
+	loopback := PoolConfig{Slots: 2, Medians: 2, Clients: 2, CacheMB: 64}
+	if got := appendWorkerBlob(nil, loopback, 2); string(got) != "\x08\x02\x02\x02\x02@\x00" {
+		t.Fatalf("v8 blob of net_loopback's pool is %q", got)
+	}
+	// The v7 blob of the same pool is refused: it carries the helper join
+	// order, a reserved field and a speculation default this layout lacks.
+	if _, _, err := decodeWorkerBlob([]byte("\x07\x02\x02\x02\x01\x02\x00@\x00\x00")); err == nil {
+		t.Fatal("version-7 blob accepted")
 	}
 	// A version-6 blob is refused: its fields lay the worker ranges out
 	// with client ranks this coordinator does not have. So is the
@@ -233,18 +229,6 @@ func TestWorkerBlobRoundTrip(t *testing.T) {
 	v5[0] = 5
 	if _, _, err := decodeWorkerBlob(v5); err == nil {
 		t.Fatal("version-5 blob accepted")
-	}
-
-	// A negative pool-wide speculation width means "off" everywhere it is
-	// consulted; the blob clamps it to 0 so the worker sees the same thing.
-	neg := cfg
-	neg.Speculate = -3
-	got, _, err := decodeWorkerBlob(appendWorkerBlob(nil, neg, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Speculate != 0 {
-		t.Fatalf("negative speculation width round-tripped as %d, want clamp to 0", got.Speculate)
 	}
 
 	if _, _, err := decodeWorkerBlob(nil); err == nil {

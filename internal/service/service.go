@@ -66,11 +66,6 @@ type Config struct {
 	// ErrNotFound), so a long-lived service holds bounded memory.
 	// Default 1024; negative evicts terminal jobs immediately.
 	Retain int
-	// Algo orders the medians waiting for a client
-	// (parallel.PoolConfig.Algo); default LastMinute (the paper's best
-	// policy). Never changes job results.
-	Algo parallel.Algorithm
-
 	// Evaluator is the default rollout evaluator applied to jobs whose
 	// spec leaves JobSpec.Evaluator empty (a registered game.Evaluator
 	// name, e.g. "heuristic", forwarded as parallel.Config.Evaluator).
@@ -125,12 +120,14 @@ type Config struct {
 	CacheMB     int
 	CacheVerify bool
 
-	// Speculate is the pool-wide default speculation width for the async
-	// pipelined root (parallel.PoolConfig.Speculate): jobs whose spec
-	// leaves JobSpec.Speculate zero pipeline step boundaries by
-	// speculatively dispatching the next step's candidates for the top
-	// Speculate leaders. 0 (the default) keeps the synchronous pull root;
-	// results are bit-identical either way.
+	// Speculate is the service-wide default speculation width for the
+	// async pipelined root (parallel.Config.Speculate), overlaid on jobs
+	// whose spec leaves JobSpec.Speculate zero: they pipeline step
+	// boundaries by speculatively dispatching the next step's candidates
+	// for the top Speculate leaders. 0 (the default) keeps the synchronous
+	// pull root; a spec's negative width opts a job out. At most
+	// parallel.MaxSpeculate, validated by New. Results are bit-identical
+	// either way.
 	Speculate int
 
 	// Pools shards the service plane across that many independent worker
@@ -419,14 +416,15 @@ func newManager(cfg Config, idStart, idStride int64) (*Manager, error) {
 		return nil, fmt.Errorf("service: unknown default evaluator %q (registered: %v)",
 			cfg.Evaluator, game.EvaluatorNames())
 	}
+	if cfg.Speculate > parallel.MaxSpeculate {
+		return nil, fmt.Errorf("service: default speculate %d exceeds limit %d", cfg.Speculate, parallel.MaxSpeculate)
+	}
 	pcfg := parallel.PoolConfig{
 		Slots:       cfg.Slots,
 		Medians:     cfg.Medians,
 		Clients:     cfg.Clients,
-		Algo:        cfg.Algo,
 		CacheMB:     cfg.CacheMB,
 		CacheVerify: cfg.CacheVerify,
-		Speculate:   cfg.Speculate,
 	}
 	var pool *parallel.Pool
 	var err error
@@ -669,6 +667,11 @@ func (m *Manager) run(j *job, slot int) {
 		// translated config: a spec saying "uniform" arrives here with an
 		// empty cfg.Evaluator too, and must stay uniform.
 		cfg.Evaluator = m.cfg.Evaluator
+	}
+	if err == nil && cfg.Speculate == 0 {
+		// Service-default speculation overlay; a negative spec width
+		// stays, and the pool reads it as off.
+		cfg.Speculate = m.cfg.Speculate
 	}
 	var res parallel.Result
 	if err == nil {

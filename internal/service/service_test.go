@@ -2,9 +2,12 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/mpi"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -110,6 +113,67 @@ func TestSpecBounds(t *testing.T) {
 	if bad, err := New(Config{Slots: 1, Medians: 1, Clients: 1, Speculate: parallel.MaxSpeculate + 1}); err == nil {
 		bad.Shutdown(context.Background()) //nolint:errcheck // already failing
 		t.Fatal("pool speculation default past the bound accepted")
+	}
+}
+
+// TestServiceSpeculateDefault pins the speculation overlay: with
+// Config.Speculate set, a job whose spec leaves speculate zero speculates,
+// a job whose spec says −1 does not, and both return Reference's answer,
+// on an in-process pool and on a pool served by two workers alike.
+func TestServiceSpeculateDefault(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		cfg := Config{Slots: 1, Medians: 2, Clients: 2, Speculate: 2}
+		if workers > 0 {
+			cfg.Workers, cfg.WorkerListen = workers, "127.0.0.1:0"
+		}
+		m := newTestManager(t, cfg)
+		var wg sync.WaitGroup
+		for range workers {
+			w, err := mpi.DialWorker(m.WorkerAddr(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := parallel.ServeWorker(w); err != nil {
+					t.Errorf("worker: %v", err)
+				}
+			}()
+		}
+		for _, c := range []struct {
+			speculate  int
+			speculates bool
+		}{{0, true}, {-1, false}} {
+			spec := JobSpec{Domain: "sudoku", Box: 2, Level: 2, Seed: 7, Speculate: c.speculate}
+			before := m.Metrics().Pool.Speculated
+			id, err := m.Submit(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := m.Wait(context.Background(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateDone {
+				t.Fatalf("%d workers, speculate %d: state %s (err %q)", workers, c.speculate, st.State, st.Error)
+			}
+			if n := m.Metrics().Pool.Speculated - before; (n > 0) != c.speculates {
+				t.Fatalf("%d workers, speculate %d: %d branches speculated, want speculation %v",
+					workers, c.speculate, n, c.speculates)
+			}
+			label := fmt.Sprintf("%d workers, speculate %d", workers, c.speculate)
+			solo := soloRun(t, spec)
+			requireIdentical(t, label, st, solo)
+			if st.Steps != solo.Steps || st.Rollouts != solo.Jobs || st.WorkUnits != solo.WorkUnits {
+				t.Fatalf("%s: steps/rollouts/units %d/%d/%d != reference %d/%d/%d", label,
+					st.Steps, st.Rollouts, st.WorkUnits, solo.Steps, solo.Jobs, solo.WorkUnits)
+			}
+		}
+		if err := m.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
 	}
 }
 

@@ -183,8 +183,8 @@ func (s JobSpec) Root() (game.State, error) {
 
 // Config translates the spec into the parallel-run configuration used
 // both by the service pool and by parallel.Reference, which judges it. The
-// dispatch policy is pool-level (jobs share the pool's clients), so the
-// spec does not carry an Algo; scheduling never changes scores.
+// spec carries no dispatch order: the pool's helpers join posted steps in
+// Last-Minute order, and scheduling never changes scores.
 func (s JobSpec) Config() (parallel.Config, error) {
 	root, err := s.Root()
 	if err != nil {

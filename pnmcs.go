@@ -131,9 +131,9 @@ type (
 	ParallelConfig = parallel.Config
 	// ParallelResult is the outcome of a parallel run.
 	ParallelResult = parallel.Result
-	// Algorithm selects the dispatch order, RoundRobin or LastMinute: of
-	// pending rollouts at the per-run engine's dispatcher, of posted
-	// median steps a free helper joins in a pool.
+	// Algorithm selects the per-run engine's dispatch order of pending
+	// rollouts, RoundRobin or LastMinute. A service pool's helpers always
+	// join posted median steps in Last-Minute order.
 	Algorithm = parallel.Algorithm
 	// VirtualOptions tune the simulated cluster transport.
 	VirtualOptions = parallel.VirtualOptions
@@ -251,9 +251,11 @@ type Option func(*ServiceConfig)
 // WithSlots sets the number of jobs served concurrently (default 4).
 func WithSlots(n int) Option { return func(c *ServiceConfig) { c.Slots = n } }
 
-// WithPool sizes the shared worker pool: median processes and client
-// processes (defaults 4 and 8). These are the paper's §IV process roles;
-// they bound parallelism, never change results.
+// WithPool sizes the shared worker pool: median ranks and clients
+// (defaults 4 and 8). These are the paper's §IV process roles: a median
+// plays its candidate's game, and a client is a helper goroutine that
+// claims the rollouts of the steps its process's medians post. They bound
+// parallelism, never change results.
 func WithPool(medians, clients int) Option {
 	return func(c *ServiceConfig) { c.Medians, c.Clients = medians, clients }
 }
@@ -280,12 +282,6 @@ func WithTenantQPS(qps float64, burst int) Option {
 // WithRetain bounds the finished jobs kept for status queries
 // (default 1024); negative evicts terminal jobs immediately.
 func WithRetain(n int) Option { return func(c *ServiceConfig) { c.Retain = n } }
-
-// WithAlgorithm selects the order in which a free helper joins the
-// posted median steps, RoundRobin (earliest posted) or LastMinute (fewest
-// moves played; the default, the paper's best). Scheduling never changes
-// job results.
-func WithAlgorithm(a Algorithm) Option { return func(c *ServiceConfig) { c.Algo = a } }
 
 // WithEvaluator sets the default rollout evaluator — a registered
 // game.Evaluator name such as "heuristic" — applied to jobs whose spec
