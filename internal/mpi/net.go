@@ -3,10 +3,10 @@ package mpi
 // The net transport: a rank world spanning OS processes over TCP, the
 // closest analogue of the paper's Open MPI deployment on a Gigabit
 // cluster. One coordinator process (NetCluster) hosts a contiguous prefix
-// of the ranks — by convention the control ranks: root/job slots,
-// scheduler, dispatcher — and listens for worker processes (NetWorker,
+// of the ranks — by convention the control ranks: a pool's job slots and
+// scheduler — and listens for worker processes (NetWorker,
 // cmd/pnmcs-worker) that each dial in and host a contiguous range of the
-// remaining ranks (medians, clients).
+// remaining ranks (a pool's medians).
 //
 // Topology is a star: every worker holds one TCP connection to the
 // coordinator, and a worker rank reaches the coordinator's ranks and its
